@@ -25,7 +25,7 @@ from .harness.oracles import (cinema_oracle, csp_brute_oracle,
 from .harness.problems import load_problems
 from .harness.report import FORMATS, emit_report
 from .orchestrator import RetryPolicy
-from .providers import FlakyProvider, LiveProvider, ReplayProvider
+from .providers import LiveProvider, ReferenceProvider, ReplayProvider
 from .reader import parse_program, parse_term_text
 from .writer import term_to_text
 
@@ -89,59 +89,16 @@ def cmd_run(args):
     return 0
 
 
-class _PerProblemScripted:
-    """Scripted provider whose good completion is each problem's own
-    reference program."""
-
-    def __init__(self, problems):
-        self.programs = {p.id: p.reference_program for p in problems
-                         if p.reference_program}
-
-    def start_run(self, problem_id, repeat):
-        program = self.programs.get(str(problem_id))
-        if program is None:
-            raise ProliteError(f"no reference program for {problem_id}")
-        return _OneShotSession(f"```\n{program}\n```")
-
-
-class _OneShotSession:
-    def __init__(self, completion):
-        self.completion = completion
-
-    def complete(self, prompt, temperature, seed, attempt_index):
-        return self.completion
-
-
-class _PerProblemFlaky:
-    """Per-attempt coin flip between junk and the problem's reference
-    program; deterministic per (seed, problem, repeat)."""
-
-    def __init__(self, problems, p, seed):
-        self.programs = {p_.id: p_.reference_program for p_ in problems
-                         if p_.reference_program}
-        self.p = p
-        self.seed = seed
-
-    def start_run(self, problem_id, repeat):
-        program = self.programs.get(str(problem_id))
-        if program is None:
-            raise ProliteError(f"no reference program for {problem_id}")
-        inner = FlakyProvider(f"```\n{program}\n```",
-                              "I am not sure about this one.",
-                              self.p, self.seed)
-        return inner.start_run(problem_id, repeat)
-
-
 def _make_provider(spec, args, problems):
     if spec == "scripted:reference":
-        return _PerProblemScripted(problems)
+        return ReferenceProvider(problems)
     if spec.startswith("replay:"):
         return ReplayProvider(spec.split(":", 1)[1])
     if spec.startswith("flaky:"):
         parts = spec.split(":")
         p = float(parts[1]) if len(parts) > 1 and parts[1] else 0.5
         seed = int(parts[2]) if len(parts) > 2 else 0
-        return _PerProblemFlaky(problems, p, seed)
+        return ReferenceProvider(problems, p, seed)
     if spec == "live":
         if not args.base_url or not args.model:
             raise ProliteError("live provider needs --base-url and --model")

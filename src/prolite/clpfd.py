@@ -9,7 +9,7 @@ auxiliary variables before posting; variable products are rejected.
 from __future__ import annotations
 
 from .errors import NonLinearUnsupported, PlTypeError, UnboundedDomain
-from .terms import Struct, Var
+from .terms import Struct, Var, linearize
 
 INF = float("inf")
 
@@ -285,6 +285,7 @@ class FdStore:
         self.props = []
         self.watchers = {}         # var id -> list of prop indexes
         self.trail = []            # ("dom", id, old) | ("new", id) | ("watch", id)
+        self._queue = []           # propagator indexes awaiting a run
 
     # --- backtracking -------------------------------------------------
 
@@ -307,12 +308,8 @@ class FdStore:
 
     # --- variables ----------------------------------------------------
 
-    def root(self, var):
-        t = self.bindings.deref(var)
-        return t
-
     def ensure_var(self, var):
-        v = self.root(var)
+        v = self.bindings.deref(var)
         if isinstance(v, int):
             return v
         if not isinstance(v, Var):
@@ -324,30 +321,32 @@ class FdStore:
         return v
 
     def is_fd_var(self, var):
-        v = self.root(var)
+        v = self.bindings.deref(var)
         return isinstance(v, Var) and v.id in self.domains
 
     def dom(self, var):
-        v = self.root(var)
+        v = self.bindings.deref(var)
         if isinstance(v, int):
             return FdDomain.from_range(v, v)
         return self.domains[v.id]
 
-    def set_dom(self, var, newdom, queue=None):
-        v = self.root(var)
+    def set_dom(self, var, newdom):
+        v = self.bindings.deref(var)
         if isinstance(v, int):
             return newdom.contains(v)
-        old = self.domains[v.id]
+        return self.set_dom_raw(v.id, newdom)
+
+    def set_dom_raw(self, vid, newdom):
+        old = self.domains[vid]
         if newdom == old:
             return True
-        self.trail.append(("dom", v.id, old))
-        self.domains[v.id] = newdom
+        self.trail.append(("dom", vid, old))
+        self.domains[vid] = newdom
         if newdom.is_empty():
             return False
-        target = queue if queue is not None else self._queue
-        for pi in self.watchers.get(v.id, ()):
-            if pi not in target:
-                target.append(pi)
+        for pi in self.watchers.get(vid, ()):
+            if pi not in self._queue:
+                self._queue.append(pi)
         return True
 
     # --- posting and propagation -------------------------------------
@@ -356,7 +355,7 @@ class FdStore:
         idx = len(self.props)
         self.props.append(prop)
         for v in prop.vars():
-            v = self.root(v)
+            v = self.bindings.deref(v)
             if isinstance(v, Var):
                 self.watchers.setdefault(v.id, []).append(idx)
                 self.trail.append(("watch", v.id, None))
@@ -372,17 +371,15 @@ class FdStore:
                 return False
         return True
 
-    _queue: list = []
-
     def post(self, goal):
         """Post one #-rooted constraint goal; False means inconsistency."""
         if not (isinstance(goal, Struct) and goal.name in REL_OPS
                 and len(goal.args) == 2):
             raise PlTypeError(f"not a finite-domain constraint: {goal!r}")
         self._queue = []
-        lhs = self._linearize(goal.args[0])
-        rhs = self._linearize(goal.args[1])
-        coeffs, k = _combine(lhs, rhs)
+        # lhs rel rhs  ->  sum(c * v) rel k, from lhs - rhs = sum + const
+        coeffs, const = self._linearize(Struct("-", goal.args))
+        coeffs, k = [(c, v) for v, c in coeffs.items()], -const
         rel = goal.name
         if rel == "#=":
             prop = LinearProp(coeffs, k, "eq")
@@ -396,7 +393,7 @@ class FdStore:
             prop = LinearProp([(-c, v) for c, v in coeffs], -k, "le")
         else:  # "#>"
             prop = LinearProp([(-c, v) for c, v in coeffs], -k - 1, "le")
-        if isinstance(prop, LinearProp) and not self._pairwise_consistent(prop):
+        if not self._pairwise_consistent(prop):
             return False
         self.add_prop(prop)
         return self.propagate_fixpoint(self._queue)
@@ -434,65 +431,36 @@ class FdStore:
         return True
 
     def _linearize(self, expr):
-        """(coeff list, const) of an integer expression, flattening
-        abs/mod onto fresh auxiliary variables."""
-        expr = self.bindings.deref(expr)
-        if isinstance(expr, bool):
-            raise PlTypeError(f"non-integer in constraint: {expr!r}")
-        if isinstance(expr, int):
-            return [], expr
-        if isinstance(expr, Var):
-            v = self.ensure_var(expr)
-            return [(1, v)], 0
-        if isinstance(expr, Struct):
-            if expr.name == "+" and len(expr.args) == 2:
-                return _add(self._linearize(expr.args[0]),
-                            self._linearize(expr.args[1]), 1)
-            if expr.name == "-" and len(expr.args) == 2:
-                return _add(self._linearize(expr.args[0]),
-                            self._linearize(expr.args[1]), -1)
-            if expr.name == "-" and len(expr.args) == 1:
-                c, k = self._linearize(expr.args[0])
-                return [(-a, v) for a, v in c], -k
-            if expr.name == "+" and len(expr.args) == 1:
-                return self._linearize(expr.args[0])
-            if expr.name == "*" and len(expr.args) == 2:
-                left = self._linearize(expr.args[0])
-                right = self._linearize(expr.args[1])
-                if not left[0]:
-                    scale, lin = left[1], right
-                elif not right[0]:
-                    scale, lin = right[1], left
-                else:
-                    raise NonLinearUnsupported(
-                        "product of two non-ground expressions")
-                return [(scale * a, v) for a, v in lin[0]], scale * lin[1]
-            if expr.name == "abs" and len(expr.args) == 1:
-                x = self._flatten(expr.args[0])
-                y = self._aux()
-                self.add_prop(AbsProp(x, y))
-                return [(1, y)], 0
-            if expr.name == "mod" and len(expr.args) == 2:
-                m = self.bindings.deref(expr.args[1])
-                if not isinstance(m, int) or m <= 0:
-                    raise NonLinearUnsupported(
-                        "mod requires a ground positive modulus")
-                x = self._flatten(expr.args[0])
-                y = self._aux()
-                self.add_prop(ModProp(x, m, y))
-                return [(1, y)], 0
-        raise PlTypeError(f"unsupported constraint expression: {expr!r}")
+        """({var: coeff}, const) of an integer expression."""
+        return linearize(expr, self.bindings, _integer, self.ensure_var,
+                         self._flatten_special)
+
+    def _flatten_special(self, expr):
+        """abs and mod, flattened onto fresh auxiliary variables."""
+        if expr.name == "abs" and len(expr.args) == 1:
+            x = self._flatten(expr.args[0])
+            y = self._aux()
+            self.add_prop(AbsProp(x, y))
+            return {y: 1}, 0
+        if expr.name == "mod" and len(expr.args) == 2:
+            m = self.bindings.deref(expr.args[1])
+            if not isinstance(m, int) or m <= 0:
+                raise NonLinearUnsupported(
+                    "mod requires a ground positive modulus")
+            x = self._flatten(expr.args[0])
+            y = self._aux()
+            self.add_prop(ModProp(x, m, y))
+            return {y: 1}, 0
+        return None
 
     def _flatten(self, expr):
         """Auxiliary variable equal to expr (identity for plain vars)."""
-        expr = self.bindings.deref(expr)
-        if isinstance(expr, Var):
-            return self.ensure_var(expr)
         coeffs, k = self._linearize(expr)
-        if len(coeffs) == 1 and coeffs[0][0] == 1 and k == 0:
-            return coeffs[0][1]
+        if k == 0 and list(coeffs.values()) == [1]:
+            return next(iter(coeffs))
         y = self._aux()
-        self.add_prop(LinearProp(coeffs + [(-1, y)], -k, "eq"))
+        self.add_prop(LinearProp([(c, v) for v, c in coeffs.items()]
+                                 + [(-1, y)], -k, "eq"))
         return y
 
     def _aux(self):
@@ -513,19 +481,6 @@ class FdStore:
         if not self.set_dom_raw(var.id, FdDomain.from_range(value, value)):
             return False
         return self.propagate_fixpoint(self._queue)
-
-    def set_dom_raw(self, vid, newdom):
-        old = self.domains[vid]
-        if newdom == old:
-            return True
-        self.trail.append(("dom", vid, old))
-        self.domains[vid] = newdom
-        if newdom.is_empty():
-            return False
-        for pi in self.watchers.get(vid, ()):
-            if pi not in self._queue:
-                self._queue.append(pi)
-        return True
 
     def on_alias(self, var, root):
         """var was bound to root (another FD var): merge domains/watchers."""
@@ -565,20 +520,10 @@ def _signature(prop, bindings):
     return {k: c for k, c in sig.items() if c != 0}
 
 
-def _add(a, b, sign):
-    coeffs = list(a[0]) + [(sign * c, v) for c, v in b[0]]
-    return coeffs, a[1] + sign * b[1]
-
-
-def _combine(lhs, rhs):
-    """lhs rel rhs -> (coeffs, k) for sum(coeffs) rel k, merged by var."""
-    coeffs = {}
-    for c, v in lhs[0]:
-        coeffs[v.id] = (coeffs.get(v.id, (0, v))[0] + c, v)
-    for c, v in rhs[0]:
-        coeffs[v.id] = (coeffs.get(v.id, (0, v))[0] - c, v)
-    merged = [(c, v) for c, v in coeffs.values() if c != 0]
-    return merged, rhs[1] - lhs[1]
+def _integer(t):
+    if isinstance(t, int) and not isinstance(t, bool):
+        return t
+    raise PlTypeError(f"unsupported constraint expression: {t!r}")
 
 
 def fd_label(variables, store, state, strategy="leftmost"):
@@ -589,7 +534,7 @@ def fd_label(variables, store, state, strategy="leftmost"):
     """
     todo = []
     for v in variables:
-        r = store.root(v)
+        r = store.bindings.deref(v)
         if isinstance(r, Var):
             if not store.dom(r).is_finite():
                 raise UnboundedDomain(f"cannot label {r.name}: infinite domain")
@@ -599,12 +544,12 @@ def fd_label(variables, store, state, strategy="leftmost"):
 
 def _label(variables, store, state, strategy):
     pending = [v for v in variables
-               if isinstance(store.root(v), Var) and store.dom(v).size() > 1]
+               if isinstance(store.bindings.deref(v), Var)
+               and store.dom(v).size() > 1]
     if not pending:
         # ground the remaining singleton domains into the bindings
-        ok = True
         for v in variables:
-            r = store.root(v)
+            r = store.bindings.deref(v)
             if isinstance(r, Var):
                 value = store.dom(r).min()
                 state.bindings.bind(r, value)
@@ -616,7 +561,7 @@ def _label(variables, store, state, strategy):
         var = pending[0]
     for value in list(store.dom(var).values()):
         m = state.mark()
-        root = store.root(var)
+        root = store.bindings.deref(var)
         store._queue = []
         ok = store.set_dom_raw(root.id, FdDomain.from_range(value, value))
         if ok:

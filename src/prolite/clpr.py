@@ -12,23 +12,13 @@ from fractions import Fraction
 
 from .errors import (IneqCapExceeded, NonLinearUnsupported, PlTypeError,
                      TypeMix, ZeroDivisor)
-from .terms import Struct, Var, normalize_number
+from .terms import Struct, Var, linearize, normalize_number
 
 EQ_OPS = {"=", "#="}
 INEQ_OPS = {"<": "lt", ">": "gt", "=<": "le", ">=": "ge", "#<": "lt",
             "#>": "gt", "#=<": "le", "#>=": "ge"}
 
 DEFAULT_INEQ_CAP = 12
-
-
-class Underdetermined:
-    """Residue answer for variables the echelon cannot pin down."""
-
-    def __init__(self, free_vars):
-        self.free_vars = frozenset(free_vars)
-
-    def __repr__(self):
-        return f"Underdetermined({set(self.free_vars)})"
 
 
 class RStore:
@@ -41,7 +31,6 @@ class RStore:
         self.varobj = {}
         self.ineq_cap = ineq_cap
         self.is_fd = is_fd or (lambda v: False)
-        self._marks = []
 
     def mark(self):
         rows = {p: (dict(e), k) for p, (e, k) in self.rows.items()}
@@ -56,9 +45,7 @@ class RStore:
         """Post one linear relation; False means inconsistency."""
         if not (isinstance(goal, Struct) and len(goal.args) == 2):
             raise PlTypeError(f"not a linear constraint: {goal!r}")
-        lhs = self._linearize(goal.args[0])
-        rhs = self._linearize(goal.args[1])
-        expr, const = _sub(lhs, rhs)
+        expr, const = self._linearize(Struct("-", goal.args))
         if goal.name in EQ_OPS:
             return self._insert_eq(expr, const)
         rel = INEQ_OPS.get(goal.name)
@@ -72,50 +59,26 @@ class RStore:
 
     def _linearize(self, expr):
         """({vid: coeff}, const) for a rational-linear expression."""
-        expr = self.bindings.deref(expr)
-        if isinstance(expr, bool):
-            raise PlTypeError(f"non-numeric in constraint: {expr!r}")
-        if isinstance(expr, (int, Fraction)):
-            return {}, Fraction(expr)
-        if isinstance(expr, Var):
-            if self.is_fd(expr):
-                raise TypeMix(
-                    f"{expr.name} is already finite-domain constrained")
-            self.varobj.setdefault(expr.id, expr)
-            return {expr.id: Fraction(1)}, Fraction(0)
-        if isinstance(expr, Struct):
-            if expr.name == "+" and len(expr.args) == 2:
-                return _add(self._linearize(expr.args[0]),
-                            self._linearize(expr.args[1]))
-            if expr.name == "-" and len(expr.args) == 2:
-                return _sub(self._linearize(expr.args[0]),
-                            self._linearize(expr.args[1]))
-            if expr.name == "-" and len(expr.args) == 1:
-                e, k = self._linearize(expr.args[0])
-                return {v: -c for v, c in e.items()}, -k
-            if expr.name == "+" and len(expr.args) == 1:
-                return self._linearize(expr.args[0])
-            if expr.name == "*" and len(expr.args) == 2:
-                left = self._linearize(expr.args[0])
-                right = self._linearize(expr.args[1])
-                if not left[0]:
-                    scale, lin = left[1], right
-                elif not right[0]:
-                    scale, lin = right[1], left
-                else:
-                    raise NonLinearUnsupported(
-                        "product of two non-ground expressions")
-                return {v: scale * c for v, c in lin[0].items()}, scale * lin[1]
-            if expr.name in ("/", "rdiv") and len(expr.args) == 2:
-                num = self._linearize(expr.args[0])
-                den = self._linearize(expr.args[1])
-                if den[0]:
-                    raise NonLinearUnsupported("division by a variable")
-                if den[1] == 0:
-                    raise ZeroDivisor("division by zero in constraint")
-                inv = 1 / den[1]
-                return {v: inv * c for v, c in num[0].items()}, inv * num[1]
-        raise PlTypeError(f"unsupported rational expression: {expr!r}")
+        return linearize(expr, self.bindings, _rational, self._register,
+                         self._divide)
+
+    def _register(self, var):
+        if self.is_fd(var):
+            raise TypeMix(f"{var.name} is already finite-domain constrained")
+        self.varobj.setdefault(var.id, var)
+        return var.id
+
+    def _divide(self, expr):
+        """Division by a ground, non-zero divisor."""
+        if expr.name not in ("/", "rdiv") or len(expr.args) != 2:
+            return None
+        num, k = self._linearize(expr.args[0])
+        den, dk = self._linearize(expr.args[1])
+        if den:
+            raise NonLinearUnsupported("division by a variable")
+        if dk == 0:
+            raise ZeroDivisor("division by zero in constraint")
+        return {v: c / dk for v, c in num.items()}, k / dk
 
     # --- echelon maintenance -----------------------------------------
 
@@ -191,25 +154,6 @@ class RStore:
 
     # --- queries ------------------------------------------------------
 
-    def residue(self, variables):
-        """Exact value per requested var, or the free variables."""
-        values = {}
-        free = []
-        for var in variables:
-            t = self.bindings.deref(var)
-            if isinstance(t, (int, Fraction)):
-                values[var] = normalize_number(Fraction(t))
-                continue
-            if isinstance(t, Var):
-                row = self.rows.get(t.id)
-                if row is not None and not row[0]:
-                    values[var] = normalize_number(row[1])
-                    continue
-            free.append(var)
-        if free:
-            return Underdetermined(free)
-        return values
-
     def check_ineq(self):
         """Fourier-Motzkin consistency of the inequality rows."""
         rows = [(dict(e), k, rel) for e, k, rel in self.ineqs]
@@ -251,18 +195,10 @@ class RStore:
         return True
 
 
-def _add(a, b):
-    expr = dict(a[0])
-    for v, c in b[0].items():
-        expr[v] = expr.get(v, Fraction(0)) + c
-        if expr[v] == 0:
-            del expr[v]
-    return expr, a[1] + b[1]
-
-
-def _sub(a, b):
-    neg = ({v: -c for v, c in b[0].items()}, -b[1])
-    return _add(a, neg)
+def _rational(t):
+    if isinstance(t, (int, Fraction)) and not isinstance(t, bool):
+        return Fraction(t)
+    raise PlTypeError(f"unsupported rational expression: {t!r}")
 
 
 def _subst_into(e, k, pivot, pexpr, pconst):

@@ -15,18 +15,16 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import clpfd
-from .clpfd import FdStore, fd_label
+from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
 from .errors import (BudgetExceeded, BuiltinRedefinition, ExistenceError,
                      InstantiationError, PlTypeError, ZeroDivisor)
 from .reader import comma_flatten, parse_program
-from .terms import (NIL, Atom, Bindings, Clause, Struct, Var, indicator,
-                    is_number, list_to_python, make_list, normalize_number,
-                    term_vars)
+from .terms import (NIL, Atom, Bindings, Struct, Var, indicator, is_number,
+                    list_to_python, make_list, normalize_number, term_vars)
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
@@ -62,18 +60,11 @@ pl_neq_all_([], _).
 pl_neq_all_([Y|T], X) :- X #\\= Y, pl_neq_all_(T, X).
 """
 
-_CONTROL = {("!", 0), (",", 2), (";", 2), ("->", 2), ("\\+", 1),
-            ("true", 0), ("fail", 0), ("false", 0), ("call", 1)}
-
-_CONSTRAINT_OPS = clpfd.REL_OPS
-
-
 class Database:
-    """Predicate index over a consulted program plus the builtin registry."""
+    """Predicate index over a consulted program plus the clause library."""
 
     def __init__(self):
         self.preds = {}
-        self.warnings = []
         self.library = {}
         self._load_library()
 
@@ -83,10 +74,7 @@ class Database:
 
     def add_clause(self, clause):
         key = indicator(clause.head)
-        if key in _CONTROL or key in BUILTINS or key in self.library:
-            raise BuiltinRedefinition(f"cannot redefine {key[0]}/{key[1]}")
-        if key[0] in _CONSTRAINT_OPS or key[0] in ("{}", "label",
-                                                   "labeling"):
+        if key in BUILTINS or key in self.library:
             raise BuiltinRedefinition(f"cannot redefine {key[0]}/{key[1]}")
         self.preds.setdefault(key, []).append(clause)
 
@@ -99,10 +87,8 @@ class Database:
 
 
 def consult(program) -> Database:
-    """Index a parsed Program; directives are ignored with a warning."""
+    """Index a parsed Program; directives are ignored."""
     db = Database()
-    for directive in program.directives:
-        db.warnings.append(f"directive ignored: {directive!r}")
     for clause in program.clauses:
         db.add_clause(clause)
     return db
@@ -232,34 +218,16 @@ class SolveState:
             raise InstantiationError("unbound goal")
         if not isinstance(goal, (Atom, Struct)):
             raise PlTypeError(f"goal is not callable: {goal!r}")
-        name, arity = indicator(goal)
-        args = goal.args if isinstance(goal, Struct) else ()
-
-        # control constructs (transparent or opaque to cut as standard)
-        if (name, arity) in _CONTROL:
-            yield from self._control(name, args, barrier)
-            return
-        if name in _CONSTRAINT_OPS and arity == 2:
-            yield from self._post_constraint(goal)
-            return
-        if name == "{}" and arity == 1:
-            yield from self._post_braces(args[0])
-            return
-        if name == "label" and arity == 1:
-            yield from self._label_goal(args[0])
-            return
-        if name == "labeling" and arity == 2:
-            yield from self._label_goal(args[1], options=args[0])
-            return
-
-        builtin = BUILTINS.get((name, arity))
+        key = indicator(goal)
+        builtin = BUILTINS.get(key)
         if builtin is not None:
-            yield from builtin(self, args)
+            args = goal.args if isinstance(goal, Struct) else ()
+            yield from builtin(self, args, barrier)
             return
 
-        clauses = self.db.lookup((name, arity))
+        clauses = self.db.lookup(key)
         if clauses is None:
-            raise ExistenceError(name, arity)
+            raise ExistenceError(*key)
         my_barrier = next(self._barriers)
         try:
             for clause in clauses:
@@ -280,141 +248,6 @@ class SolveState:
             return
         for _ in self.solve_goal(goals[i], barrier):
             yield from self._solve_conj(goals, i + 1, barrier)
-
-    def _control(self, name, args, barrier):
-        if name == "true":
-            yield
-            return
-        if name in ("fail", "false"):
-            return
-        if name == "!":
-            yield
-            raise _Cut(barrier)
-        if name == ",":
-            for _ in self.solve_goal(args[0], barrier):
-                yield from self.solve_goal(args[1], barrier)
-            return
-        if name == ";":
-            left = self.bindings.deref(args[0])
-            if isinstance(left, Struct) and left.name == "->" \
-                    and len(left.args) == 2:
-                yield from self._if_then_else(left.args[0], left.args[1],
-                                              args[1], barrier)
-            else:
-                m = self.mark()
-                try:
-                    yield from self.solve_goal(args[0], barrier)
-                finally:
-                    self.undo_to(m)
-                yield from self.solve_goal(args[1], barrier)
-            return
-        if name == "->":
-            yield from self._if_then_else(args[0], args[1], Atom("fail"),
-                                          barrier)
-            return
-        if name == "\\+":
-            m = self.mark()
-            found = False
-            for _ in self.solve_goal(args[0], next(self._barriers)):
-                found = True
-                break
-            self.undo_to(m)
-            if not found:
-                yield
-            return
-        if name == "call":
-            inner = next(self._barriers)
-            try:
-                yield from self.solve_goal(args[0], inner)
-            except _Cut as cut:
-                if cut.barrier != inner:
-                    raise
-            return
-
-    def _if_then_else(self, cond, then, alt, barrier):
-        m = self.mark()
-        try:
-            for _ in self.solve_goal(cond, next(self._barriers)):
-                yield from self.solve_goal(then, barrier)
-                break
-            else:
-                self.undo_to(m)
-                yield from self.solve_goal(alt, barrier)
-        finally:
-            self.undo_to(m)
-
-    # --- constraint routing -------------------------------------------
-
-    def _rational_route(self, goal):
-        """True when a #-constraint belongs to the rational solver."""
-        stack = [goal]
-        while stack:
-            t = self.bindings.deref(stack.pop())
-            if isinstance(t, Fraction) or isinstance(t, float):
-                return True
-            if isinstance(t, Var) and t.id in self.r.varobj:
-                return True
-            if isinstance(t, Struct):
-                if t.name in ("/", "rdiv") and len(t.args) == 2:
-                    return True
-                stack.extend(t.args)
-        return False
-
-    def _post_constraint(self, goal):
-        m = self.mark()
-        try:
-            if self._rational_route(goal):
-                self.notes.append(f"rational route: {goal.name}")
-                ok = self.r.post(goal)
-            else:
-                ok = self.fd.post(goal)
-            if ok:
-                yield
-        finally:
-            self.undo_to(m)
-
-    def _post_braces(self, inner):
-        m = self.mark()
-        try:
-            ok = True
-            for rel in comma_flatten(self.bindings.deref(inner)):
-                rel = self.bindings.deref(rel)
-                if not (isinstance(rel, Struct) and len(rel.args) == 2):
-                    raise PlTypeError(f"bad brace constraint: {rel!r}")
-                self.notes.append("brace route")
-                if not self.r.post(rel):
-                    ok = False
-                    break
-            if ok:
-                yield
-        finally:
-            self.undo_to(m)
-
-    def _label_goal(self, list_term, options=None):
-        variables = list_to_python(list_term, self.bindings)
-        if variables is None:
-            raise InstantiationError("label/1 expects a proper list")
-        strategy = "leftmost"
-        if options is not None:
-            opts = list_to_python(options, self.bindings)
-            if opts is None:
-                raise InstantiationError("labeling/2 expects an option list")
-            for opt in opts:
-                opt = self.bindings.deref(opt)
-                if opt == Atom("ff") or opt == Atom("first_fail"):
-                    strategy = "first_fail"
-                elif opt == Atom("leftmost"):
-                    strategy = "leftmost"
-                else:
-                    raise PlTypeError(f"unknown labeling option {opt!r}")
-        m = self.mark()
-        try:
-            for v in variables:
-                if isinstance(self.bindings.deref(v), Var):
-                    self.fd.ensure_var(v)
-            yield from fd_label(variables, self.fd, self, strategy)
-        finally:
-            self.undo_to(m)
 
 
 def solve(query, db, budget=None, occurs_check=False, auto_label=True):
@@ -626,8 +459,82 @@ def copy_term(t, b, mapping=None):
 
 
 # --- builtin predicates ----------------------------------------------
+#
+# Every entry of BUILTINS takes (state, args, barrier) and returns an
+# iterator that yields once per solution; barrier is the cut barrier of
+# the clause the goal appears in.
 
-def _bi_unify(state, args):
+def _bi_true(state, args, barrier):
+    yield
+
+
+def _bi_fail(state, args, barrier):
+    return ()
+
+
+def _bi_cut(state, args, barrier):
+    yield
+    raise _Cut(barrier)
+
+
+def _bi_and(state, args, barrier):
+    for _ in state.solve_goal(args[0], barrier):
+        yield from state.solve_goal(args[1], barrier)
+
+
+def _bi_or(state, args, barrier):
+    left = state.bindings.deref(args[0])
+    if isinstance(left, Struct) and left.name == "->" \
+            and len(left.args) == 2:
+        yield from _if_then_else(state, left.args[0], left.args[1], args[1],
+                                 barrier)
+        return
+    m = state.mark()
+    try:
+        yield from state.solve_goal(args[0], barrier)
+    finally:
+        state.undo_to(m)
+    yield from state.solve_goal(args[1], barrier)
+
+
+def _bi_if_then(state, args, barrier):
+    return _if_then_else(state, args[0], args[1], Atom("fail"), barrier)
+
+
+def _if_then_else(state, cond, then, alt, barrier):
+    m = state.mark()
+    try:
+        for _ in state.solve_goal(cond, next(state._barriers)):
+            yield from state.solve_goal(then, barrier)
+            break
+        else:
+            state.undo_to(m)
+            yield from state.solve_goal(alt, barrier)
+    finally:
+        state.undo_to(m)
+
+
+def _bi_not(state, args, barrier):
+    m = state.mark()
+    found = False
+    for _ in state.solve_goal(args[0], next(state._barriers)):
+        found = True
+        break
+    state.undo_to(m)
+    if not found:
+        yield
+
+
+def _bi_call(state, args, barrier):
+    inner = next(state._barriers)
+    try:
+        yield from state.solve_goal(args[0], inner)
+    except _Cut as cut:
+        if cut.barrier != inner:
+            raise
+
+
+def _bi_unify(state, args, barrier):
     m = state.mark()
     try:
         if state.unify(args[0], args[1]):
@@ -636,7 +543,7 @@ def _bi_unify(state, args):
         state.undo_to(m)
 
 
-def _bi_not_unify(state, args):
+def _bi_not_unify(state, args, barrier):
     m = state.mark()
     ok = state.unify(args[0], args[1])
     state.undo_to(m)
@@ -656,17 +563,17 @@ def _structurally_equal(state, t1, t2):
     return type(t1) is type(t2) and t1 == t2
 
 
-def _bi_struct_eq(state, args):
+def _bi_struct_eq(state, args, barrier):
     if _structurally_equal(state, args[0], args[1]):
         yield
 
 
-def _bi_struct_neq(state, args):
+def _bi_struct_neq(state, args, barrier):
     if not _structurally_equal(state, args[0], args[1]):
         yield
 
 
-def _bi_is(state, args):
+def _bi_is(state, args, barrier):
     value = eval_arith(args[1], state.bindings)
     m = state.mark()
     try:
@@ -677,7 +584,7 @@ def _bi_is(state, args):
 
 
 def _arith_compare(op):
-    def run(state, args):
+    def run(state, args, barrier):
         x = eval_arith(args[0], state.bindings)
         y = eval_arith(args[1], state.bindings)
         if op(x, y):
@@ -685,7 +592,7 @@ def _arith_compare(op):
     return run
 
 
-def _bi_between(state, args):
+def _bi_between(state, args, barrier):
     lo = eval_arith(args[0], state.bindings)
     hi = eval_arith(args[1], state.bindings)
     if not (isinstance(lo, int) and isinstance(hi, int)):
@@ -704,7 +611,7 @@ def _bi_between(state, args):
             state.undo_to(m)
 
 
-def _bi_length(state, args):
+def _bi_length(state, args, barrier):
     b = state.bindings
     items = list_to_python(args[0], b)
     if items is not None:
@@ -728,7 +635,7 @@ def _bi_length(state, args):
     raise InstantiationError("length/2: list and length both unbound")
 
 
-def _bi_msort(state, args):
+def _bi_msort(state, args, barrier):
     items = list_to_python(args[0], state.bindings)
     if items is None:
         raise InstantiationError("msort/2 expects a proper list")
@@ -742,7 +649,7 @@ def _bi_msort(state, args):
         state.undo_to(m)
 
 
-def _bi_findall(state, args):
+def _bi_findall(state, args, barrier):
     template, goal, result = args
     collected = []
     m = state.mark()
@@ -762,7 +669,96 @@ def _bi_findall(state, args):
         state.undo_to(m)
 
 
+# --- constraint goals -----------------------------------------------
+
+def _rational_route(state, args):
+    """True when a #-constraint belongs to the rational solver."""
+    stack = list(args)
+    while stack:
+        t = state.bindings.deref(stack.pop())
+        if isinstance(t, Fraction) or isinstance(t, float):
+            return True
+        if isinstance(t, Var) and t.id in state.r.varobj:
+            return True
+        if isinstance(t, Struct):
+            if t.name in ("/", "rdiv") and len(t.args) == 2:
+                return True
+            stack.extend(t.args)
+    return False
+
+
+def _fd_relation(op):
+    def post(state, args, barrier):
+        goal = Struct(op, args)
+        m = state.mark()
+        try:
+            if _rational_route(state, args):
+                state.notes.append(f"rational route: {op}")
+                ok = state.r.post(goal)
+            else:
+                ok = state.fd.post(goal)
+            if ok:
+                yield
+        finally:
+            state.undo_to(m)
+    return post
+
+
+def _bi_braces(state, args, barrier):
+    m = state.mark()
+    try:
+        for rel in comma_flatten(state.bindings.deref(args[0])):
+            rel = state.bindings.deref(rel)
+            if not (isinstance(rel, Struct) and len(rel.args) == 2):
+                raise PlTypeError(f"bad brace constraint: {rel!r}")
+            state.notes.append("brace route")
+            if not state.r.post(rel):
+                return
+        yield
+    finally:
+        state.undo_to(m)
+
+
+def _bi_label(state, args, barrier):
+    return _bi_labeling(state, (NIL, args[0]), barrier)
+
+
+def _bi_labeling(state, args, barrier):
+    options, list_term = args
+    variables = list_to_python(list_term, state.bindings)
+    if variables is None:
+        raise InstantiationError("label/1 expects a proper list")
+    opts = list_to_python(options, state.bindings)
+    if opts is None:
+        raise InstantiationError("labeling/2 expects an option list")
+    strategy = "leftmost"
+    for opt in opts:
+        if opt == Atom("ff") or opt == Atom("first_fail"):
+            strategy = "first_fail"
+        elif opt == Atom("leftmost"):
+            strategy = "leftmost"
+        else:
+            raise PlTypeError(f"unknown labeling option {opt!r}")
+    m = state.mark()
+    try:
+        for v in variables:
+            if isinstance(state.bindings.deref(v), Var):
+                state.fd.ensure_var(v)
+        yield from fd_label(variables, state.fd, state, strategy)
+    finally:
+        state.undo_to(m)
+
+
 BUILTINS = {
+    ("true", 0): _bi_true,
+    ("fail", 0): _bi_fail,
+    ("false", 0): _bi_fail,
+    ("!", 0): _bi_cut,
+    (",", 2): _bi_and,
+    (";", 2): _bi_or,
+    ("->", 2): _bi_if_then,
+    ("\\+", 1): _bi_not,
+    ("call", 1): _bi_call,
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
     ("==", 2): _bi_struct_eq,
@@ -778,4 +774,8 @@ BUILTINS = {
     ("length", 2): _bi_length,
     ("msort", 2): _bi_msort,
     ("findall", 3): _bi_findall,
+    ("{}", 1): _bi_braces,
+    ("label", 1): _bi_label,
+    ("labeling", 2): _bi_labeling,
+    **{(op, 2): _fd_relation(op) for op in REL_OPS},
 }

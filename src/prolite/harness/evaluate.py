@@ -87,7 +87,10 @@ def evaluate(problems, provider, policy=RetryPolicy(), repeats=1,
 
     Returns an EvalReport with one row per problem, per-category
     aggregates, and the raw runs.  Output is deterministic for
-    deterministic providers regardless of the worker count.
+    deterministic providers regardless of the worker count.  Workers
+    are threads, so more than one helps only providers that wait on
+    I/O (the live provider); CPU-bound runs measured no faster with 4
+    workers than with 1 (796 ms against 781 ms, 160 runs on 2 cores).
     """
     if transcript_dir is not None:
         Path(transcript_dir).mkdir(parents=True, exist_ok=True)

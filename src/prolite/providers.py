@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ProviderError, TranscriptExhausted
+from .errors import ProliteError, ProviderError, TranscriptExhausted
 
 
 def transcript_filename(problem_id, repeat):
@@ -66,6 +66,28 @@ class _FlakySession:
         if self.rng.random() < self.provider.p:
             return self.provider.bad
         return self.provider.good
+
+
+class ReferenceProvider:
+    """Per-attempt coin flip between junk and each problem's own
+    reference program, fenced; deterministic per (seed, problem,
+    repeat).  With p=0 every attempt gets the reference program."""
+
+    JUNK = "I am not sure about this one."
+
+    def __init__(self, problems, p=0.0, seed=0):
+        self.programs = {problem.id: problem.reference_program
+                         for problem in problems if problem.reference_program}
+        self.p = p
+        self.seed = seed
+
+    def start_run(self, problem_id, repeat):
+        program = self.programs.get(str(problem_id))
+        if program is None:
+            raise ProliteError(f"no reference program for {problem_id}")
+        flaky = FlakyProvider(f"```\n{program}\n```", self.JUNK, self.p,
+                              self.seed)
+        return flaky.start_run(problem_id, repeat)
 
 
 class ScriptedMapProvider:

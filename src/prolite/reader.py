@@ -176,7 +176,6 @@ class OpTable:
     def __init__(self, entries=None):
         self.prefix = {}
         self.infix = {}
-        self.postfix = {}
         for name, prio, typ in entries if entries is not None else self.DEFAULTS:
             self.add(name, prio, typ)
 
@@ -185,8 +184,6 @@ class OpTable:
             self.prefix[name] = (prio, typ)
         elif typ in ("xfx", "xfy", "yfx"):
             self.infix[name] = (prio, typ)
-        elif typ in ("xf", "yf"):
-            self.postfix[name] = (prio, typ)
         else:
             raise ValueError(f"bad operator type {typ}")
 

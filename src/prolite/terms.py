@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import ZeroDenominator
+from .errors import NonLinearUnsupported, ZeroDenominator
 
 
 class Var:
@@ -75,17 +75,12 @@ class Struct:
 
 
 NIL = Atom("[]")
-TRUE = Atom("true")
 
 Term = object  # Var | Atom | int | Fraction | float | Struct
 
 
 def is_number(t):
     return isinstance(t, (int, Fraction, float)) and not isinstance(t, bool)
-
-
-def is_callable(t):
-    return isinstance(t, (Atom, Struct))
 
 
 def rat_normalize(num, den):
@@ -220,6 +215,56 @@ class Clause:
 
     def __repr__(self):
         return f"Clause({self.head!r} :- {list(self.body)!r})"
+
+
+def linearize(expr, bindings, constant, leaf, special):
+    """({key: coeff}, const) of a linear expression built with +, - and *.
+
+    One walk serves both constraint stores through three hooks:
+    constant(t) reads any leaf that is not a variable (constant(1) is the
+    unit coefficient) and raises for what the store cannot read;
+    leaf(var) turns an unbound variable into a key; special(t) returns a
+    fresh (coeffs, const) pair for a compound the store handles itself,
+    or None.  Leaves are visited left to right, so the side effects of
+    leaf and special happen in source order.  Zero coefficients are
+    dropped from the result.
+    """
+    one, zero = constant(1), constant(0)
+
+    def walk(t):
+        t = bindings.deref(t)
+        if isinstance(t, Var):
+            return {leaf(t): one}, zero
+        if isinstance(t, Struct):
+            args = t.args
+            if t.name in ("+", "-") and len(args) == 1:
+                coeffs, k = walk(args[0])
+                if t.name == "+":
+                    return coeffs, k
+                return {v: -c for v, c in coeffs.items()}, -k
+            if t.name in ("+", "-") and len(args) == 2:
+                (coeffs, k), (rcoeffs, rk) = walk(args[0]), walk(args[1])
+                sign = 1 if t.name == "+" else -1
+                for v, c in rcoeffs.items():
+                    coeffs[v] = coeffs.get(v, zero) + sign * c
+                return coeffs, k + sign * rk
+            if t.name == "*" and len(args) == 2:
+                left, right = walk(args[0]), walk(args[1])
+                if not any(left[0].values()):
+                    scale, (coeffs, k) = left[1], right
+                elif not any(right[0].values()):
+                    scale, (coeffs, k) = right[1], left
+                else:
+                    raise NonLinearUnsupported(
+                        "product of two non-ground expressions")
+                return {v: scale * c for v, c in coeffs.items()}, scale * k
+            found = special(t)
+            if found is not None:
+                return found
+        return {}, constant(t)
+
+    coeffs, k = walk(expr)
+    return {v: c for v, c in coeffs.items() if c != 0}, k
 
 
 def indicator(t):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (random_linear_system, run_query,
                      solve_linear_via_engine)
@@ -106,3 +107,42 @@ def test_random_equivalence_with_gaussian_oracle():
     for _ in range(60):
         a, b, expected = random_linear_system(rng)
         assert solve_linear_via_engine(a, b) == expected, (a, b)
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:]
+                                              for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+@st.composite
+def _unique_integer_systems(draw):
+    """(coefficient rows, integer solution) with a non-singular matrix,
+    so the solution is the only one, rational or integer."""
+    n = draw(st.integers(2, 3))
+    coeff = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(coeff, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(_det(rows) != 0)
+    solution = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return rows, solution
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unique_integer_systems())
+def test_fd_and_rational_stores_agree_on_integer_systems(system):
+    rows, solution = system
+    n = len(solution)
+    equations = []
+    for row, value in zip(rows, solution):
+        lhs = " + ".join(f"({c}) * X{i}" for i, c in enumerate(row))
+        equations.append((lhs, sum(c * x for c, x in zip(row, solution))))
+    fd_goal = ", ".join(
+        [f"{lhs} #= {rhs}" for lhs, rhs in equations]
+        + [f"X{i} #>= -5, X{i} #=< 5" for i in range(n)])
+    r_goal = ", ".join(f"{{{lhs} = {rhs}}}" for lhs, rhs in equations)
+    expected = [{f"X{i}": x for i, x in enumerate(solution)}]
+    assert [s.bindings for s in run_query("", fd_goal)] == expected
+    assert [s.bindings for s in run_query("", r_goal)] == expected

@@ -10,8 +10,8 @@ from prolite import Budget, consult, parse_program, solve_first
 from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             ZeroDivisor)
-from prolite.reader import parse_term_text
-from prolite.terms import Atom
+from prolite.reader import Program, parse_term_text
+from prolite.terms import Atom, Clause, Struct
 
 
 FAMILY = """\
@@ -179,6 +179,25 @@ def test_builtin_redefinition_rejected():
         consult(parse_program("is(X, Y) :- fail.\n"))
     with pytest.raises(BuiltinRedefinition):
         consult(parse_program("member(X, Y) :- fail.\n"))
+
+
+RESERVED = ["!/0", "true/0", "fail/0", "false/0", ",/2", ";/2", "->/2",
+            "\\+/1", "call/1", "#=/2", "#\\=/2", "#</2", "#>/2", "#=</2",
+            "#>=/2", "{}/1", "label/1", "labeling/2"]
+
+
+@pytest.mark.parametrize("key", RESERVED)
+def test_reserved_indicator_cannot_be_consulted(key):
+    name, arity = key.rsplit("/", 1)
+    args = [Atom("a")] * int(arity)
+    head = Struct(name, args) if args else Atom(name)
+    with pytest.raises(BuiltinRedefinition):
+        consult(Program([Clause(head)]))
+
+
+def test_same_name_other_arity_consults():
+    sols = run_query("label(X, Y, Z) :- Z is X + Y.\n", "label(1, 2, Z)")
+    assert values(sols, "Z") == [3]
 
 
 def test_infinite_recursion_hits_budget():

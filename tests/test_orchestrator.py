@@ -4,15 +4,18 @@ scripted, flaky, and replay providers."""
 
 import io
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from prolite.errors import ProviderError, TranscriptExhausted
+from prolite.errors import ProliteError, ProviderError, TranscriptExhausted
 from prolite.orchestrator import (Attempt, ExtractionFailure, PromptTemplate,
                                   RetryPolicy, assemble_prompt,
                                   extract_program, multiple_try,
                                   run_candidate, temperature_at)
-from prolite.providers import (FlakyProvider, LiveProvider, ReplayProvider,
+from prolite.providers import (FlakyProvider, LiveProvider,
+                               ReferenceProvider, ReplayProvider,
                                ScriptedProvider, transcript_filename)
 
 GOOD_PROGRAM = """\
@@ -160,6 +163,21 @@ def test_flaky_provider_is_reproducible():
              for r in range(10)]
     assert runs1 == runs2
     assert set(runs1) == {"good", "bad"}
+
+
+def test_reference_provider_replays_the_seeded_coin_flips():
+    problems = [SimpleNamespace(id="p", reference_program="p(1)."),
+                SimpleNamespace(id="q", reference_program=None)]
+    good = "```\np(1).\n```"
+    assert ReferenceProvider(problems).start_run("p", 0).complete(
+        "", 0, 0, 0) == good
+    session = ReferenceProvider(problems, 0.5, 7).start_run("p", 3)
+    rng = random.Random("7|p|3")
+    for k in range(20):
+        expected = ReferenceProvider.JUNK if rng.random() < 0.5 else good
+        assert session.complete("", 0, 0, k) == expected
+    with pytest.raises(ProliteError, match="no reference program for q"):
+        ReferenceProvider(problems).start_run("q", 0)
 
 
 def test_replay_round_trip(tmp_path):

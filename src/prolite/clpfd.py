@@ -276,35 +276,19 @@ def _normalize(dom):
 
 
 class FdStore:
-    """Domains plus the posted-propagator network, with backtrack marks."""
+    """Domains plus the posted-propagator network.
+
+    The four tables are written only through bindings.set, so the query's
+    one trail undoes them together with the bindings.
+    """
 
     def __init__(self, bindings):
         self.bindings = bindings
         self.domains = {}          # var id -> FdDomain
         self.varobj = {}           # var id -> Var
-        self.props = []
-        self.watchers = {}         # var id -> list of prop indexes
-        self.trail = []            # ("dom", id, old) | ("new", id) | ("watch", id)
+        self.props = {}            # prop index -> propagator
+        self.watchers = {}         # var id -> tuple of prop indexes
         self._queue = []           # propagator indexes awaiting a run
-
-    # --- backtracking -------------------------------------------------
-
-    def mark(self):
-        return (len(self.trail), len(self.props))
-
-    def undo_to(self, mark):
-        tlen, plen = mark
-        while len(self.trail) > tlen:
-            kind, vid, payload = self.trail.pop()
-            if kind == "dom":
-                self.domains[vid] = payload
-            elif kind == "new":
-                del self.domains[vid]
-                del self.varobj[vid]
-                self.watchers.pop(vid, None)
-            elif kind == "watch":
-                self.watchers[vid].pop()
-        del self.props[plen:]
 
     # --- variables ----------------------------------------------------
 
@@ -315,9 +299,8 @@ class FdStore:
         if not isinstance(v, Var):
             raise PlTypeError(f"finite-domain variable expected, got {v!r}")
         if v.id not in self.domains:
-            self.domains[v.id] = FdDomain()
-            self.varobj[v.id] = v
-            self.trail.append(("new", v.id, None))
+            self.bindings.set(self.domains, v.id, FdDomain())
+            self.bindings.set(self.varobj, v.id, v)
         return v
 
     def is_fd_var(self, var):
@@ -340,8 +323,7 @@ class FdStore:
         old = self.domains[vid]
         if newdom == old:
             return True
-        self.trail.append(("dom", vid, old))
-        self.domains[vid] = newdom
+        self.bindings.set(self.domains, vid, newdom)
         if newdom.is_empty():
             return False
         for pi in self.watchers.get(vid, ()):
@@ -353,17 +335,20 @@ class FdStore:
 
     def add_prop(self, prop):
         idx = len(self.props)
-        self.props.append(prop)
+        self.bindings.set(self.props, idx, prop)
         for v in prop.vars():
             v = self.bindings.deref(v)
             if isinstance(v, Var):
-                self.watchers.setdefault(v.id, []).append(idx)
-                self.trail.append(("watch", v.id, None))
+                self._watch(v.id, (idx,))
         self._queue.append(idx)
 
-    def propagate_fixpoint(self, initial=None):
-        """Run propagators until no domain narrows; False on wipeout."""
-        self._queue = list(initial) if initial is not None else list(range(len(self.props)))
+    def _watch(self, vid, indexes):
+        self.bindings.set(self.watchers, vid,
+                          self.watchers.get(vid, ()) + indexes)
+
+    def propagate_fixpoint(self):
+        """Run the queued propagators until no domain narrows; False on
+        wipeout."""
         while self._queue:
             idx = self._queue.pop(0)
             if not self.props[idx].propagate(self):
@@ -396,7 +381,7 @@ class FdStore:
         if not self._pairwise_consistent(prop):
             return False
         self.add_prop(prop)
-        return self.propagate_fixpoint(self._queue)
+        return self.propagate_fixpoint()
 
     def _pairwise_consistent(self, prop):
         """Catch contradictions bounds propagation misses on unbounded
@@ -405,7 +390,7 @@ class FdStore:
         sig = _signature(prop, self.bindings)
         if sig is None:
             return True
-        for other in self.props:
+        for other in self.props.values():
             if not isinstance(other, LinearProp):
                 continue
             osig = _signature(other, self.bindings)
@@ -480,7 +465,7 @@ class FdStore:
         self._queue = []
         if not self.set_dom_raw(var.id, FdDomain.from_range(value, value)):
             return False
-        return self.propagate_fixpoint(self._queue)
+        return self.propagate_fixpoint()
 
     def on_alias(self, var, root):
         """var was bound to root (another FD var): merge domains/watchers."""
@@ -488,10 +473,8 @@ class FdStore:
         self._queue = []
         if not self.set_dom_raw(root.id, merged):
             return False
-        for pi in self.watchers.get(var.id, ()):
-            self.watchers.setdefault(root.id, []).append(pi)
-            self.trail.append(("watch", root.id, None))
-        return self.propagate_fixpoint(self._queue)
+        self._watch(root.id, self.watchers.get(var.id, ()))
+        return self.propagate_fixpoint()
 
     # --- labeling -----------------------------------------------------
 
@@ -529,8 +512,10 @@ def _integer(t):
 def fd_label(variables, store, state, strategy="leftmost"):
     """Depth-first labeling: yields once per consistent total assignment.
 
-    Values are bound into the engine Bindings; the caller's choice-point
-    machinery (state.mark/undo_to) restores between branches.
+    Each value is bound into the engine Bindings and its singleton domain
+    written through bindings.set, so rewinding the one trail to the mark
+    taken before a value (state.mark/undo_to) restores bindings, domains
+    and watchers between branches.
     """
     todo = []
     for v in variables:
@@ -566,7 +551,7 @@ def _label(variables, store, state, strategy):
         ok = store.set_dom_raw(root.id, FdDomain.from_range(value, value))
         if ok:
             state.bindings.bind(root, value)
-            ok = store.propagate_fixpoint(store._queue)
+            ok = store.propagate_fixpoint()
         if ok:
             yield from _label(variables, store, state, strategy)
         state.undo_to(m)

@@ -22,22 +22,24 @@ DEFAULT_INEQ_CAP = 12
 
 
 class RStore:
-    """Echelon equality rows plus inequality rows, with backtrack marks."""
+    """Echelon equality rows plus inequality rows.
 
-    def __init__(self, bindings, ineq_cap=DEFAULT_INEQ_CAP, is_fd=None):
+    The three tables are written only through bindings.set, and a stored
+    row is never mutated in place, so the query's one trail undoes them
+    together with the bindings.
+    """
+
+    def __init__(self, bindings, is_fd):
         self.bindings = bindings
         self.rows = {}        # pivot vid -> (expr: {vid: Fraction}, const)
-        self.ineqs = []       # ({vid: Fraction}, const, "le"|"lt")
-        self.varobj = {}
-        self.ineq_cap = ineq_cap
-        self.is_fd = is_fd or (lambda v: False)
+        self.ineqs = {}       # index -> ({vid: Fraction}, const, "le"|"lt")
+        self.varobj = {}      # vid -> Var
+        self.is_fd = is_fd
 
     def mark(self):
-        rows = {p: (dict(e), k) for p, (e, k) in self.rows.items()}
-        return (rows, list(self.ineqs), dict(self.varobj))
-
-    def undo_to(self, mark):
-        self.rows, self.ineqs, self.varobj = mark
+        # Unused by the engine, which reads the trail height itself; kept
+        # because perfbench/spans.py wraps it by name (RStore.__dict__).
+        return self.bindings.mark()
 
     # --- posting ------------------------------------------------------
 
@@ -65,7 +67,8 @@ class RStore:
     def _register(self, var):
         if self.is_fd(var):
             raise TypeMix(f"{var.name} is already finite-domain constrained")
-        self.varobj.setdefault(var.id, var)
+        if var.id not in self.varobj:
+            self.bindings.set(self.varobj, var.id, var)
         return var.id
 
     def _divide(self, expr):
@@ -83,25 +86,13 @@ class RStore:
     # --- echelon maintenance -----------------------------------------
 
     def _substitute(self, expr, const):
-        """Replace every pivot variable in expr by its definition."""
-        changed = True
-        while changed:
-            changed = False
-            for vid in list(expr):
-                row = self.rows.get(vid)
-                if row is not None:
-                    c = expr.pop(vid)
-                    rexpr, rconst = row
-                    for v2, c2 in rexpr.items():
-                        expr[v2] = expr.get(v2, Fraction(0)) + c * c2
-                        if expr[v2] == 0:
-                            del expr[v2]
-                    const += c * rconst
-                    changed = True
+        """Replace every pivot variable in expr by its definition (one
+        pass suffices: no row mentions a pivot)."""
+        for vid in [v for v in expr if v in self.rows]:
+            expr, const = _subst_into(expr, const, vid, *self.rows[vid])
         return expr, const
 
     def _insert_eq(self, expr, const):
-        expr = dict(expr)
         expr, const = self._substitute(expr, const)
         if not expr:
             return const == 0
@@ -110,29 +101,24 @@ class RStore:
         pexpr = {v: -cc / c for v, cc in expr.items()}
         pconst = -const / c
         # keep the echelon reduced: eliminate the new pivot everywhere
+        put = self.bindings.set
         for p, (e, k) in list(self.rows.items()):
             if pivot in e:
-                coef = e.pop(pivot)
-                for v2, c2 in pexpr.items():
-                    e[v2] = e.get(v2, Fraction(0)) + coef * c2
-                    if e[v2] == 0:
-                        del e[v2]
-                self.rows[p] = (e, k + coef * pconst)
-        self.rows[pivot] = (pexpr, pconst)
-        self.ineqs = [
-            _subst_into(e, k, pivot, pexpr, pconst) + (rel,)
-            for e, k, rel in self.ineqs
-        ]
+                put(self.rows, p, _subst_into(e, k, pivot, pexpr, pconst))
+        put(self.rows, pivot, (pexpr, pconst))
+        for i, (e, k, rel) in list(self.ineqs.items()):
+            if pivot in e:
+                put(self.ineqs, i,
+                    _subst_into(e, k, pivot, pexpr, pconst) + (rel,))
         self._bind_determined()
         return self._check_ground_ineqs()
 
     def _insert_ineq(self, expr, const, rel):
-        if len(self.ineqs) >= self.ineq_cap:
+        if len(self.ineqs) >= DEFAULT_INEQ_CAP:
             raise IneqCapExceeded(
-                f"more than {self.ineq_cap} inequality rows")
-        expr = dict(expr)
+                f"more than {DEFAULT_INEQ_CAP} inequality rows")
         expr, const = self._substitute(expr, const)
-        self.ineqs.append((expr, const, rel))
+        self.bindings.set(self.ineqs, len(self.ineqs), (expr, const, rel))
         return self.check_ineq()
 
     def _bind_determined(self):
@@ -144,7 +130,7 @@ class RStore:
                                        normalize_number(k))
 
     def _check_ground_ineqs(self):
-        for e, k, rel in self.ineqs:
+        for e, k, rel in self.ineqs.values():
             if not e:
                 if rel == "le" and k > 0:
                     return False
@@ -156,7 +142,7 @@ class RStore:
 
     def check_ineq(self):
         """Fourier-Motzkin consistency of the inequality rows."""
-        rows = [(dict(e), k, rel) for e, k, rel in self.ineqs]
+        rows = list(self.ineqs.values())
         while True:
             vids = sorted({v for e, _, _ in rows for v in e})
             if not vids:
@@ -202,8 +188,7 @@ def _rational(t):
 
 
 def _subst_into(e, k, pivot, pexpr, pconst):
-    if pivot not in e:
-        return (e, k)
+    """A copy of the row (e, k) with pivot replaced by pexpr + pconst."""
     e = dict(e)
     coef = e.pop(pivot)
     for v2, c2 in pexpr.items():

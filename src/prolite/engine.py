@@ -4,8 +4,9 @@ constraint stores.
 
 Solutions stream lazily in standard order: clauses top-down, goals left
 to right.  Cut is implemented with per-call barriers carried by a
-control-flow exception; every choice point restores the bindings and
-both constraint stores through try/finally, so an exhausted query leaves
+control-flow exception.  Bindings, FD domains and rational rows are all
+written through the one trail of `terms.Bindings`; every choice point
+rewinds it to its mark through try/finally, so an exhausted query leaves
 the state exactly as it found it.
 """
 
@@ -115,22 +116,18 @@ class SolveState:
         self.occurs_check = occurs_check
         self.bindings = Bindings()
         self.fd = FdStore(self.bindings)
-        self.r = RStore(self.bindings, is_fd=self.fd.is_fd_var)
+        self.r = RStore(self.bindings, self.fd.is_fd_var)
         self.steps = 0
         self.deadline = None
-        self.notes = []
         self._barriers = itertools.count()
 
     # --- state stack --------------------------------------------------
 
     def mark(self):
-        return (self.bindings.mark(), self.fd.mark(), self.r.mark())
+        return len(self.bindings.trail)
 
     def undo_to(self, mark):
-        bm, fm, rm = mark
-        self.bindings.undo_to(bm)
-        self.fd.undo_to(fm)
-        self.r.undo_to(rm)
+        self.bindings.undo_to(mark)
 
     def _tick(self):
         self.steps += 1
@@ -264,12 +261,12 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
     query_vars = term_vars(query)
     barrier = next(state._barriers)
 
-    def snapshot():
+    def snapshot(notes=()):
         resolved = {v.name: state.bindings.resolve(v) for v in query_vars}
         loose = frozenset(
             name for name, t in resolved.items()
             if any(v.id in state.r.varobj for v in term_vars(t)))
-        return Solution(resolved, tuple(state.notes), loose)
+        return Solution(resolved, notes, loose)
 
     def answers():
         try:
@@ -278,12 +275,11 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
                     v for v in state.fd.constrained_vars()
                     if isinstance(state.bindings.deref(v), Var)]
                 if auto_label and pending:
-                    state.notes.append("auto-label fired")
                     m = state.mark()
                     try:
                         for _ in fd_label(state.fd.constrained_vars(),
                                           state.fd, state):
-                            yield snapshot()
+                            yield snapshot(("auto-label fired",))
                     finally:
                         state.undo_to(m)
                 else:
@@ -693,7 +689,6 @@ def _fd_relation(op):
         m = state.mark()
         try:
             if _rational_route(state, args):
-                state.notes.append(f"rational route: {op}")
                 ok = state.r.post(goal)
             else:
                 ok = state.fd.post(goal)
@@ -711,7 +706,6 @@ def _bi_braces(state, args, barrier):
             rel = state.bindings.deref(rel)
             if not (isinstance(rel, Struct) and len(rel.args) == 2):
                 raise PlTypeError(f"bad brace constraint: {rel!r}")
-            state.notes.append("brace route")
             if not state.r.post(rel):
                 return
         yield

@@ -120,25 +120,48 @@ def list_to_python(t, b=None):
             return None
 
 
+_ABSENT = object()  # trailed as the old value of a key that set() created
+
+
 class Bindings:
-    """Variable-id -> term map with a trail for chronological undo."""
+    """Variable-id -> term map plus the one trail of a query.
+
+    Every undoable write of a query goes through bind (a variable) or set
+    (a key of a dict that a constraint store owns), and undo_to rewinds
+    both in reverse order.  The values written are never mutated in place
+    afterwards, so restoring the old value restores the old state.
+    """
 
     __slots__ = ("map", "trail")
 
     def __init__(self):
         self.map = {}
-        self.trail = []
+        self.trail = []     # var id | (dict, key, old value or _ABSENT)
 
     def mark(self):
         return len(self.trail)
 
     def undo_to(self, mark):
-        while len(self.trail) > mark:
-            del self.map[self.trail.pop()]
+        trail = self.trail
+        while len(trail) > mark:
+            entry = trail.pop()
+            if type(entry) is int:
+                del self.map[entry]
+                continue
+            d, key, old = entry
+            if old is _ABSENT:
+                del d[key]
+            else:
+                d[key] = old
 
     def bind(self, var, term):
         self.map[var.id] = term
         self.trail.append(var.id)
+
+    def set(self, d, key, value):
+        """d[key] = value, undone by undo_to."""
+        self.trail.append((d, key, d.get(key, _ABSENT)))
+        d[key] = value
 
     def deref(self, t):
         """Follow the binding chain of t; only the root is resolved."""

@@ -10,8 +10,9 @@ from prolite import Budget, consult, parse_program, solve_first
 from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             ZeroDivisor)
+from prolite.engine import SolveState
 from prolite.reader import Program, parse_term_text
-from prolite.terms import Atom, Clause, Struct
+from prolite.terms import Atom, Clause, Struct, Var
 
 
 FAMILY = """\
@@ -211,6 +212,23 @@ def test_backtracking_restores_bindings():
     program = "p(1). p(2).\nq(2).\n"
     sols = run_query(program, "p(X), q(X)")
     assert values(sols, "X") == [2]
+
+
+def test_undo_to_one_mark_twice_drops_what_was_posted_between():
+    state = SolveState(consult(parse_program("")))
+    x = Var("X")
+    m = state.mark()
+    state.undo_to(m)
+    assert state.r.post(Struct("=", (x, 1)))
+    assert state.bindings.deref(x) == 1
+    state.undo_to(m)
+    assert state.r.rows == {}
+    assert isinstance(state.bindings.deref(x), Var)
+
+
+def test_backtracked_posts_leave_no_notes():
+    sols = run_query("", "( between(1, 4000, I), {X = I}, fail ; true )")
+    assert [s.notes for s in sols] == [()]
 
 
 def test_solutions_are_deterministic():

@@ -55,6 +55,22 @@ def test_bindings_trail_undo():
     assert b.deref(y) is y
 
 
+def test_bindings_set_shares_the_trail_with_bind():
+    b = Bindings()
+    x = Var("X")
+    table = {"kept": 1}
+    outer = b.mark()
+    b.set(table, "kept", 2)
+    b.bind(x, 1)
+    inner = b.mark()
+    b.set(table, "new", 3)
+    b.set(table, "kept", 4)
+    b.undo_to(inner)
+    assert table == {"kept": 2} and b.deref(x) == 1
+    b.undo_to(outer)
+    assert table == {"kept": 1} and b.deref(x) is x
+
+
 def test_deref_follows_chains():
     b = Bindings()
     x, y = Var("X"), Var("Y")

@@ -18,6 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
@@ -61,17 +62,26 @@ pl_neq_all_([], _).
 pl_neq_all_([Y|T], X) :- X #\\= Y, pl_neq_all_(T, X).
 """
 
+
+def _index_library():
+    library = {}
+    for clause in parse_program(_LIBRARY_SOURCE).clauses:
+        library.setdefault(indicator(clause.head), []).append(clause)
+    return MappingProxyType({key: tuple(clauses)
+                             for key, clauses in library.items()})
+
+
+# Parsed once at import and shared read-only by every Database:
+# resolution only iterates these clauses and renames each before use.
+_LIBRARY = _index_library()
+
+
 class Database:
     """Predicate index over a consulted program plus the clause library."""
 
     def __init__(self):
         self.preds = {}
-        self.library = {}
-        self._load_library()
-
-    def _load_library(self):
-        for clause in parse_program(_LIBRARY_SOURCE).clauses:
-            self.library.setdefault(indicator(clause.head), []).append(clause)
+        self.library = _LIBRARY
 
     def add_clause(self, clause):
         key = indicator(clause.head)

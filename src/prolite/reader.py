@@ -1,21 +1,69 @@
 """Tokenizer and operator-precedence parser for the Prolog subset.
 
-The parser is the classical priority-climbing read-term algorithm on a
-1..1200 scale, driven by a configurable operator table.  Comments are
-consumed by the tokenizer but kept as metadata on the following token so
-transcripts can preserve chain-of-thought comments.
+The tokenizer is one compiled master regex with a named alternative per
+token class, each preceded by the layout it skips; `finditer` walks the
+source, and a token's line and column are worked out from its match
+offset by bisecting the offsets where lines start.  The parser is the
+classical priority-climbing read-term algorithm on a 1..1200 scale,
+driven by a configurable operator table.  Comments are consumed by the
+tokenizer but kept as metadata on the following token so transcripts can
+preserve chain-of-thought comments.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LexError, OperatorClash, ParseError
 from .terms import Atom, Clause, Struct, Var, make_list
 
-SYMBOL_CHARS = set("#$&*+-./:<=>?@^~\\")
-SOLO = {"(", ")", "[", "]", "{", "}", ",", "|"}
+_SYMBOL = r"[#$&*+\-./:<=>?@^~\\]"
+_TERMINATED = r"(?=[ \t\r\n%]|\Z)"  # what may follow a clause-ending '.'
+
+
+def _quoted(q, group):
+    """Patterns for a closed and an unclosed token quoted by q.
+
+    The body is plain runs, doubled quotes and two-character escapes.  The
+    closed form must take it atomically, or a missing close would re-split
+    the body into a shorter closed token: the body is captured in a
+    lookahead, which is never re-entered, and matched again by
+    backreference (possessive `*+` needs Python 3.11).  The unclosed form
+    ends its match, so its greedy repeat never backtracks.
+    """
+    body = rf"(?:[^{q}\\]+|{q}{q}|\\.)*"
+    return rf"{q}(?=(?P<{group}>{body}))(?P={group}){q}", q + body
+
+
+_SQ, _SQ_OPEN = _quoted("'", "sq_body")
+_DQ, _DQ_OPEN = _quoted('"', "dq_body")
+
+# Alternatives are tried in order at each token start.  Names and
+# punctuation come first, as the commonest tokens, whose first characters
+# start no other token; comments come before symbol runs (so '/*' opens a
+# comment), the terminator '.' before symbol runs, and a symbol run
+# leaves a final terminating '.' to the next token.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<name>[^\W\d]\w*)"
+    r"|(?P<punct>[()\[\]{},|])"
+    r"|(?P<comment>%[^\n]*|/\*.*?\*/)"
+    r"|(?P<open_comment>/\*)"
+    r"|(?P<dec>\d+\.\d+)"
+    r"|(?P<int>\d+)"
+    rf"|(?P<quoted>{_SQ}|{_DQ})"
+    rf"|(?P<unclosed>{_SQ_OPEN}|{_DQ_OPEN})"
+    rf"|(?P<end>\.{_TERMINATED})"
+    rf"|(?P<atom>[!;]|{_SYMBOL}+?(?=\.{_TERMINATED})|{_SYMBOL}+)"
+    r"|(?P<eof>\Z)"
+    r"|(?P<illegal>.))",
+    re.DOTALL)
+_NEWLINE = re.compile(r"\n")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
+_ESCAPE = {q: re.compile(rf"\\(.)|{q}{q}", re.DOTALL) for q in "'\""}
 
 
 @dataclass
@@ -28,129 +76,70 @@ class Token:
     comments: list = field(default_factory=list)
 
 
+def _unescape(body, quote, line, col):
+    """Resolve the escapes and doubled quotes of a quoted token's body."""
+    def replace(m):
+        esc = m.group(1)
+        if esc is None:
+            return quote
+        if esc not in _ESCAPES:
+            raise LexError(f"unknown escape \\{esc}", line, col)
+        return _ESCAPES[esc]
+
+    return _ESCAPE[quote].sub(replace, body)
+
+
 def tokenize(source):
     """Full token list for source, ending with an eof marker."""
+    line_starts = [0]
+    line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
     toks = []
     comments = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def emit(kind, text, ln, cl, value=None):
-        toks.append(Token(kind, text, ln, cl, value, comments[:]))
-        comments.clear()
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            advance()
-            continue
-        ln, cl = line, col
-        if c == "%":
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            comments.append(source[i + 1 : j].strip())
-            advance(j - i)
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise LexError("unterminated block comment", ln, cl)
-            comments.append(source[i + 2 : j].strip())
-            advance(j + 2 - i)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n - 0 and j + 1 < n and source[j] == "." and source[j + 1].isdigit():
-                k = j + 1
-                while k < n and source[k].isdigit():
-                    k += 1
-                text = source[i:k]
-                emit("dec", text, ln, cl, Fraction(text))
-                advance(k - i)
-            else:
-                text = source[i:j]
-                emit("int", text, ln, cl, int(text))
-                advance(j - i)
-            continue
-        if c == "_" or c.isalpha():
-            j = i
-            while j < n and (source[j] == "_" or source[j].isalnum()):
-                j += 1
-            text = source[i:j]
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text = m.group(kind)
+        start = m.start(kind)
+        line = bisect_right(line_starts, start)
+        col = start - line_starts[line - 1] + 1
+        value = text
+        if kind == "name":
+            c = text[0]  # [^\W\d] also admits non-letters such as '²'
+            if not (c == "_" or c.isalpha()):
+                raise LexError(f"illegal character {c!r}", line, col)
             kind = "var" if (c == "_" or c.isupper()) else "atom"
-            emit(kind, text, ln, cl, text)
-            advance(j - i)
+        elif kind == "punct" or kind == "atom":
+            pass  # the value is the text
+        elif kind == "int" or kind == "dec":
+            try:
+                value = int(text) if kind == "int" else Fraction(text)
+            except ValueError:  # more digits than int() may convert
+                raise LexError("number too long", line, col) from None
+        elif kind == "end":
+            value = None
+        elif kind == "comment":
+            comments.append(text[1:].strip() if text[0] == "%"
+                            else text[2:-2].strip())
             continue
-        if c in "'\"":
-            quote = c
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n:
-                    raise LexError("unterminated quoted token", ln, cl)
-                ch = source[j]
-                if ch == "\\":
-                    if j + 1 >= n:
-                        raise LexError("dangling escape", ln, cl)
-                    esc = source[j + 1]
-                    buf.append({"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}.get(esc))
-                    if buf[-1] is None:
-                        raise LexError(f"unknown escape \\{esc}", ln, cl)
-                    j += 2
-                    continue
-                if ch == quote:
-                    if j + 1 < n and source[j + 1] == quote:
-                        buf.append(quote)
-                        j += 2
-                        continue
-                    break
-                buf.append(ch)
-                j += 1
-            text = "".join(buf)
+        elif kind == "quoted" or kind == "unclosed":
+            quote = text[0]
+            body = _unescape(text[1:-1] if kind == "quoted" else text[1:],
+                             quote, line, col)
+            if kind == "unclosed":
+                # the body stops short of the end only at a lone backslash
+                raise LexError("dangling escape" if m.end() < len(source)
+                               else "unterminated quoted token", line, col)
             # strings are treated as atoms; generated programs use none
-            emit("str" if quote == '"' else "atom", text, ln, cl, text)
-            advance(j + 1 - i)
-            continue
-        if c in SOLO:
-            emit("punct", c, ln, cl, c)
-            advance()
-            continue
-        if c in "!;":
-            emit("atom", c, ln, cl, c)
-            advance()
-            continue
-        if c in SYMBOL_CHARS:
-            # clause terminator: '.' followed by layout, comment, or EOF
-            if c == "." and (i + 1 >= n or source[i + 1] in " \t\r\n%"):
-                emit("end", ".", ln, cl)
-                advance()
-                continue
-            j = i
-            while j < n and source[j] in SYMBOL_CHARS:
-                j += 1
-            # a trailing '.' before layout/EOF belongs to the terminator
-            if source[j - 1] == "." and (j >= n or source[j] in " \t\r\n%") and j - i > 1:
-                j -= 1
-            text = source[i:j]
-            emit("atom", text, ln, cl, text)
-            advance(j - i)
-            continue
-        raise LexError(f"illegal character {c!r}", ln, cl)
-
-    toks.append(Token("eof", "", line, col))
-    return toks
+            kind = "str" if quote == '"' else "atom"
+            text = value = body
+        elif kind == "eof":  # always the last match
+            toks.append(Token("eof", "", line, col))
+            return toks
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line, col)
+        else:
+            raise LexError(f"illegal character {text!r}", line, col)
+        toks.append(Token(kind, text, line, col, value, comments))
+        comments = []
 
 
 class OpTable:

@@ -245,3 +245,25 @@ def test_deep_recursion_reports_depth_budget():
         run_query("dig(N) :- M is N + 1, dig(M).\n", "dig(0)",
                   budget=Budget(max_inference_steps=100_000_000,
                                 wall_timeout=30.0))
+
+
+def test_library_is_shared_and_left_unchanged_by_queries():
+    keys = [("member", 2), ("append", 3), ("nth1", 3), ("all_different", 1)]
+    first = consult(parse_program("p(1).\n"))
+    second = consult(parse_program("q(2).\n"))
+    clauses = {key: first.library[key] for key in keys}
+    assert all(second.library[key] is clauses[key] for key in keys)
+    before = {key: [id(c) for c in clauses[key]] for key in keys}
+
+    assert len(run_query("", "member(X, [a, b, c])")) == 3
+    assert len(run_query("", "append(X, Y, [1, 2, 3])")) == 4
+    assert run_query("", "nth1(2, [a, b, c], E)")[0].bindings["E"] == Atom("b")
+    assert len(run_query("", "X #>= 1, X #=< 3, Y #>= 1, Y #=< 3, "
+                             "all_different([X, Y]), label([X, Y])")) == 6
+
+    third = consult(parse_program("r(3).\n"))
+    for key in keys:
+        assert third.library[key] is clauses[key]
+        assert [id(c) for c in third.library[key]] == before[key]
+    with pytest.raises(BuiltinRedefinition):
+        consult(parse_program("member(X, [X]).\n"))

@@ -213,3 +213,11 @@ def test_live_provider_requires_env_credential(monkeypatch):
 
 def test_transcript_filename_sanitises():
     assert transcript_filename("a/b c", 3) == "a_b_c__r3.jsonl"
+
+
+def test_unreadable_character_is_a_parse_error_not_a_crash():
+    # '²' passes str.isdigit() but int() cannot read it
+    result = run_candidate("problem(X) :- X = ².")
+    assert result.status == "parse-error"
+    assert "illegal character '²' at 1:19" in result.detail
+    assert extract_program("junk ²\nproblem(1).") == "problem(1)."

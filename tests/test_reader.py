@@ -188,3 +188,15 @@ def _terms(depth):
 @given(_terms(3).map(str))
 def test_print_parse_fixpoint(text):
     rt(text)
+
+
+def test_each_token_owns_the_comments_directly_before_it():
+    tokens = tokenize("a. % one\nb. /* two */ c.")
+    assert [(t.kind, t.text, t.comments) for t in tokens] == [
+        ("atom", "a", []), ("end", ".", []),
+        ("atom", "b", ["one"]), ("end", ".", []),
+        ("atom", "c", ["two"]), ("end", ".", []),
+        ("eof", "", [])]
+    # reading 'two' must not reach the list already handed to 'b'
+    lists = [t.comments for t in tokens]
+    assert len({id(comments) for comments in lists}) == len(lists)

@@ -16,7 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import Budget, consult, solve
+from .engine import (DEFAULT_MAX_STEPS, DEFAULT_WALL_TIMEOUT, Budget,
+                     consult, solve)
 from .errors import ProliteError
 from .harness.evaluate import evaluate
 from .harness.navigate import navigate_oracle, gen_navigate
@@ -53,16 +54,23 @@ def _setting(args, config, key, default):
     return default
 
 
+def _budget_from(args, config):
+    return Budget(
+        max_inference_steps=int(_setting(args, config, "max_inference_steps",
+                                         DEFAULT_MAX_STEPS)),
+        wall_timeout=float(_setting(args, config, "wall_timeout",
+                                    DEFAULT_WALL_TIMEOUT)))
+
+
 def _policy_from(args, config):
-    budget = Budget(
-        max_inference_steps=int(_setting(args, config,
-                                         "max_inference_steps", 5_000_000)),
-        wall_timeout=float(_setting(args, config, "wall_timeout", 10.0)))
     return RetryPolicy(
-        max_attempts=int(_setting(args, config, "max_attempts", 50)),
-        temp_start=float(_setting(args, config, "temp_start", 0.0)),
-        temp_end=float(_setting(args, config, "temp_end", 0.3)),
-        per_attempt_budget=budget)
+        max_attempts=int(_setting(args, config, "max_attempts",
+                                  RetryPolicy.max_attempts)),
+        temp_start=float(_setting(args, config, "temp_start",
+                                  RetryPolicy.temp_start)),
+        temp_end=float(_setting(args, config, "temp_end",
+                                RetryPolicy.temp_end)),
+        per_attempt_budget=_budget_from(args, config))
 
 
 def cmd_run(args):
@@ -70,10 +78,8 @@ def cmd_run(args):
     program = parse_program(source)
     db = consult(program)
     query = parse_term_text(args.query)
-    budget = Budget(max_inference_steps=args.max_inference_steps or 5_000_000,
-                    wall_timeout=args.wall_timeout or 10.0)
     count = 0
-    for solution in solve(query, db, budget):
+    for solution in solve(query, db, _budget_from(args, {})):
         count += 1
         if solution.bindings:
             line = ", ".join(f"{name} = {term_to_text(value)}"

@@ -3,11 +3,16 @@ failure, exact arithmetic, and the bridge into the FD and rational
 constraint stores.
 
 Solutions stream lazily in standard order: clauses top-down, goals left
-to right.  Cut is implemented with per-call barriers carried by a
-control-flow exception.  Bindings, FD domains and rational rows are all
-written through the one trail of `terms.Bindings`; every choice point
-rewinds it to its mark through try/finally, so an exhausted query leaves
-the state exactly as it found it.
+to right.  Bindings, FD domains and rational rows are all written
+through the one trail of `terms.Bindings`.  The trail is rewound only
+where an alternative is retried or a goal's effects are thrown away: by
+the clause loop, disjunction, between/3, labeling, if-then-else,
+negation, non-unification and findall/3.  No other handler rewinds: the
+trail is LIFO, so the next choice point to retry pops whatever later
+goals wrote.  Cut is a control-flow exception carrying the barrier of
+its clause.  It is caught only by the clause loop of `solve_goal` and
+by `call/1`, the one other cut scope, through which the top-level
+query, if-then-else conditions, negation and findall/3 run their goals.
 """
 
 from __future__ import annotations
@@ -236,15 +241,13 @@ class SolveState:
         if clauses is None:
             raise ExistenceError(*key)
         my_barrier = next(self._barriers)
+        m = self.mark()
         try:
             for clause in clauses:
                 renamed = clause.rename()
-                m = self.mark()
-                try:
-                    if self.unify(goal, renamed.head):
-                        yield from self._solve_conj(renamed.body, 0, my_barrier)
-                finally:
-                    self.undo_to(m)
+                if self.unify(goal, renamed.head):
+                    yield from self._solve_conj(renamed.body, 0, my_barrier)
+                self.undo_to(m)
         except _Cut as cut:
             if cut.barrier != my_barrier:
                 raise
@@ -269,7 +272,6 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
     state = SolveState(db, budget, occurs_check)
     state.deadline = time.monotonic() + state.budget.wall_timeout
     query_vars = term_vars(query)
-    barrier = next(state._barriers)
 
     def snapshot(notes=()):
         resolved = {v.name: state.bindings.resolve(v) for v in query_vars}
@@ -280,23 +282,16 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
 
     def answers():
         try:
-            for _ in state.solve_goal(query, barrier):
+            for _ in _bi_call(state, (query,), None):
                 pending = [
                     v for v in state.fd.constrained_vars()
                     if isinstance(state.bindings.deref(v), Var)]
                 if auto_label and pending:
-                    m = state.mark()
-                    try:
-                        for _ in fd_label(state.fd.constrained_vars(),
-                                          state.fd, state):
-                            yield snapshot(("auto-label fired",))
-                    finally:
-                        state.undo_to(m)
+                    for _ in fd_label(state.fd.constrained_vars(),
+                                      state.fd, state):
+                        yield snapshot(("auto-label fired",))
                 else:
                     yield snapshot()
-        except _Cut as cut:
-            if cut.barrier != barrier:
-                raise
         except RecursionError:
             # proof depth is bounded by the interpreter stack; report it
             # the same way as an exhausted step budget
@@ -468,7 +463,9 @@ def copy_term(t, b, mapping=None):
 #
 # Every entry of BUILTINS takes (state, args, barrier) and returns an
 # iterator that yields once per solution; barrier is the cut barrier of
-# the clause the goal appears in.
+# the clause the goal appears in.  A handler rewinds the trail only to
+# retry an alternative or to throw a goal's effects away, and a goal
+# that must not cut the caller's clause runs through _bi_call.
 
 def _bi_true(state, args, barrier):
     yield
@@ -496,10 +493,8 @@ def _bi_or(state, args, barrier):
                                  barrier)
         return
     m = state.mark()
-    try:
-        yield from state.solve_goal(args[0], barrier)
-    finally:
-        state.undo_to(m)
+    yield from state.solve_goal(args[0], barrier)
+    state.undo_to(m)
     yield from state.solve_goal(args[1], barrier)
 
 
@@ -509,25 +504,18 @@ def _bi_if_then(state, args, barrier):
 
 def _if_then_else(state, cond, then, alt, barrier):
     m = state.mark()
-    try:
-        for _ in state.solve_goal(cond, next(state._barriers)):
-            yield from state.solve_goal(then, barrier)
-            break
-        else:
-            state.undo_to(m)
-            yield from state.solve_goal(alt, barrier)
-    finally:
-        state.undo_to(m)
+    for _ in _bi_call(state, (cond,), barrier):
+        yield from state.solve_goal(then, barrier)
+        return
+    state.undo_to(m)
+    yield from state.solve_goal(alt, barrier)
 
 
 def _bi_not(state, args, barrier):
     m = state.mark()
-    found = False
-    for _ in state.solve_goal(args[0], next(state._barriers)):
-        found = True
-        break
+    proved = any(True for _ in _bi_call(state, args, barrier))
     state.undo_to(m)
-    if not found:
+    if not proved:
         yield
 
 
@@ -541,12 +529,8 @@ def _bi_call(state, args, barrier):
 
 
 def _bi_unify(state, args, barrier):
-    m = state.mark()
-    try:
-        if state.unify(args[0], args[1]):
-            yield
-    finally:
-        state.undo_to(m)
+    if state.unify(args[0], args[1]):
+        yield
 
 
 def _bi_not_unify(state, args, barrier):
@@ -580,13 +564,8 @@ def _bi_struct_neq(state, args, barrier):
 
 
 def _bi_is(state, args, barrier):
-    value = eval_arith(args[1], state.bindings)
-    m = state.mark()
-    try:
-        if state.unify(args[0], value):
-            yield
-    finally:
-        state.undo_to(m)
+    if state.unify(args[0], eval_arith(args[1], state.bindings)):
+        yield
 
 
 def _arith_compare(op):
@@ -608,35 +587,24 @@ def _bi_between(state, args, barrier):
         if lo <= x <= hi:
             yield
         return
+    m = state.mark()
     for value in range(lo, hi + 1):
-        m = state.mark()
-        try:
-            if state.unify(args[2], value):
-                yield
-        finally:
-            state.undo_to(m)
+        if state.unify(args[2], value):
+            yield
+        state.undo_to(m)
 
 
 def _bi_length(state, args, barrier):
     b = state.bindings
     items = list_to_python(args[0], b)
     if items is not None:
-        m = state.mark()
-        try:
-            if state.unify(args[1], len(items)):
-                yield
-        finally:
-            state.undo_to(m)
+        if state.unify(args[1], len(items)):
+            yield
         return
     n = b.deref(args[1])
     if isinstance(n, int) and n >= 0:
-        fresh = make_list([Var() for _ in range(n)])
-        m = state.mark()
-        try:
-            if state.unify(args[0], fresh):
-                yield
-        finally:
-            state.undo_to(m)
+        if state.unify(args[0], make_list([Var() for _ in range(n)])):
+            yield
         return
     raise InstantiationError("length/2: list and length both unbound")
 
@@ -647,32 +615,18 @@ def _bi_msort(state, args, barrier):
         raise InstantiationError("msort/2 expects a proper list")
     resolved = [state.bindings.resolve(x) for x in items]
     resolved.sort(key=functools.cmp_to_key(compare_terms))
-    m = state.mark()
-    try:
-        if state.unify(args[1], make_list(resolved)):
-            yield
-    finally:
-        state.undo_to(m)
+    if state.unify(args[1], make_list(resolved)):
+        yield
 
 
 def _bi_findall(state, args, barrier):
     template, goal, result = args
-    collected = []
     m = state.mark()
-    inner = next(state._barriers)
-    try:
-        for _ in state.solve_goal(goal, inner):
-            collected.append(copy_term(template, state.bindings))
-    except _Cut as cut:
-        if cut.barrier != inner:
-            raise
+    collected = [copy_term(template, state.bindings)
+                 for _ in _bi_call(state, (goal,), barrier)]
     state.undo_to(m)
-    m = state.mark()
-    try:
-        if state.unify(result, make_list(collected)):
-            yield
-    finally:
-        state.undo_to(m)
+    if state.unify(result, make_list(collected)):
+        yield
 
 
 # --- constraint goals -----------------------------------------------
@@ -696,31 +650,20 @@ def _rational_route(state, args):
 def _fd_relation(op):
     def post(state, args, barrier):
         goal = Struct(op, args)
-        m = state.mark()
-        try:
-            if _rational_route(state, args):
-                ok = state.r.post(goal)
-            else:
-                ok = state.fd.post(goal)
-            if ok:
-                yield
-        finally:
-            state.undo_to(m)
+        store = state.r if _rational_route(state, args) else state.fd
+        if store.post(goal):
+            yield
     return post
 
 
 def _bi_braces(state, args, barrier):
-    m = state.mark()
-    try:
-        for rel in comma_flatten(state.bindings.deref(args[0])):
-            rel = state.bindings.deref(rel)
-            if not (isinstance(rel, Struct) and len(rel.args) == 2):
-                raise PlTypeError(f"bad brace constraint: {rel!r}")
-            if not state.r.post(rel):
-                return
-        yield
-    finally:
-        state.undo_to(m)
+    for rel in comma_flatten(state.bindings.deref(args[0])):
+        rel = state.bindings.deref(rel)
+        if not (isinstance(rel, Struct) and len(rel.args) == 2):
+            raise PlTypeError(f"bad brace constraint: {rel!r}")
+        if not state.r.post(rel):
+            return
+    yield
 
 
 def _bi_label(state, args, barrier):
@@ -743,14 +686,10 @@ def _bi_labeling(state, args, barrier):
             strategy = "leftmost"
         else:
             raise PlTypeError(f"unknown labeling option {opt!r}")
-    m = state.mark()
-    try:
-        for v in variables:
-            if isinstance(state.bindings.deref(v), Var):
-                state.fd.ensure_var(v)
-        yield from fd_label(variables, state.fd, state, strategy)
-    finally:
-        state.undo_to(m)
+    for v in variables:
+        if isinstance(state.bindings.deref(v), Var):
+            state.fd.ensure_var(v)
+    yield from fd_label(variables, state.fd, state, strategy)
 
 
 BUILTINS = {

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Budget, consult, solve
-from .errors import (BudgetExceeded, LexError, ParseError,
-                     PrologRuntimeError, ProliteError, ProviderError,
-                     TranscriptExhausted, UnboundedDomain)
+from .errors import (BudgetExceeded, LexError, ParseError, ProliteError,
+                     ProviderError, TranscriptExhausted, UnboundedDomain)
 from .reader import parse_program, parse_term_text, tokenize
 from .terms import Struct, Var, term_vars
 
@@ -125,10 +124,14 @@ class ExecResult:
 
 
 def _render_answer(value):
-    """(reported number, exactness flag) at the reporting boundary."""
+    """(reported number, exactness flag) at the reporting boundary.
+
+    Raises ValueError or OverflowError for a number too large to print
+    or to convert to a float."""
     if isinstance(value, bool):
         return None, True
     if isinstance(value, int):
+        str(value)  # over the interpreter's digit limit this raises
         return value, True
     if isinstance(value, Fraction):
         return float(value), float(value) == value
@@ -167,8 +170,6 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
         return ExecResult("budget-exceeded", detail=str(exc))
     except UnboundedDomain as exc:
         return ExecResult("underdetermined", detail=str(exc))
-    except PrologRuntimeError as exc:
-        return ExecResult("runtime-error", detail=str(exc))
     except ProliteError as exc:
         return ExecResult("runtime-error", detail=str(exc))
     notes = list(first.notes)
@@ -178,7 +179,11 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
         return ExecResult("underdetermined", notes=tuple(notes),
                           detail=f"{answer_var.name} not determined")
     value = first.bindings[answer_var.name]
-    answer, exact = _render_answer(value)
+    try:
+        answer, exact = _render_answer(value)
+    except (ValueError, OverflowError):
+        return ExecResult("runtime-error", notes=tuple(notes),
+                          detail=f"{answer_var.name} is too large to print")
     if answer is None:
         return ExecResult("non-numeric", notes=tuple(notes),
                           detail=f"{answer_var.name} bound to non-number")

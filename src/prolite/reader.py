@@ -74,6 +74,7 @@ class Token:
     col: int
     value: object = None
     comments: list = field(default_factory=list)
+    layout: bool = False  # whitespace or a comment directly before it
 
 
 def _unescape(body, quote, line, col):
@@ -138,7 +139,8 @@ def tokenize(source):
             raise LexError("unterminated block comment", line, col)
         else:
             raise LexError(f"illegal character {text!r}", line, col)
-        toks.append(Token(kind, text, line, col, value, comments))
+        toks.append(Token(kind, text, line, col, value, comments,
+                          start > m.start() or bool(comments)))
         comments = []
 
 
@@ -280,7 +282,13 @@ class _Parser:
         if tok.kind == "atom":
             name = tok.text
             nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == "(":
+            prefix = self.ops.prefix.get(name)
+            if prefix is not None and prefix[0] > max_prio:
+                prefix = None
+            # 'name(' is functional notation; a prefix operator, layout,
+            # then '(' applies the operator to the parenthesised term
+            if nxt.kind == "punct" and nxt.text == "(" \
+                    and not (nxt.layout and prefix):
                 self.next()
                 args = [self.parse(999)]
                 while self.peek().kind == "punct" and self.peek().text == ",":
@@ -291,15 +299,14 @@ class _Parser:
             if name.startswith("#") and name not in self.ops.infix \
                     and name not in self.ops.prefix:
                 self.fail(f"unknown constraint operator {name!r}", tok=tok)
-            if name in self.ops.prefix and self.starts_term(nxt):
-                prio, typ = self.ops.prefix[name]
-                if prio <= max_prio:
-                    if name == "-" and nxt.kind in ("int", "dec"):
-                        self.next()
-                        return -nxt.value, 0
-                    operand_max = prio if typ == "fy" else prio - 1
-                    operand = self.parse(operand_max)
-                    return Struct(name, (operand,)), prio
+            if prefix and self.starts_term(nxt):
+                prio, typ = prefix
+                if name == "-" and nxt.kind in ("int", "dec"):
+                    self.next()
+                    return -nxt.value, 0
+                operand_max = prio if typ == "fy" else prio - 1
+                operand = self.parse(operand_max)
+                return Struct(name, (operand,)), prio
             return Atom(name), 0
         if tok.kind == "end":
             self.fail("unexpected end of clause", tok=tok)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .reader import DEFAULT_OPS
-from .terms import Atom, Struct, Var
+from .terms import Atom, Struct, Var, is_number
 
 _UNQUOTED_SYMBOLIC = set("#$&*+-./:<=>?@^~\\")
 
@@ -27,12 +27,12 @@ def _atom_text(name):
 
 
 def term_to_text(t, ops=DEFAULT_OPS, bindings=None):
-    return _write(t, 1200, ops, bindings)
+    if bindings is not None:
+        t = bindings.resolve(t)
+    return _write(t, 1200, ops)
 
 
-def _write(t, max_prio, ops, b):
-    if b is not None:
-        t = b.deref(t)
+def _write(t, max_prio, ops):
     if isinstance(t, Var):
         return f"_G{t.id}"
     if isinstance(t, bool):
@@ -48,27 +48,33 @@ def _write(t, max_prio, ops, b):
         return _atom_text(t.name)
     if isinstance(t, Struct):
         if t.name == "." and len(t.args) == 2:
-            return _write_list(t, ops, b)
+            return _write_list(t, ops)
         if t.name == "{}" and len(t.args) == 1:
-            return "{" + _write(t.args[0], 1200, ops, b) + "}"
-        if len(t.args) == 2 and t.name in ops.infix:
+            return "{" + _write(t.args[0], 1200, ops) + "}"
+        # 'N rdiv D' of two integers reads back as a rational
+        if len(t.args) == 2 and t.name in ops.infix and not (
+                t.name == "rdiv" and all(isinstance(a, int) for a in t.args)):
             prio, typ = ops.infix[t.name]
             lmax = prio if typ == "yfx" else prio - 1
             rmax = prio if typ == "xfy" else prio - 1
             sep = f" {t.name} " if t.name != "," else ", "
-            text = _write(t.args[0], lmax, ops, b) + sep \
-                + _write(t.args[1], rmax, ops, b)
+            text = _write(t.args[0], lmax, ops) + sep \
+                + _write(t.args[1], rmax, ops)
             return _maybe_paren(text, prio, max_prio)
         if len(t.args) == 1 and t.name in ops.prefix:
             prio, typ = ops.prefix[t.name]
             amax = prio if typ == "fy" else prio - 1
-            arg = _write(t.args[0], amax, ops, b)
-            space = " " if (arg[0].isalnum() or arg[0] in "_-" or
-                            t.name[-1] in _UNQUOTED_SYMBOLIC and
-                            arg[0] in _UNQUOTED_SYMBOLIC or
-                            t.name[-1].isalnum()) else ""
-            return _maybe_paren(f"{_atom_text(t.name)}{space}{arg}", prio, max_prio)
-        args = ", ".join(_write(a, 999, ops, b) for a in t.args)
+            arg = _write(t.args[0], amax, ops)
+            # '- 1' would read back as a number and '\+ (a, b)' as
+            # '\+'/2, so such operands take functional notation
+            if not (is_number(t.args[0]) or arg[0] == "("):
+                space = " " if (arg[0].isalnum() or arg[0] in "_-" or
+                                t.name[-1] in _UNQUOTED_SYMBOLIC and
+                                arg[0] in _UNQUOTED_SYMBOLIC or
+                                t.name[-1].isalnum()) else ""
+                return _maybe_paren(f"{_atom_text(t.name)}{space}{arg}",
+                                    prio, max_prio)
+        args = ", ".join(_write(a, 999, ops) for a in t.args)
         return f"{_atom_text(t.name)}({args})"
     raise TypeError(f"unprintable term {t!r}")
 
@@ -77,16 +83,14 @@ def _maybe_paren(text, prio, max_prio):
     return f"({text})" if prio > max_prio else text
 
 
-def _write_list(t, ops, b):
+def _write_list(t, ops):
     parts = []
     while True:
-        parts.append(_write(t.args[0], 999, ops, b))
+        parts.append(_write(t.args[0], 999, ops))
         tail = t.args[1]
-        if b is not None:
-            tail = b.deref(tail)
         if isinstance(tail, Struct) and tail.name == "." and len(tail.args) == 2:
             t = tail
             continue
         if tail is Atom("[]"):
             return "[" + ", ".join(parts) + "]"
-        return "[" + ", ".join(parts) + "|" + _write(tail, 999, ops, b) + "]"
+        return "[" + ", ".join(parts) + "|" + _write(tail, 999, ops) + "]"

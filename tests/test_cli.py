@@ -58,6 +58,13 @@ def test_run_parse_error_exits_two(tmp_path, capsys):
     assert main(["run", str(path), "-q", "p(X)"]) == 2
 
 
+def test_run_rejects_a_zero_step_budget(puzzle_file, capsys):
+    code = main(["run", puzzle_file, "-q", "problem(N)",
+                 "--max-inference-steps", "0"])
+    assert code == 2
+    assert "budget limits must be positive" in capsys.readouterr().err
+
+
 def test_run_enumerates_multiple_solutions(tmp_path, capsys):
     path = tmp_path / "p.pl"
     path.write_text("p(1). p(2). p(3).\n")

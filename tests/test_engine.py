@@ -11,6 +11,7 @@ from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             ZeroDivisor)
 from prolite.engine import SolveState
+from prolite.orchestrator import run_candidate
 from prolite.reader import Program, parse_term_text
 from prolite.terms import Atom, Clause, Struct, Var
 
@@ -75,6 +76,25 @@ def test_if_then_else_both_arms():
 def test_if_then_commits_to_first_condition_proof():
     sols = run_query(FAMILY, "( parent(tom, X) -> true ; fail )")
     assert values(sols, "X") == [Atom("bob")]
+
+
+CUT_IN_A_CONDITION = [
+    ("problem(A) :- ( member(X, [1, 2, 3]), !, X > 1 -> A = 1 ; A = 2 ).", 2),
+    ("problem(A) :- G = (member(X, [1, 2, 3]), !, X > 1), "
+     "( G -> A = 1 ; A = 0 ).", 0),
+    ("problem(A) :- ( \\+ ((member(X, [1, 2]), !, X > 5)) -> A = 3 "
+     "; A = 4 ).", 3),
+    ("problem(A) :- \\+ (member(X, [1, 2]), X > 5), A = 5.", 5),
+]
+
+
+@pytest.mark.parametrize("source, answer", CUT_IN_A_CONDITION,
+                         ids=["condition", "condition-through-variable",
+                              "negation", "negated-conjunction"])
+def test_cut_in_a_condition_or_negation_is_local_to_it(source, answer):
+    assert values(run_query(source, "problem(A)"), "A") == [answer]
+    result = run_candidate(source)
+    assert (result.status, result.answer) == ("ok", answer)
 
 
 def test_disjunction_order():

@@ -141,6 +141,20 @@ def test_multiple_try_writes_transcript_lines():
     assert lines[0]["temperature"] == 0.0
 
 
+def test_answer_too_large_to_print_is_a_runtime_error():
+    stream = io.StringIO()
+    huge = "```\nproblem(Answer) :- Answer is 10 ^ 5000.\n```"
+    provider = ScriptedProvider([huge, f"```\n{GOOD_PROGRAM}\n```"])
+    outcome = multiple_try(Problem(), provider, transcript=stream)
+    lines = [json.loads(line) for line in stream.getvalue().splitlines()]
+    assert [line["exec_status"] for line in lines] == ["runtime-error", "ok"]
+    assert outcome.final_answer == 40
+    assert outcome.attempts[0].detail == "Answer is too large to print"
+    # a rational beyond the float range cannot be reported either
+    assert run_candidate("problem(A) :- A is 10 ^ 400 / 3.").status == \
+        "runtime-error"
+
+
 def test_provider_error_counts_as_attempt():
     class Breaking:
         def start_run(self, problem_id, repeat):

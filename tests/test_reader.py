@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prolite.errors import LexError, OperatorClash, ParseError
-from prolite.reader import (comma_flatten, parse_program, parse_term_text,
-                            tokenize)
-from prolite.terms import Atom, Struct, Var, list_to_python
+from prolite.reader import (DEFAULT_OPS, comma_flatten, parse_program,
+                            parse_term_text, tokenize)
+from prolite.terms import Atom, Struct, Var, list_to_python, make_list, variant
 from prolite.writer import term_to_text
 
 
@@ -31,6 +31,7 @@ def rt(text):
     printed = term_to_text(t1)
     t2 = parse_term_text(printed)
     assert _canon(term_to_text(t2)) == _canon(printed)
+    assert variant(t2, t1), printed
     return printed
 
 
@@ -159,8 +160,20 @@ def test_constraint_puzzle_parses_into_one_clause():
 def test_round_trip_examples():
     for text in ["f(X, Y)", "a + b * c", "[1, [2], x | T]",
                  "{X = 1 rdiv 3}", "a :- b, (c ; d), \\+ e",
-                 "abs(X - Y) #= 3", "'quoted atom'(1)"]:
+                 "abs(X - Y) #= 3", "'quoted atom'(1)", "-(1)",
+                 "\\+((a, b))", "rdiv(1, 3)"]:
         rt(text)
+
+
+def test_prefix_operator_then_layout_then_paren_applies_the_operator():
+    conj = parse_term_text("(member(X, L), X > 5)")
+    for text in ["\\+ (member(X, L), X > 5)", "\\+ /* c */(member(X, L), X > 5)"]:
+        t = parse_term_text(text)
+        assert t.name == "\\+" and len(t.args) == 1
+        assert variant(t.args[0], conj)
+    assert len(parse_term_text("\\+(a, b)").args) == 2
+    assert parse_term_text("- (1)") == Struct("-", (1,))
+    assert parse_term_text("f (a, b)") == Struct("f", (Atom("a"), Atom("b")))
 
 
 _atom_names = st.sampled_from(["a", "b", "foo", "bar_baz", "'odd atom'"])
@@ -188,6 +201,33 @@ def _terms(depth):
 @given(_terms(3).map(str))
 def test_print_parse_fixpoint(text):
     rt(text)
+
+
+_VARS = [Var("X"), Var("Y"), Var("Z")]
+_leaves = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=50).filter(lambda q: q.denominator != 1),
+    st.sampled_from([Atom("a"), Atom("foo"), Atom("odd atom"), Atom("[]")]),
+    st.sampled_from(_VARS))
+
+
+def _compounds(sub):
+    return st.one_of(
+        st.builds(lambda op, a: Struct(op, (a,)),
+                  st.sampled_from(sorted(DEFAULT_OPS.prefix)), sub),
+        st.builds(lambda op, a, b: Struct(op, (a, b)),
+                  st.sampled_from(sorted(DEFAULT_OPS.infix)), sub, sub),
+        st.builds(lambda f, xs: Struct(f, tuple(xs)), st.sampled_from("fg"),
+                  st.lists(sub, min_size=1, max_size=3)),
+        st.lists(sub, max_size=3).map(make_list),
+        sub.map(lambda a: Struct("{}", (a,))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_leaves, _compounds, max_leaves=12))
+def test_print_parse_is_a_variant_for_every_default_operator(t):
+    printed = term_to_text(t)
+    assert variant(parse_term_text(printed), t), printed
 
 
 def test_each_token_owns_the_comments_directly_before_it():

@@ -4,12 +4,19 @@ Interval-set domains, bounds-consistency propagation to fixpoint for
 linear constraints, value-level pruning for mod/disequality, and
 depth-first labeling.  Nonlinear terms (abs, mod) are flattened onto
 auxiliary variables before posting; variable products are rejected.
+On unbounded domains the store also fails when the rational relaxation
+is infeasible in a scratch clpr.RStore, checked after a post or alias
+that leaves a bound infinite and once in a long fixpoint.  Propagator
+runs and the rows the check handles are charged to the query's step
+budget.
 """
 
 from __future__ import annotations
 
-from .errors import NonLinearUnsupported, PlTypeError, UnboundedDomain
-from .terms import Struct, Var, linearize
+from .clpr import RStore
+from .errors import (IneqCapExceeded, NonLinearUnsupported, PlTypeError,
+                     UnboundedDomain)
+from .terms import Bindings, Struct, Var, linearize
 
 INF = float("inf")
 
@@ -17,6 +24,10 @@ REL_OPS = {"#=", "#\\=", "#<", "#>", "#=<", "#>="}
 
 # value-level pruning is attempted only below this domain size
 ENUM_CAP = 4096
+
+# A fixpoint gets one relaxation check at this many propagator runs per
+# propagator: bounded CSPs stay near 2, a cycle on wide domains has no end.
+SLOW_FIXPOINT = 16
 
 
 class FdDomain:
@@ -102,10 +113,6 @@ class FdDomain:
         out.sort()
         return FdDomain(tuple(out))
 
-    def keep_values(self, allowed):
-        """Intersect with an explicit value set (finite domains only)."""
-        return FdDomain.from_values(v for v in self.values() if v in allowed)
-
     def __eq__(self, other):
         return isinstance(other, FdDomain) and self.intervals == other.intervals
 
@@ -137,6 +144,18 @@ class LinearProp:
 
     def vars(self):
         return [v for _, v in self.coeffs]
+
+    def relinked(self, bindings):
+        """The same relation over dereferenced operands: ground operands
+        fold into k, repeated variables merge, zero coefficients drop."""
+        merged, k = {}, self.k
+        for c, v in self.coeffs:
+            v = bindings.deref(v)
+            if isinstance(v, Var):
+                merged[v.id] = (merged.get(v.id, (0,))[0] + c, v)
+            else:
+                k -= c * v
+        return LinearProp(merged.values(), k, self.rel)
 
     def propagate(self, store):
         if self.rel == "eq":
@@ -214,8 +233,8 @@ class ModProp:
             return False
         xdom = store.dom(self.x)
         if xdom.is_finite() and xdom.size() <= ENUM_CAP:
-            images = {v % self.m for v in xdom.values()}
-            if not store.set_dom(self.y, store.dom(self.y).keep_values(images)):
+            images = FdDomain.from_values(v % self.m for v in xdom.values())
+            if not store.set_dom(self.y, store.dom(self.y).intersect(images)):
                 return False
             ydom = store.dom(self.y)
             yvals = set(ydom.values())
@@ -279,11 +298,12 @@ class FdStore:
     """Domains plus the posted-propagator network.
 
     The four tables are written only through bindings.set, so the query's
-    one trail undoes them together with the bindings.
+    one trail undoes them; tick() charges a propagator run to the budget.
     """
 
-    def __init__(self, bindings):
+    def __init__(self, bindings, tick):
         self.bindings = bindings
+        self.tick = tick
         self.domains = {}          # var id -> FdDomain
         self.varobj = {}           # var id -> Var
         self.props = {}            # prop index -> propagator
@@ -348,13 +368,74 @@ class FdStore:
 
     def propagate_fixpoint(self):
         """Run the queued propagators until no domain narrows; False on
-        wipeout."""
+        wipeout or when a long fixpoint fails the relaxation check."""
+        runs, slow = 0, SLOW_FIXPOINT * len(self.props)
         while self._queue:
-            idx = self._queue.pop(0)
-            if not self.props[idx].propagate(self):
+            self.tick()
+            prop = self.props[self._queue.pop(0)]
+            ok = prop.propagate(self)
+            runs += 1
+            if ok and runs == slow:
+                ok = self._relaxation_feasible(prop.vars())
+            if not ok:
                 self._queue = []
                 return False
         return True
+
+    def _settle(self, touched):
+        """Propagate, then check the relaxation when a touched variable
+        keeps an infinite bound."""
+        return self.propagate_fixpoint() and (
+            all(self.dom(v).is_finite() for v in touched)
+            or self._relaxation_feasible(touched))
+
+    def _relaxation_feasible(self, seeds):
+        """False when the eq/le rows linked to seeds through shared unbound
+        variables and their finite bounds have no rational solution."""
+        todo, seen, done, rows = list(seeds), set(), set(), []
+        while todo:
+            v = self.bindings.deref(todo.pop())
+            if not isinstance(v, Var) or v.id in seen:
+                continue
+            seen.add(v.id)
+            dom = self.domains[v.id]
+            if dom.min() != -INF:
+                rows.append(({v.id: -1}, dom.min(), "le"))
+            if dom.max() != INF:
+                rows.append(({v.id: 1}, -dom.max(), "le"))
+            for idx in self.watchers.get(v.id, ()):
+                prop = self.props[idx]
+                if idx in done or getattr(prop, "rel", "ne") == "ne":
+                    continue
+                done.add(idx)
+                self.tick()
+                prop = prop.relinked(self.bindings)
+                rows.append(({x.id: c for c, x in prop.coeffs}, -prop.k,
+                             prop.rel))
+                todo += prop.vars()
+        # a variable that one row alone mentions can always meet that row:
+        # drop the row, and so on, leaving rows that constrain each other
+        uses = {}
+        for i, (expr, _, _) in enumerate(rows):
+            for vid in expr:
+                uses.setdefault(vid, set()).add(i)
+        lone = [vid for vid, where in uses.items() if len(where) == 1]
+        while lone:
+            where = uses[lone.pop()]
+            if len(where) == 1:
+                i = where.pop()
+                for vid in rows[i][0]:
+                    uses[vid].discard(i)
+                    if len(uses[vid]) == 1:
+                        lone.append(vid)
+                rows[i] = None
+        scratch = RStore(Bindings(), lambda var: False, self.tick)
+        try:
+            return scratch.post_linear(sorted(
+                (row for row in rows if row),
+                key=lambda row: row[2] != "eq"))
+        except IneqCapExceeded:
+            return True
 
     def post(self, goal):
         """Post one #-rooted constraint goal; False means inconsistency."""
@@ -378,42 +459,14 @@ class FdStore:
             prop = LinearProp([(-c, v) for c, v in coeffs], -k, "le")
         else:  # "#>"
             prop = LinearProp([(-c, v) for c, v in coeffs], -k - 1, "le")
-        if not self._pairwise_consistent(prop):
-            return False
         self.add_prop(prop)
-        return self.propagate_fixpoint()
-
-    def _pairwise_consistent(self, prop):
-        """Catch contradictions bounds propagation misses on unbounded
-        domains: an identical linear form with an incompatible constant,
-        or a negated form whose combined slack is negative."""
-        sig = _signature(prop, self.bindings)
-        if sig is None:
-            return True
-        for other in self.props.values():
-            if not isinstance(other, LinearProp):
-                continue
-            osig = _signature(other, self.bindings)
-            if osig is None or osig.keys() != sig.keys() or not osig:
-                continue
-            if all(osig[k] == sig[k] for k in sig):
-                if prop.rel == "eq" and other.rel == "eq" and prop.k != other.k:
-                    return False
-                if {prop.rel, other.rel} == {"eq", "le"} and \
-                        (prop.k if prop.rel == "eq" else other.k) > \
-                        (prop.k if prop.rel == "le" else other.k):
-                    return False
-            if all(osig[k] == -sig[k] for k in sig):
-                if prop.rel == "le" and other.rel == "le" \
-                        and prop.k + other.k < 0:
-                    return False
-                if prop.rel == "eq" and other.rel == "le" \
-                        and -prop.k > other.k:
-                    return False
-                if prop.rel == "le" and other.rel == "eq" \
-                        and -other.k > prop.k:
-                    return False
-        return True
+        # a variable that only prop watches and that is still unbounded
+        # can always meet prop, so the relaxation check could not fail
+        idx = len(self.props) - 1
+        decide = prop.rel != "ne" and len(prop.coeffs) >= 2 and not any(
+            self.watchers[v.id] == (idx,) and self.domains[v.id] == FdDomain()
+            for v in prop.vars())
+        return self._settle(prop.vars() if decide else ())
 
     def _linearize(self, expr):
         """({var: coeff}, const) of an integer expression."""
@@ -468,13 +521,22 @@ class FdStore:
         return self.propagate_fixpoint()
 
     def on_alias(self, var, root):
-        """var was bound to root (another FD var): merge domains/watchers."""
+        """var was bound to root (another FD var): merge domains and
+        watchers, and re-link and re-run the propagators over var."""
         merged = self.domains[var.id].intersect(self.domains[root.id])
         self._queue = []
         if not self.set_dom_raw(root.id, merged):
             return False
-        self._watch(root.id, self.watchers.get(var.id, ()))
-        return self.propagate_fixpoint()
+        moved = self.watchers.get(var.id, ())
+        self._watch(root.id, moved)
+        for idx in moved:
+            prop = self.props[idx]
+            if isinstance(prop, LinearProp):
+                self.bindings.set(self.props, idx,
+                                  prop.relinked(self.bindings))
+            if idx not in self._queue:
+                self._queue.append(idx)
+        return self._settle((root,))
 
     # --- labeling -----------------------------------------------------
 
@@ -488,19 +550,6 @@ class FdStore:
                 seen.add(root.id)
                 out.append(root)
         return out
-
-
-def _signature(prop, bindings):
-    """Variable-id -> coefficient map of a linear propagator; None when
-    any participating variable has become ground (bounds propagation
-    covers those cases once domains are singletons)."""
-    sig = {}
-    for c, v in prop.coeffs:
-        t = bindings.deref(v)
-        if not isinstance(t, Var):
-            return None
-        sig[t.id] = sig.get(t.id, 0) + c
-    return {k: c for k, c in sig.items() if c != 0}
 
 
 def _integer(t):

@@ -3,7 +3,8 @@
 Incremental Gaussian elimination: equality rows are kept in reduced
 row-echelon form with a designated pivot per row; newly determined
 variables are bound straight into the engine bindings.  Inequalities are
-checked by Fourier-Motzkin elimination under a small row cap.
+checked by Fourier-Motzkin elimination under a small row cap, eliminating
+first the variable whose step adds the fewest rows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ INEQ_OPS = {"<": "lt", ">": "gt", "=<": "le", ">=": "ge", "#<": "lt",
             "#>": "gt", "#=<": "le", "#>=": "ge"}
 
 DEFAULT_INEQ_CAP = 12
+ELIMINATION_CAP = 20_000    # rows Fourier-Motzkin elimination may hold
 
 
 class RStore:
@@ -26,15 +28,18 @@ class RStore:
 
     The three tables are written only through bindings.set, and a stored
     row is never mutated in place, so the query's one trail undoes them
-    together with the bindings.
+    together with the bindings.  tick() is called once per row that
+    elimination rewrites or derives, so the work counts toward the
+    query's budget.
     """
 
-    def __init__(self, bindings, is_fd):
+    def __init__(self, bindings, is_fd, tick):
         self.bindings = bindings
         self.rows = {}        # pivot vid -> (expr: {vid: Fraction}, const)
         self.ineqs = {}       # index -> ({vid: Fraction}, const, "le"|"lt")
         self.varobj = {}      # vid -> Var
         self.is_fd = is_fd
+        self.tick = tick
 
     def mark(self):
         # Unused by the engine, which reads the trail height itself; kept
@@ -48,16 +53,29 @@ class RStore:
         if not (isinstance(goal, Struct) and len(goal.args) == 2):
             raise PlTypeError(f"not a linear constraint: {goal!r}")
         expr, const = self._linearize(Struct("-", goal.args))
-        if goal.name in EQ_OPS:
-            return self._insert_eq(expr, const)
-        rel = INEQ_OPS.get(goal.name)
+        rel = "eq" if goal.name in EQ_OPS else INEQ_OPS.get(goal.name)
         if rel is None:
             raise PlTypeError(f"unsupported rational relation {goal.name!r}")
-        if rel in ("gt", "ge"):
-            expr = {v: -c for v, c in expr.items()}
-            const = -const
-            rel = "lt" if rel == "gt" else "le"
-        return self._insert_ineq(expr, const, rel)
+        return self.post_linear([(expr, const, rel)])
+
+    def post_linear(self, rows):
+        """Post rows (expr, const, rel), each meaning expr + const rel 0,
+        with expr a {key: coeff} map of ints or Fractions and rel one of
+        eq, lt, le, gt, ge.  The inequalities are checked once, after the
+        last row.  False if inconsistent."""
+        check = False
+        for expr, const, rel in rows:
+            if rel == "eq":
+                if not self._insert_eq(expr, const):
+                    return False
+                continue
+            if rel in ("gt", "ge"):
+                expr = {v: -c for v, c in expr.items()}
+                const = -const
+                rel = "lt" if rel == "gt" else "le"
+            self._insert_ineq(expr, const, rel)
+            check = True
+        return not check or self.check_ineq()
 
     def _linearize(self, expr):
         """({vid: coeff}, const) for a rational-linear expression."""
@@ -97,21 +115,23 @@ class RStore:
         if not expr:
             return const == 0
         pivot = min(expr)  # deterministic pivot choice
-        c = expr.pop(pivot)
+        c = Fraction(expr.pop(pivot))
         pexpr = {v: -cc / c for v, cc in expr.items()}
         pconst = -const / c
         # keep the echelon reduced: eliminate the new pivot everywhere
         put = self.bindings.set
         for p, (e, k) in list(self.rows.items()):
             if pivot in e:
+                self.tick()
                 put(self.rows, p, _subst_into(e, k, pivot, pexpr, pconst))
         put(self.rows, pivot, (pexpr, pconst))
         for i, (e, k, rel) in list(self.ineqs.items()):
             if pivot in e:
+                self.tick()
                 put(self.ineqs, i,
                     _subst_into(e, k, pivot, pexpr, pconst) + (rel,))
         self._bind_determined()
-        return self._check_ground_ineqs()
+        return not _violated(self.ineqs.values())
 
     def _insert_ineq(self, expr, const, rel):
         if len(self.ineqs) >= DEFAULT_INEQ_CAP:
@@ -119,7 +139,6 @@ class RStore:
                 f"more than {DEFAULT_INEQ_CAP} inequality rows")
         expr, const = self._substitute(expr, const)
         self.bindings.set(self.ineqs, len(self.ineqs), (expr, const, rel))
-        return self.check_ineq()
 
     def _bind_determined(self):
         for pivot, (e, k) in self.rows.items():
@@ -129,25 +148,22 @@ class RStore:
                     self.bindings.bind(self.bindings.deref(var),
                                        normalize_number(k))
 
-    def _check_ground_ineqs(self):
-        for e, k, rel in self.ineqs.values():
-            if not e:
-                if rel == "le" and k > 0:
-                    return False
-                if rel == "lt" and k >= 0:
-                    return False
-        return True
-
     # --- queries ------------------------------------------------------
 
     def check_ineq(self):
         """Fourier-Motzkin consistency of the inequality rows."""
         rows = list(self.ineqs.values())
         while True:
-            vids = sorted({v for e, _, _ in rows for v in e})
-            if not vids:
+            signs = {}
+            for e, _, _ in rows:
+                for v, c in e.items():
+                    p, n = signs.get(v, (0, 0))
+                    signs[v] = (p + (c > 0), n + (c < 0))
+            if not signs:
                 break
-            v = vids[0]
+            # eliminate the variable whose step adds the fewest rows
+            v = min(sorted(signs), key=lambda v: signs[v][0] * signs[v][1]
+                    - signs[v][0] - signs[v][1])
             pos, neg, rest = [], [], []
             for e, k, rel in rows:
                 c = e.get(v, Fraction(0))
@@ -157,9 +173,12 @@ class RStore:
                     neg.append((e, k, rel))
                 else:
                     rest.append((e, k, rel))
+            if len(rest) + len(pos) * len(neg) > ELIMINATION_CAP:
+                raise IneqCapExceeded("Fourier-Motzkin elimination too large")
             combined = []
             for pe, pk, prel in pos:
                 for ne, nk, nrel in neg:
+                    self.tick()
                     pc, nc = pe[v], -ne[v]
                     e = {}
                     for v2, c2 in pe.items():
@@ -173,12 +192,13 @@ class RStore:
                     rel = "lt" if "lt" in (prel, nrel) else "le"
                     combined.append((e, k, rel))
             rows = rest + combined
-        for e, k, rel in rows:
-            if rel == "le" and k > 0:
-                return False
-            if rel == "lt" and k >= 0:
-                return False
-        return True
+        return not _violated(rows)
+
+
+def _violated(rows):
+    """True when a row without variables is false."""
+    return any(k > 0 if rel == "le" else k >= 0
+               for e, k, rel in rows if not e)
 
 
 def _rational(t):

@@ -12,7 +12,8 @@ trail is LIFO, so the next choice point to retry pops whatever later
 goals wrote.  Cut is a control-flow exception carrying the barrier of
 its clause.  It is caught only by the clause loop of `solve_goal` and
 by `call/1`, the one other cut scope, through which the top-level
-query, if-then-else conditions, negation and findall/3 run their goals.
+query, if-then-else conditions, negation, findall/3 and variable body
+goals run their goals.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from types import MappingProxyType
 
 from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
-from .errors import (BudgetExceeded, BuiltinRedefinition, ExistenceError,
-                     InstantiationError, PlTypeError, ZeroDivisor)
+from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
+                     ExistenceError, InstantiationError, PlTypeError,
+                     ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, indicator, is_number,
                     list_to_python, make_list, normalize_number, term_vars)
@@ -130,8 +132,8 @@ class SolveState:
         self.budget = budget or Budget()
         self.occurs_check = occurs_check
         self.bindings = Bindings()
-        self.fd = FdStore(self.bindings)
-        self.r = RStore(self.bindings, self.fd.is_fd_var)
+        self.fd = FdStore(self.bindings, self._tick)
+        self.r = RStore(self.bindings, self.fd.is_fd_var, self._tick)
         self.steps = 0
         self.deadline = None
         self._barriers = itertools.count()
@@ -225,9 +227,13 @@ class SolveState:
 
     def solve_goal(self, goal, barrier):
         self._tick()
-        goal = self.bindings.deref(goal)
         if isinstance(goal, Var):
-            raise InstantiationError("unbound goal")
+            goal = self.bindings.deref(goal)
+            if isinstance(goal, Var):
+                raise InstantiationError("unbound goal")
+            # a variable goal G runs as call(G), so a cut in G is local
+            yield from _bi_call(self, (goal,), barrier)
+            return
         if not isinstance(goal, (Atom, Struct)):
             raise PlTypeError(f"goal is not callable: {goal!r}")
         key = indicator(goal)
@@ -296,6 +302,10 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
             # proof depth is bounded by the interpreter stack; report it
             # the same way as an exhausted step budget
             raise BudgetExceeded("depth") from None
+        finally:
+            # the stores hold state._tick; drop it so that a finished
+            # query is freed at once instead of by the cycle collector
+            state.fd.tick = state.r.tick = None
 
     return answers()
 
@@ -331,7 +341,12 @@ def eval_arith(expr, b):
     if not isinstance(t, Struct):
         raise PlTypeError(f"bad arithmetic term: {t!r}")
     args = [eval_arith(a, b) for a in t.args]
-    return _apply_arith(t.name, args)
+    try:
+        return _apply_arith(t.name, args)
+    except (ArithmeticError, ValueError) as exc:
+        # float overflow, 0 ^ -1, a math domain error, ...
+        raise EvaluationError(
+            f"{t.name}/{len(args)}: {type(exc).__name__}: {exc}") from None
 
 
 def _apply_arith(name, args):
@@ -344,7 +359,10 @@ def _apply_arith(name, args):
         if name == "abs":
             return normalize_number(abs(x))
         if name == "sqrt":
-            return _exact_sqrt(x)
+            if x < 0:
+                raise EvaluationError("sqrt of a negative number")
+            root = None if isinstance(x, float) else _exact_root(x, 2)
+            return math.sqrt(x) if root is None else normalize_number(root)
         if name == "sign":
             return (x > 0) - (x < 0)
         if name == "truncate":
@@ -389,25 +407,45 @@ def _apply_arith(name, args):
         if name == "max":
             return max(x, y)
         if name == "^" or name == "**":
-            if isinstance(y, int) and y >= 0:
-                return normalize_number(x ** y)
-            return float(x) ** float(y)
+            return _power(x, y)
         raise PlTypeError(f"unknown arithmetic function {name}/2")
     raise PlTypeError(f"unknown arithmetic function {name}/{len(args)}")
 
 
-def _exact_sqrt(x):
-    """Integer/rational square root when exact, else a float."""
-    if isinstance(x, float):
-        return math.sqrt(x)
-    if x < 0:
-        raise PlTypeError("sqrt of a negative number")
-    frac = Fraction(x)
-    rn = math.isqrt(frac.numerator)
-    rd = math.isqrt(frac.denominator)
-    if rn * rn == frac.numerator and rd * rd == frac.denominator:
-        return normalize_number(Fraction(rn, rd))
-    return math.sqrt(x)
+def _power(x, y):
+    """x ^ y, exact whenever the result is rational, else a float."""
+    if isinstance(y, int) and not isinstance(x, float):
+        return normalize_number(x ** y if y >= 0 else Fraction(x) ** y)
+    if x < 0 and not float(y).is_integer():
+        raise EvaluationError("negative base with a non-integer exponent")
+    if isinstance(y, Fraction) and not isinstance(x, float):
+        root = _exact_root(x, y.denominator)
+        if root is not None:
+            return normalize_number(root ** y.numerator)
+    return float(x) ** float(y)
+
+
+def _exact_root(x, n):
+    """The n-th root of the rational x >= 0 when it is rational, else
+    None."""
+    x = Fraction(x)
+    num, den = _iroot(x.numerator, n), _iroot(x.denominator, n)
+    if num ** n == x.numerator and den ** n == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _iroot(a, n):
+    """Floor of the n-th root of the integer a >= 0, by Newton's method
+    from a power of two above it."""
+    if n >= a.bit_length():
+        return min(a, 1)
+    x = 1 << -(-a.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 # --- term ordering (for msort) ---------------------------------------
@@ -522,7 +560,7 @@ def _bi_not(state, args, barrier):
 def _bi_call(state, args, barrier):
     inner = next(state._barriers)
     try:
-        yield from state.solve_goal(args[0], inner)
+        yield from state.solve_goal(state.bindings.deref(args[0]), inner)
     except _Cut as cut:
         if cut.barrier != inner:
             raise

@@ -57,6 +57,10 @@ class ZeroDivisor(PrologRuntimeError):
     pass
 
 
+class EvaluationError(PrologRuntimeError):
+    """Arithmetic with no result: overflow or an undefined operation."""
+
+
 class BudgetExceeded(PrologRuntimeError):
     def __init__(self, kind):
         super().__init__(f"budget exceeded ({kind})")

@@ -2,13 +2,16 @@
 equivalence against brute-force enumeration."""
 
 import random
+import time
 
 import pytest
 
-from helpers import (brute_solution_set, fd_solution_set, random_csp,
-                     run_query)
+from helpers import (EXPLODING, brute_solution_set, fd_solution_set,
+                     random_csp, run_query)
+from prolite import Budget
 from prolite.clpfd import FdDomain
 from prolite.errors import UnboundedDomain
+from prolite.orchestrator import run_candidate
 
 
 def test_domain_interval_algebra():
@@ -125,3 +128,74 @@ def test_random_equivalence_with_brute_force():
         goal, names, domains, predicate = random_csp(rng)
         assert fd_solution_set(goal, names) == \
             brute_solution_set(domains, predicate), goal
+
+
+BUDGET = Budget(max_inference_steps=1000, wall_timeout=0.5)
+
+# (body of problem(A), exec status, answer, elapsed-time bound in s)
+UNBOUNDED = [
+    ("Y #= X + 1, X = Y, X #>= 0, A = 1", "no-solution", None, 0.1),
+    ("X #> Y, Y #> Z, Z #> X, X #>= 0, A = 1", "no-solution", None, 0.1),
+    ("X #>= 0, X #= 2*Y, X #= 2*Z + 1, A = 1", "budget-exceeded", None,
+     2 * BUDGET.wall_timeout + 0.5),
+    ("X #> Y, Y #> Z, Z #> X, A = 1", "no-solution", None, 0.1),
+    ("X #> Y, Y #> Z, Z = X, A = 1", "no-solution", None, 0.1),
+    ("X - Y #= -1, X = Y, A = 1", "no-solution", None, 0.1),
+    ("X + Y #= 10, X = Y, A = X", "ok", 5, 0.1),
+    ("( X + Y #= 3, X + Y #= 4 -> A = 1 ; A = 2 )", "ok", 2, 0.1),
+    ("( X #> Y, Y #> X -> A = 1 ; A = 2 )", "ok", 2, 0.1),
+    ("X #>= 0, X #=< 1000000000, Y #>= 0, Y #=< 1000000000, "
+     "X #> Y, Y #> X, A = 1", "no-solution", None, 0.1),
+]
+
+
+@pytest.mark.parametrize("body, status, answer, seconds", UNBOUNDED,
+                         ids=["alias-cycle", "strict-cycle-bounded-below",
+                              "parity", "strict-cycle", "strict-chain-alias",
+                              "difference-alias", "sum-alias",
+                              "equal-forms-condition",
+                              "opposed-orders-condition",
+                              "opposed-orders-wide-domains"])
+def test_unbounded_domains_are_decided_or_hit_the_budget(body, status,
+                                                          answer, seconds):
+    started = time.perf_counter()
+    result = run_candidate(f"problem(A) :- {body}.", budget=BUDGET)
+    elapsed = time.perf_counter() - started
+    assert (result.status, result.answer) == (status, answer), result.detail
+    assert elapsed < seconds
+
+
+def _ladder(n):
+    """Two chains of n unbounded #= posts, then n + 1 rungs between them:
+    every rung after the first closes a cycle that the relaxation check
+    has to eliminate again."""
+    return ", ".join([f"X{i + 1} #= X{i} + 1" for i in range(n)]
+                     + [f"Y{i + 1} #= Y{i} + 1" for i in range(n)]
+                     + [f"X{i} #= Y{i}" for i in range(n + 1)]) + ", A = 1"
+
+
+LONG = Budget(max_inference_steps=10**9, wall_timeout=0.5)
+STEPS = Budget(max_inference_steps=20_000, wall_timeout=10.0)
+CHAIN = ", ".join(f"X{i + 1} #= X{i} + 1" for i in range(400))
+
+
+@pytest.mark.parametrize("body, budget, status, answer", [
+    (CHAIN + ", X0 = 0, A = X400", STEPS, "ok", 400),
+    (CHAIN + ", X0 = 0, A = X400", BUDGET, "budget-exceeded", None),
+    (_ladder(300), LONG, "budget-exceeded", None),
+    (_ladder(300), BUDGET, "budget-exceeded", None),
+    (_ladder(30), STEPS, "underdetermined", None),
+    (EXPLODING.replace("=<", "#=<") + ", A = 1", STEPS, "underdetermined",
+     None),
+    (EXPLODING.replace("=<", "#=<") + ", A = 1", BUDGET, "budget-exceeded",
+     None),
+], ids=["chain", "chain-few-steps", "ladder", "ladder-few-steps",
+        "ladder-tails-dropped", "elimination-past-the-cap",
+        "elimination-few-steps"])
+def test_relaxation_checks_are_charged_to_the_budget(body, budget, status,
+                                                     answer):
+    started = time.perf_counter()
+    result = run_candidate(f"problem(A) :- {body}.", budget=budget)
+    elapsed = time.perf_counter() - started
+    assert (result.status, result.answer) == (status, answer), result.detail
+    assert elapsed < 2 * budget.wall_timeout + 0.5

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import (random_linear_system, run_query,
+from helpers import (EXPLODING, random_linear_system, run_query,
                      solve_linear_via_engine)
 from prolite.errors import IneqCapExceeded, NonLinearUnsupported, TypeMix
 
@@ -90,6 +90,20 @@ def test_inequality_cap():
     goals = ", ".join(f"{{X + {i} * Y >= {i}}}" for i in range(14))
     with pytest.raises(IneqCapExceeded):
         run_query("", goals)
+
+
+def test_elimination_past_the_row_cap_raises():
+    with pytest.raises(IneqCapExceeded):
+        run_query("", "{" + EXPLODING + "}")
+
+
+def test_elimination_order_keeps_rows_few():
+    # eliminating the lowest variable first grows these nine rows past
+    # millions; the fewest-new-rows order stays under the cap
+    goals = ("3*C + F - B =< 1, 3*E + 2*C - 3*B =< 2, -C - 2*A - 2*F =< 1, "
+             "3*C - 3*E - 3*D =< 9, -2*C - D - A =< 6, F - A + 3*B =< 9, "
+             "2*D - 2*B + 2*C =< 9, 3*A + 2*D + F =< 6, E + 2*F + 2*B =< 4")
+    assert len(run_query("", "{" + goals + "}")) == 1
 
 
 def test_backtracking_discards_posted_rows():

@@ -122,6 +122,37 @@ def test_sqrt_of_non_square_is_float():
     assert sols[0].bindings["X"] == pytest.approx(2 ** 0.5)
 
 
+@pytest.mark.parametrize("expr, value", [
+    ("2 ^ -1", Fraction(1, 2)),
+    ("(1 rdiv 2) ^ -3", 8),
+    ("9 ^ (1 rdiv 2)", 3),
+    ("8 ^ (2 rdiv 3)", 4),
+    ("2 ^ (1 rdiv 2)", 2 ** 0.5),
+])
+def test_power_is_exact_when_the_result_is_rational(expr, value):
+    x = run_query("", f"X is {expr}")[0].bindings["X"]
+    assert (x, type(x)) == (value, type(value))
+    result = run_candidate(f"problem(A) :- A is {expr}.")
+    assert (result.status, result.exact) == \
+        ("ok", not isinstance(value, float))
+
+
+@pytest.mark.parametrize("expr", ["float(10 ^ 400)", "0 ^ -1",
+                                  "(-8) ^ (1 rdiv 3)", "sqrt(float(-1))",
+                                  "sqrt(10 ^ 400 + 1)", "float(10) ^ 400"])
+def test_arithmetic_without_a_result_is_a_runtime_error(expr):
+    assert run_candidate(f"problem(A) :- A is {expr}.").status == \
+        "runtime-error"
+
+
+@pytest.mark.parametrize("goal", ["G", "call(G)"])
+def test_a_variable_goal_runs_as_call(goal):
+    # ISO converts a body variable G to call(G), so its cut is local
+    source = f"problem(A) :- member(A, [1, 2]), G = !, {goal}, A > 1."
+    result = run_candidate(source)
+    assert (result.status, result.answer) == ("ok", 2)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisor):
         run_query("", "X is 1 / 0")

@@ -62,12 +62,16 @@ class RStore:
         """Post rows (expr, const, rel), each meaning expr + const rel 0,
         with expr a {key: coeff} map of ints or Fractions and rel one of
         eq, lt, le, gt, ge.  The inequalities are checked once, after the
-        last row.  False if inconsistent."""
+        last row, whenever a row was posted while inequality rows are
+        live.  False if inconsistent."""
         check = False
         for expr, const, rel in rows:
             if rel == "eq":
                 if not self._insert_eq(expr, const):
                     return False
+                # substituted into the inequality rows, an equality can
+                # make them inconsistent without any one becoming false
+                check = check or bool(self.ineqs)
                 continue
             if rel in ("gt", "ge"):
                 expr = {v: -c for v, c in expr.items()}

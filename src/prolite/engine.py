@@ -32,8 +32,9 @@ from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      ExistenceError, InstantiationError, PlTypeError,
                      ZeroDivisor)
 from .reader import comma_flatten, parse_program
-from .terms import (NIL, Atom, Bindings, Struct, Var, indicator, is_number,
-                    list_to_python, make_list, normalize_number, term_vars)
+from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
+                    is_number, list_to_python, make_list, normalize_number,
+                    term_vars)
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
@@ -246,10 +247,17 @@ class SolveState:
         clauses = self.db.lookup(key)
         if clauses is None:
             raise ExistenceError(*key)
+        # every clause is tried from the bindings as they are now, so the
+        # goal's first argument is read once
+        first = arg_key(self.bindings.deref(goal.args[0])) \
+            if isinstance(goal, Struct) else None
         my_barrier = next(self._barriers)
         m = self.mark()
         try:
             for clause in clauses:
+                if first is not None and clause.key is not None \
+                        and clause.key != first:
+                    continue
                 renamed = clause.rename()
                 if self.unify(goal, renamed.head):
                     yield from self._solve_conj(renamed.body, 0, my_barrier)
@@ -342,11 +350,15 @@ def eval_arith(expr, b):
         raise PlTypeError(f"bad arithmetic term: {t!r}")
     args = [eval_arith(a, b) for a in t.args]
     try:
-        return _apply_arith(t.name, args)
+        value = _apply_arith(t.name, args)
     except (ArithmeticError, ValueError) as exc:
         # float overflow, 0 ^ -1, a math domain error, ...
         raise EvaluationError(
             f"{t.name}/{len(args)}: {type(exc).__name__}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        # float * and / overflow to inf, and inf - inf gives nan, silently
+        raise EvaluationError(f"{t.name}/{len(args)}: float result {value}")
+    return value
 
 
 def _apply_arith(name, args):

@@ -2,23 +2,22 @@
 
 The tokenizer is one compiled master regex with a named alternative per
 token class, each preceded by the layout it skips; `finditer` walks the
-source, and a token's line and column are worked out from its match
-offset by bisecting the offsets where lines start.  The parser is the
-classical priority-climbing read-term algorithm on a 1..1200 scale,
-driven by a configurable operator table.  Comments are consumed by the
-tokenizer but kept as metadata on the following token so transcripts can
-preserve chain-of-thought comments.
+source.  A token keeps its offset, and its line and column are worked
+out from the source only when read, mostly to build an error.  Comments
+are skipped.  The parser is a Pratt-style loop over an index into the
+token list, on the classical 1..1200 priority scale, driven by a
+configurable operator table.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import LexError, OperatorClash, ParseError
-from .terms import Atom, Clause, Struct, Var, make_list
+from .terms import NIL, Atom, Clause, Struct, Var, make_list
 
 _SYMBOL = r"[#$&*+\-./:<=>?@^~\\]"
 _TERMINATED = r"(?=[ \t\r\n%]|\Z)"  # what may follow a clause-ending '.'
@@ -41,17 +40,21 @@ def _quoted(q, group):
 _SQ, _SQ_OPEN = _quoted("'", "sq_body")
 _DQ, _DQ_OPEN = _quoted('"', "dq_body")
 
-# Alternatives are tried in order at each token start.  Names and
-# punctuation come first, as the commonest tokens, whose first characters
-# start no other token; comments come before symbol runs (so '/*' opens a
-# comment), the terminator '.' before symbol runs, and a symbol run
-# leaves a final terminating '.' to the next token.
+# Alternatives are tried in order at each token start.  ASCII names,
+# punctuation and variables come first, as the commonest tokens, whose
+# first characters start no other token; other names start with a
+# non-ASCII letter (or a non-letter such as '²', rejected afterwards);
+# comments come before symbol runs (so '/*' opens a comment), the
+# terminator '.' before symbol runs, and a symbol run leaves a final
+# terminating '.' to the next token.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:"
-    r"(?P<name>[^\W\d]\w*)"
+    r"(?P<lower>[a-z]\w*)"
     r"|(?P<punct>[()\[\]{},|])"
+    r"|(?P<upper>[A-Z_]\w*)"
     r"|(?P<comment>%[^\n]*|/\*.*?\*/)"
     r"|(?P<open_comment>/\*)"
+    r"|(?P<name>[^\W\d]\w*)"
     r"|(?P<dec>\d+\.\d+)"
     r"|(?P<int>\d+)"
     rf"|(?P<quoted>{_SQ}|{_DQ})"
@@ -61,30 +64,64 @@ _TOKEN = re.compile(
     r"|(?P<eof>\Z)"
     r"|(?P<illegal>.))",
     re.DOTALL)
-_NEWLINE = re.compile(r"\n")
+# name of each group of _TOKEN by index, and the token kind of each
+# alternative whose value is its text
+_GROUP = {index: name for name, index in _TOKEN.groupindex.items()}
+_PLAIN = [{"lower": "atom", "punct": "punct", "upper": "var",
+           "atom": "atom"}.get(_GROUP.get(index))
+          for index in range(_TOKEN.groups + 1)]
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 _ESCAPE = {q: re.compile(rf"\\(.)|{q}{q}", re.DOTALL) for q in "'\""}
 
 
-@dataclass
-class Token:
-    kind: str           # atom | var | int | dec | str | punct | end | eof
-    text: str
-    line: int
-    col: int
-    value: object = None
-    comments: list = field(default_factory=list)
-    layout: bool = False  # whitespace or a comment directly before it
+class Token(tuple):
+    """One token: the tuple (kind, text, value, layout, source, offset)
+    that the parser reads, with a name for each field.  Its line and
+    column are worked out from the source only when read, mostly to
+    build an error.  `parse_program` reads plain tuples of the same
+    shape and makes no Token objects."""
+
+    __slots__ = ()
+
+    # kind is one of atom, var, int, dec, str, punct, end and eof;
+    # layout is whether whitespace or a comment directly precedes it
+    kind = property(itemgetter(0))
+    text = property(itemgetter(1))
+    value = property(itemgetter(2))
+    layout = property(itemgetter(3))
+    source = property(itemgetter(4))
+    offset = property(itemgetter(5))
+
+    @property
+    def line(self):
+        return _line_col(self[4], self[5])[0]
+
+    @property
+    def col(self):
+        return _line_col(self[4], self[5])[1]
+
+    def __repr__(self):
+        return f"Token({self[0]}, {self[1]!r}, offset {self[5]})"
 
 
-def _unescape(body, quote, line, col):
+def _line_col(source, offset):
+    """1-based line and column of an offset into source."""
+    return (source.count("\n", 0, offset) + 1,
+            offset - source.rfind("\n", 0, offset))
+
+
+def _lex_error(message, source, offset):
+    return LexError(message, *_line_col(source, offset))
+
+
+def _unescape(body, quote, source, offset):
     """Resolve the escapes and doubled quotes of a quoted token's body."""
     def replace(m):
         esc = m.group(1)
         if esc is None:
             return quote
         if esc not in _ESCAPES:
-            raise LexError(f"unknown escape \\{esc}", line, col)
+            raise _lex_error(f"unknown escape \\{esc}", source, offset)
         return _ESCAPES[esc]
 
     return _ESCAPE[quote].sub(replace, body)
@@ -92,56 +129,60 @@ def _unescape(body, quote, line, col):
 
 def tokenize(source):
     """Full token list for source, ending with an eof marker."""
-    line_starts = [0]
-    line_starts.extend(m.end() for m in _NEWLINE.finditer(source))
+    return list(map(Token, _lex(source)))
+
+
+def _lex(source):
+    """The tokens of source as plain tuples, ending with an eof marker."""
     toks = []
-    comments = []
+    append = toks.append
+    last = 0  # where the last token ended
     for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        text = m.group(kind)
-        start = m.start(kind)
-        line = bisect_right(line_starts, start)
-        col = start - line_starts[line - 1] + 1
-        value = text
-        if kind == "name":
-            c = text[0]  # [^\W\d] also admits non-letters such as '²'
-            if not (c == "_" or c.isalpha()):
-                raise LexError(f"illegal character {c!r}", line, col)
-            kind = "var" if (c == "_" or c.isupper()) else "atom"
-        elif kind == "punct" or kind == "atom":
-            pass  # the value is the text
+        group = m.lastindex
+        start, end = m.span(group)
+        text = source[start:end]
+        layout = start != last
+        last = end
+        plain = _PLAIN[group]
+        if plain is not None:
+            append((plain, text, text, layout, source, start))
+            continue
+        kind = _GROUP[group]
+        if kind == "end":
+            append(("end", text, None, layout, source, start))
         elif kind == "int" or kind == "dec":
             try:
                 value = int(text) if kind == "int" else Fraction(text)
             except ValueError:  # more digits than int() may convert
-                raise LexError("number too long", line, col) from None
-        elif kind == "end":
-            value = None
+                raise _lex_error("number too long", source, start) from None
+            append((kind, text, value, layout, source, start))
         elif kind == "comment":
-            comments.append(text[1:].strip() if text[0] == "%"
-                            else text[2:-2].strip())
-            continue
+            last = -1  # so the next token has layout before it
+        elif kind == "name":
+            c = text[0]  # [^\W\d] also admits non-letters such as '²'
+            if not (c == "_" or c.isalpha()):
+                raise _lex_error(f"illegal character {c!r}", source, start)
+            kind = "var" if (c == "_" or c.isupper()) else "atom"
+            append((kind, text, text, layout, source, start))
         elif kind == "quoted" or kind == "unclosed":
             quote = text[0]
             body = _unescape(text[1:-1] if kind == "quoted" else text[1:],
-                             quote, line, col)
+                             quote, source, start)
             if kind == "unclosed":
                 # the body stops short of the end only at a lone backslash
-                raise LexError("dangling escape" if m.end() < len(source)
-                               else "unterminated quoted token", line, col)
+                raise _lex_error("dangling escape" if m.end() < len(source)
+                                 else "unterminated quoted token",
+                                 source, start)
             # strings are treated as atoms; generated programs use none
-            kind = "str" if quote == '"' else "atom"
-            text = value = body
+            append(("str" if quote == '"' else "atom", body, body, layout,
+                    source, start))
         elif kind == "eof":  # always the last match
-            toks.append(Token("eof", "", line, col))
+            append(("eof", "", None, False, source, start))
             return toks
         elif kind == "open_comment":
-            raise LexError("unterminated block comment", line, col)
+            raise _lex_error("unterminated block comment", source, start)
         else:
-            raise LexError(f"illegal character {text!r}", line, col)
-        toks.append(Token(kind, text, line, col, value, comments,
-                          start > m.start() or bool(comments)))
-        comments = []
+            raise _lex_error(f"illegal character {text!r}", source, start)
 
 
 class OpTable:
@@ -160,7 +201,7 @@ class OpTable:
         ("+", 500, "yfx"), ("-", 500, "yfx"),
         ("*", 400, "yfx"), ("/", 400, "yfx"), ("//", 400, "yfx"),
         ("mod", 400, "yfx"), ("rem", 400, "yfx"), ("rdiv", 400, "yfx"),
-        ("^", 200, "xfy"),
+        ("**", 200, "xfx"), ("^", 200, "xfy"),
         ("-", 200, "fy"), ("+", 200, "fy"),
     ]
 
@@ -188,169 +229,199 @@ class Program:
     directives: list = field(default_factory=list)
 
 
+# token kinds, and punctuation, that can start a term
+_STARTS_TERM = frozenset(("int", "dec", "var", "atom", "str"))
+_OPENS_TERM = frozenset(("(", "[", "{"))
+
+
 class _Parser:
+    """Pratt parser reading a token list in place from an index.
+
+    `parse` reads a prefix-position term (a primary, or a prefix operator
+    and its operand), then folds infix operators into it while they bind
+    no looser than its priority limit.  Every token that can end a term
+    is left unread, and reading an `end` or `eof` as a term is an error,
+    so a clause is parsed without slicing it out of the list.  Tokens
+    are read as tuples (kind, text, value, layout, source, offset).
+    """
+
+    __slots__ = ("toks", "pos", "varmap", "prefix", "infix")
+
     def __init__(self, tokens, ops):
         self.toks = tokens
-        self.ops = ops
         self.pos = 0
         self.varmap = {}
+        self.prefix = ops.prefix
+        self.infix = ops.infix
 
-    def peek(self, k=0):
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def fail(self, message, expected=None, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
-
-    def var_for(self, name):
-        if name == "_":
-            return Var("_")
-        v = self.varmap.get(name)
-        if v is None:
-            v = Var(name)
-            self.varmap[name] = v
-        return v
-
-    # --- expression parsing -------------------------------------------
+    def fail(self, message, tok, expected=None):
+        raise ParseError(message, *_line_col(tok[4], tok[5]), expected)
 
     def parse(self, max_prio):
-        left, left_prio = self.primary(max_prio)
-        return self.operator_loop(left, left_prio, max_prio)
+        toks = self.toks
+        pos = self.pos
+        tok = toks[pos]
+        self.pos = pos + 1
+        kind = tok[0]
+        prio = 0
+        if kind == "atom":
+            nxt = toks[pos + 1]
+            if nxt[1] == "(" and nxt[0] == "punct" and not nxt[3]:
+                # functional notation, the commonest case of self.atom
+                self.pos = pos + 2
+                left = Struct(tok[1], self.arguments())
+            else:
+                left, prio = self.atom(tok, max_prio)
+        elif kind == "var":
+            name = tok[1]
+            if name == "_":
+                left = Var("_")
+            else:
+                left = self.varmap.get(name)
+                if left is None:
+                    left = self.varmap[name] = Var(name)
+        elif kind == "int" or kind == "dec":
+            left = tok[2]
+        elif kind == "punct":
+            left = self.punct(tok)
+        elif kind == "str":
+            left = Atom(tok[1])
+        elif kind == "end":
+            self.fail("unexpected end of clause", tok)
+        else:
+            self.fail("unexpected end of input", tok)
 
-    def operator_loop(self, left, left_prio, max_prio):
+        infix = self.infix
         while True:
-            tok = self.peek()
-            name = None
-            if tok.kind == "atom":
-                name = tok.text
-            elif tok.kind == "punct" and tok.text in (",", "|"):
-                name = tok.text
-            if name is None or name not in self.ops.infix:
+            tok = toks[self.pos]
+            kind, name = tok[0], tok[1]
+            if not (kind == "atom"
+                    or kind == "punct" and (name == "," or name == "|")):
                 return left
-            prio, typ = self.ops.infix[name]
-            if prio > max_prio:
+            entry = infix.get(name)
+            if entry is None:
                 return left
-            left_max = prio if typ == "yfx" else prio - 1
-            if left_prio > left_max:
-                raise OperatorClash(
-                    f"operator priority clash at {name!r}", tok.line, tok.col)
-            self.next()
-            right_max = prio if typ == "xfy" else prio - 1
-            right = self.parse(right_max)
+            op_prio, typ = entry
+            if op_prio > max_prio:
+                return left
+            if prio > (op_prio if typ == "yfx" else op_prio - 1):
+                raise OperatorClash(f"operator priority clash at {name!r}",
+                                    *_line_col(tok[4], tok[5]))
+            self.pos += 1
+            right = self.parse(op_prio if typ == "xfy" else op_prio - 1)
+            prio = op_prio
             if name == "|":
                 name = ";"  # '|' as infix is an alternative spelling of ';'
-            left = self.fold(Struct(name, (left, right)))
-            left_prio = prio
+            elif name == "rdiv" and type(left) is int and type(right) is int \
+                    and right != 0:
+                # two integer literals fold into an exact rational
+                left = Fraction(left, right)
+                if left.denominator == 1:
+                    left = left.numerator
+                continue
+            left = Struct(name, (left, right))
 
-    def fold(self, t):
-        # constant-fold rdiv of two integer literals into an exact rational
-        if (t.name == "rdiv" and len(t.args) == 2
-                and isinstance(t.args[0], int) and isinstance(t.args[1], int)
-                and t.args[1] != 0):
-            value = Fraction(t.args[0], t.args[1])
-            return int(value) if value.denominator == 1 else value
-        return t
+    def atom(self, tok, max_prio):
+        """(term, priority) of a term that starts with an atom."""
+        name = tok[1]
+        nxt = self.toks[self.pos]
+        nkind = nxt[0]
+        prefix = self.prefix.get(name)
+        # '-' directly before a number is a negative literal, whatever
+        # priority limit the operator '-' would have to meet
+        if name == "-" and (nkind == "int" or nkind == "dec") \
+                and prefix is not None:
+            self.pos += 1
+            return -nxt[2], 0
+        if prefix is not None and prefix[0] > max_prio:
+            prefix = None
+        # 'name(' is functional notation; a prefix operator, layout,
+        # then '(' applies the operator to the parenthesised term
+        if nkind == "punct" and nxt[1] == "(" and not (nxt[3] and prefix):
+            self.pos += 1
+            return Struct(name, self.arguments()), 0
+        if name.startswith("#") and name not in self.infix \
+                and name not in self.prefix:
+            self.fail(f"unknown constraint operator {name!r}", tok)
+        if prefix is not None and (
+                nkind in _STARTS_TERM
+                or nkind == "punct" and nxt[1] in _OPENS_TERM):
+            prio, typ = prefix
+            operand = self.parse(prio if typ == "fy" else prio - 1)
+            return Struct(name, (operand,)), prio
+        return Atom(name), 0
 
-    def primary(self, max_prio):
-        tok = self.next()
-        if tok.kind in ("int", "dec"):
-            return tok.value, 0
-        if tok.kind == "var":
-            return self.var_for(tok.text), 0
-        if tok.kind == "str":
-            return Atom(tok.text), 0
-        if tok.kind == "punct":
-            if tok.text == "(":
-                inner = self.parse(1200)
-                self.expect(")", ")")
-                return inner, 0
-            if tok.text == "[":
-                return self.parse_list(), 0
-            if tok.text == "{":
-                if self.peek().kind == "punct" and self.peek().text == "}":
-                    self.next()
-                    return Atom("{}"), 0
-                inner = self.parse(1200)
-                self.expect("}", "}")
-                return Struct("{}", (inner,)), 0
-            self.fail(f"unexpected {tok.text!r}", tok=tok)
-        if tok.kind == "atom":
-            name = tok.text
-            nxt = self.peek()
-            prefix = self.ops.prefix.get(name)
-            if prefix is not None and prefix[0] > max_prio:
-                prefix = None
-            # 'name(' is functional notation; a prefix operator, layout,
-            # then '(' applies the operator to the parenthesised term
-            if nxt.kind == "punct" and nxt.text == "(" \
-                    and not (nxt.layout and prefix):
-                self.next()
-                args = [self.parse(999)]
-                while self.peek().kind == "punct" and self.peek().text == ",":
-                    self.next()
-                    args.append(self.parse(999))
-                self.expect(")", ")")
-                return Struct(name, tuple(args)), 0
-            if name.startswith("#") and name not in self.ops.infix \
-                    and name not in self.ops.prefix:
-                self.fail(f"unknown constraint operator {name!r}", tok=tok)
-            if prefix and self.starts_term(nxt):
-                prio, typ = prefix
-                if name == "-" and nxt.kind in ("int", "dec"):
-                    self.next()
-                    return -nxt.value, 0
-                operand_max = prio if typ == "fy" else prio - 1
-                operand = self.parse(operand_max)
-                return Struct(name, (operand,)), prio
-            return Atom(name), 0
-        if tok.kind == "end":
-            self.fail("unexpected end of clause", tok=tok)
-        self.fail("unexpected end of input", tok=tok)
+    def arguments(self):
+        """Arguments up to the closing ')' of functional notation."""
+        args = [self.parse(999)]
+        toks = self.toks
+        while True:
+            tok = toks[self.pos]
+            if not (tok[1] == "," and tok[0] == "punct"):
+                break
+            self.pos += 1
+            args.append(self.parse(999))
+        self.expect(")")
+        return tuple(args)
 
-    def starts_term(self, tok):
-        if tok.kind in ("int", "dec", "var", "atom", "str"):
-            return True
-        return tok.kind == "punct" and tok.text in ("(", "[", "{")
+    def punct(self, tok):
+        text = tok[1]
+        if text == "(":
+            inner = self.parse(1200)
+            self.expect(")")
+            return inner
+        if text == "[":
+            return self.parse_list()
+        if text == "{":
+            nxt = self.toks[self.pos]
+            if nxt[1] == "}" and nxt[0] == "punct":
+                self.pos += 1
+                return Atom("{}")
+            inner = self.parse(1200)
+            self.expect("}")
+            return Struct("{}", (inner,))
+        self.fail(f"unexpected {text!r}", tok)
 
     def parse_list(self):
-        if self.peek().kind == "punct" and self.peek().text == "]":
-            self.next()
-            return Atom("[]")
+        toks = self.toks
+        tok = toks[self.pos]
+        if tok[1] == "]" and tok[0] == "punct":
+            self.pos += 1
+            return NIL
         items = [self.parse(999)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
-            self.next()
+        while True:
+            tok = toks[self.pos]
+            if not (tok[1] == "," and tok[0] == "punct"):
+                break
+            self.pos += 1
             items.append(self.parse(999))
-        tail = Atom("[]")
-        if self.peek().kind == "punct" and self.peek().text == "|":
-            self.next()
+        tail = NIL
+        if tok[1] == "|" and tok[0] == "punct":
+            self.pos += 1
             tail = self.parse(999)
-        self.expect("]", "]")
+        self.expect("]")
         return make_list(items, tail)
 
-    def expect(self, text, expected):
-        tok = self.next()
-        if not (tok.kind == "punct" and tok.text == text):
-            self.fail(f"expected {expected!r}, found {tok.text!r}",
-                      expected=expected, tok=tok)
+    def expect(self, text):
+        tok = self.toks[self.pos]
+        self.pos += 1
+        if not (tok[1] == text and tok[0] == "punct"):
+            self.fail(f"expected {text!r}, found {tok[1]!r}", tok,
+                      expected=text)
 
 
 def parse_term(tokens, ops=DEFAULT_OPS, max_priority=1200):
     """Parse one term from a token list (eof or end terminated)."""
     p = _Parser(tokens, ops)
     term = p.parse(max_priority)
-    tok = p.peek()
-    if tok.kind not in ("end", "eof"):
-        p.fail(f"trailing input {tok.text!r}")
+    tok = tokens[p.pos]
+    if tok[0] != "end" and tok[0] != "eof":
+        p.fail(f"trailing input {tok[1]!r}", tok)
     return term
 
 
 def parse_term_text(source, ops=DEFAULT_OPS):
-    return parse_term(tokenize(source), ops)
+    return parse_term(_lex(source), ops)
 
 
 def comma_flatten(t):
@@ -364,27 +435,31 @@ def comma_flatten(t):
 
 def parse_program(source, ops=DEFAULT_OPS):
     """All clauses of a source text, in order; directives split out."""
-    tokens = tokenize(source)
+    tokens = _lex(source)
+    last_end = len(tokens) - 1
+    while last_end >= 0 and tokens[last_end][0] != "end":
+        last_end -= 1
     clauses = []
     directives = []
-    pos = 0
-    while tokens[pos].kind != "eof":
-        end = pos
-        while tokens[end].kind not in ("end", "eof"):
-            end += 1
-        if tokens[end].kind == "eof":
-            tok = tokens[end]
-            raise ParseError("clause not terminated by '.'", tok.line, tok.col)
-        p = _Parser(tokens[pos : end + 1], ops)
+    p = _Parser(tokens, ops)
+    while True:
+        first = tokens[p.pos]
+        if first[0] == "eof":
+            return Program(clauses, directives)
+        if p.pos > last_end:
+            p.fail("clause not terminated by '.'", tokens[-1])
+        p.varmap = {}
         term = p.parse(1200)
-        tok = p.peek()
-        if tok.kind != "end":
-            p.fail(f"trailing input {tok.text!r}")
+        tok = tokens[p.pos]
+        if tok[0] != "end":
+            p.fail(f"trailing input {tok[1]!r}", tok)
+        p.pos += 1
         if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 1:
             directives.append(term.args[0])
-        elif isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
-            clauses.append(Clause(term.args[0], comma_flatten(term.args[1])))
-        else:
-            clauses.append(Clause(term))
-        pos = end + 1
-    return Program(clauses, directives)
+            continue
+        head, body = term, ()
+        if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
+            head, body = term.args[0], comma_flatten(term.args[1])
+        if not isinstance(head, (Atom, Struct)):
+            p.fail("clause head is not callable", first)
+        clauses.append(Clause(head, body))

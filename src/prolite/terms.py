@@ -208,16 +208,37 @@ def term_vars(t, b=None, acc=None):
     return acc
 
 
-class Clause:
-    """head :- body, with body a flat list of goals (empty list = fact)."""
+def arg_key(t):
+    """The part of a non-variable term that decides whether another can
+    unify with it: a compound's (name, arity), a float wrapped so that
+    1.0 never equals 1, or an atom or exact number itself; None for a
+    variable.  Two terms whose keys are both not None unify only if the
+    keys are equal."""
+    if isinstance(t, Struct):
+        return (t.name, len(t.args))
+    if isinstance(t, Var):
+        return None
+    if isinstance(t, float):
+        return (t,)
+    return t
 
-    __slots__ = ("head", "body")
+
+class Clause:
+    """head :- body, with body a flat list of goals (empty list = fact).
+
+    key is the arg_key of the head's first argument, so resolution can
+    skip a clause without renaming it when the goal's first argument
+    cannot match.
+    """
+
+    __slots__ = ("head", "body", "key")
 
     def __init__(self, head, body=()):
         if isinstance(head, Var):
             raise ValueError("clause head cannot be a variable")
         self.head = head
         self.body = tuple(body)
+        self.key = arg_key(head.args[0]) if isinstance(head, Struct) else None
 
     def rename(self):
         """Fresh variable copy for one resolution use."""

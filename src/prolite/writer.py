@@ -65,9 +65,11 @@ def _write(t, max_prio, ops):
             prio, typ = ops.prefix[t.name]
             amax = prio if typ == "fy" else prio - 1
             arg = _write(t.args[0], amax, ops)
-            # '- 1' would read back as a number and '\+ (a, b)' as
-            # '\+'/2, so such operands take functional notation
-            if not (is_number(t.args[0]) or arg[0] == "("):
+            # '- 1' and '- 1 ^ 2' would read back with the number -1,
+            # and '\+ (a, b)' as '\+'/2, so such operands take
+            # functional notation
+            if not (is_number(t.args[0]) or arg[0] == "("
+                    or arg[0].isdigit()):
                 space = " " if (arg[0].isalnum() or arg[0] in "_-" or
                                 t.name[-1] in _UNQUOTED_SYMBOLIC and
                                 arg[0] in _UNQUOTED_SYMBOLIC or

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from helpers import (EXPLODING, random_linear_system, run_query,
                      solve_linear_via_engine)
 from prolite.errors import IneqCapExceeded, NonLinearUnsupported, TypeMix
+from prolite.orchestrator import run_candidate
 
 
 def test_single_equation_binds_exactly():
@@ -58,6 +59,37 @@ def test_inequalities_consistent_path():
 
 def test_inequalities_inconsistent_by_elimination():
     assert run_query("", "{X + Y =< 4}, {X >= 3}, {Y >= 2}") == []
+
+
+@pytest.mark.parametrize("rows", ["X =< 0, Y =< 0, X + Y = 1",
+                                  "X + Y = 1, X =< 0, Y =< 0"])
+def test_equality_is_checked_against_earlier_inequalities(rows):
+    result = run_candidate(f"problem(A) :- {{{rows}}}, A = 1.")
+    assert result.status == "no-solution"
+
+
+def _random_row(rng, rel):
+    terms = [f"{rng.randint(-3, 3)} * {v}" for v in "XYZ"
+             if rng.random() < 0.7]
+    return f"{' + '.join(terms) or '0'} {rel} {rng.randint(-5, 5)}"
+
+
+def test_row_order_does_not_change_the_status():
+    rng = random.Random(2024)
+    statuses = set()
+    for _ in range(120):
+        eqs = [_random_row(rng, "=") for _ in range(rng.randint(1, 2))]
+        ineqs = [_random_row(rng, rng.choice(["=<", "<", ">=", ">"]))
+                 for _ in range(rng.randint(2, 6))]
+        results = {
+            order: run_candidate("problem(A) :- "
+                                 + ", ".join(f"{{{r}}}" for r in rows)
+                                 + ", A = 1.").status
+            for order, rows in (("equalities first", eqs + ineqs),
+                                ("inequalities first", ineqs + eqs))}
+        assert len(set(results.values())) == 1, (eqs, ineqs, results)
+        statuses.update(results.values())
+    assert statuses == {"ok", "no-solution"}
 
 
 def test_strict_inequality():

@@ -11,6 +11,7 @@ from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             ZeroDivisor)
 from prolite.engine import SolveState
+from prolite.harness import gen_navigate
 from prolite.orchestrator import run_candidate
 from prolite.reader import Program, parse_term_text
 from prolite.terms import Atom, Clause, Struct, Var
@@ -137,12 +138,25 @@ def test_power_is_exact_when_the_result_is_rational(expr, value):
         ("ok", not isinstance(value, float))
 
 
-@pytest.mark.parametrize("expr", ["float(10 ^ 400)", "0 ^ -1",
-                                  "(-8) ^ (1 rdiv 3)", "sqrt(float(-1))",
-                                  "sqrt(10 ^ 400 + 1)", "float(10) ^ 400"])
+@pytest.mark.parametrize("expr", [
+    "float(10 ^ 400)", "0 ^ -1", "(-8) ^ (1 rdiv 3)", "sqrt(float(-1))",
+    "sqrt(10 ^ 400 + 1)", "float(10) ^ 400",
+    "float(10 ^ 300) * float(10 ^ 300)",
+    "float(10 ^ 300) * float(10 ^ 300) - float(10 ^ 300) * float(10 ^ 300)",
+    "float(10 ^ 300) / float(1 rdiv 10 ^ 300)"])
 def test_arithmetic_without_a_result_is_a_runtime_error(expr):
     assert run_candidate(f"problem(A) :- A is {expr}.").status == \
         "runtime-error"
+
+
+def test_power_operator():
+    assert run_candidate("problem(A) :- A is 2 ** 3.").answer == 8
+    assert run_query("", "X is 2 ** -1")[0].bindings["X"] == Fraction(1, 2)
+    result = run_candidate("problem(A) :- A is 2 ** -1.")
+    assert (result.status, result.answer, result.exact) == ("ok", 0.5, True)
+    result = run_candidate("problem(A) :- A is 2 ** 3 ** 4.")
+    assert result.status == "parse-error"
+    assert "operator priority clash at '**'" in result.detail
 
 
 @pytest.mark.parametrize("goal", ["G", "call(G)"])
@@ -318,3 +332,94 @@ def test_library_is_shared_and_left_unchanged_by_queries():
         assert [id(c) for c in third.library[key]] == before[key]
     with pytest.raises(BuiltinRedefinition):
         consult(parse_program("member(X, [X]).\n"))
+
+
+# --- first-argument filtering -----------------------------------------
+
+KEYED = """\
+k(1, int).
+k(1 rdiv 2, rational).
+k(0.5, decimal).
+k(2.0, two).
+k(a, atom).
+k(f(x), compound).
+k(f(x, y), compound2).
+k([], nil).
+k([_|_], list).
+k(_, any).
+"""
+
+
+@pytest.mark.parametrize("query, answers", [
+    ("k(1, T)", ["int", "any"]),
+    ("k(2, T)", ["two", "any"]),  # 2.0 reads as Fraction(2), equal to 2
+    ("k(1 rdiv 2, T)", ["rational", "decimal", "any"]),
+    ("X is float(1), k(X, T)", ["any"]),  # 1.0 never unifies with 1
+    ("X is float(1 rdiv 2), k(X, T)", ["any"]),
+    ("k(a, T)", ["atom", "any"]),
+    ("k(b, T)", ["any"]),
+    ("k(f(Y), T)", ["compound", "any"]),
+    ("k(f(z), T)", ["any"]),
+    ("k(f(_, _), T)", ["compound2", "any"]),
+    ("k([], T)", ["nil", "any"]),
+    ("k([1, 2], T)", ["list", "any"]),
+    ("X = [_], k(X, T)", ["list", "any"]),
+    ("k(_, T)", ["int", "rational", "decimal", "two", "atom", "compound",
+                 "compound2", "nil", "list", "any"]),
+])
+def test_first_argument_filter_keeps_exactly_the_unifying_clauses(
+        query, answers):
+    assert [t.name for t in values(run_query(KEYED, query), "T")] == answers
+
+
+KEYED_NUMBERS = "n(1, one).\nn(2, two).\nn(5, five).\nn(a, atom).\n"
+
+
+def test_constrained_first_arguments_try_every_clause():
+    sols = run_query(KEYED_NUMBERS, "X #>= 1, X #=< 3, n(X, T)")
+    assert [(s.bindings["X"], s.bindings["T"].name) for s in sols] == \
+        [(1, "one"), (2, "two")]
+    sols = run_query(KEYED_NUMBERS, "{X = Y + 1}, n(X, T)")
+    assert [(s.bindings["Y"], s.bindings["T"].name) for s in sols] == \
+        [(0, "one"), (1, "two"), (4, "five")]
+
+
+def test_cut_in_a_filtered_predicate():
+    program = "c(1, a) :- !.\nc(2, b) :- !.\nc(_, z).\n"
+
+    def names(query):
+        return [t.name for t in values(run_query(program, query), "T")]
+
+    assert names("c(2, T)") == ["b"]
+    assert names("c(3, T)") == ["z"]
+    sols = run_query(program, "c(X, T)")
+    assert [(s.bindings["X"], s.bindings["T"].name) for s in sols] == \
+        [(1, "a")]
+    # the cut commits the filtered call only, not the caller's choices
+    sols = run_query(program, "member(X, [3, 2]), c(X, T)")
+    assert [s.bindings["T"].name for s in sols] == ["z", "b"]
+
+
+NREV = """\
+app([], L, L).
+app([H|T], L, [H|R]) :- app(T, L, R).
+nrev([], []).
+nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
+"""
+
+
+@pytest.mark.parametrize("name, steps", [("nrev30", 496), ("navigate", 38)])
+def test_skipped_clauses_cost_no_steps(name, steps):
+    # the smallest budgets that succeed, measured before clauses were
+    # filtered by their first argument: a skipped clause costs nothing
+    # and every call still costs one step
+    if name == "nrev30":
+        source = NREV
+        query = f"nrev({list(range(1, 31))}, R)"
+    else:
+        problem = gen_navigate(5, 1)[0]
+        source, query = problem.reference_program, problem.entry
+    assert run_query(source, query,
+                     budget=Budget(max_inference_steps=steps))
+    with pytest.raises(BudgetExceeded):
+        run_query(source, query, budget=Budget(max_inference_steps=steps - 1))

@@ -8,7 +8,9 @@ On unbounded domains the store also fails when the rational relaxation
 is infeasible in a scratch clpr.RStore, checked after a post or alias
 that leaves a bound infinite and once in a long fixpoint.  Propagator
 runs and the rows the check handles are charged to the query's step
-budget.
+budget.  A variable belongs to at most one store, so aliasing an FD
+variable with a rational one is a TypeMix error; labeling a variable
+without a finite domain raises UnboundedDomain (underdetermined).
 """
 
 from __future__ import annotations
@@ -297,15 +299,15 @@ def _normalize(dom):
 class FdStore:
     """Domains plus the posted-propagator network.
 
-    The four tables are written only through bindings.set, so the query's
-    one trail undoes them; tick() charges a propagator run to the budget.
+    The three tables are written only through bindings.set, so the
+    query's one trail undoes them; tick() charges a propagator run to the
+    budget.
     """
 
     def __init__(self, bindings, tick):
         self.bindings = bindings
         self.tick = tick
         self.domains = {}          # var id -> FdDomain
-        self.varobj = {}           # var id -> Var
         self.props = {}            # prop index -> propagator
         self.watchers = {}         # var id -> tuple of prop indexes
         self._queue = []           # propagator indexes awaiting a run
@@ -319,13 +321,9 @@ class FdStore:
         if not isinstance(v, Var):
             raise PlTypeError(f"finite-domain variable expected, got {v!r}")
         if v.id not in self.domains:
+            self.bindings.claim(v, self)
             self.bindings.set(self.domains, v.id, FdDomain())
-            self.bindings.set(self.varobj, v.id, v)
         return v
-
-    def is_fd_var(self, var):
-        v = self.bindings.deref(var)
-        return isinstance(v, Var) and v.id in self.domains
 
     def dom(self, var):
         v = self.bindings.deref(var)
@@ -429,7 +427,7 @@ class FdStore:
                     if len(uses[vid]) == 1:
                         lone.append(vid)
                 rows[i] = None
-        scratch = RStore(Bindings(), lambda var: False, self.tick)
+        scratch = RStore(Bindings(), self.tick)
         try:
             return scratch.post_linear(sorted(
                 (row for row in rows if row),
@@ -509,20 +507,20 @@ class FdStore:
     # --- aliasing and grounding hooks from unification ---------------
 
     def on_bind_value(self, var, value):
-        """var (an FD var) was just bound to value; check and propagate."""
-        if not isinstance(value, int) or isinstance(value, bool):
+        """Bind var, an FD variable, to value; check and propagate."""
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or not self.domains[var.id].contains(value):
             return False
-        dom = self.domains.get(var.id)
-        if dom is None or not dom.contains(value):
-            return False
+        self.bindings.bind(var, value)
         self._queue = []
         if not self.set_dom_raw(var.id, FdDomain.from_range(value, value)):
             return False
         return self.propagate_fixpoint()
 
     def on_alias(self, var, root):
-        """var was bound to root (another FD var): merge domains and
+        """Bind var to root, both unbound FD variables: merge domains and
         watchers, and re-link and re-run the propagators over var."""
+        self.bindings.bind(var, root)
         merged = self.domains[var.id].intersect(self.domains[root.id])
         self._queue = []
         if not self.set_dom_raw(root.id, merged):
@@ -543,10 +541,10 @@ class FdStore:
     def constrained_vars(self):
         """FD variables in posting order (deduplicated, dereferenced)."""
         seen, out = set(), []
-        for vid, var in self.varobj.items():
+        for store, var in self.bindings.owner.values():
             root = self.bindings.deref(var)
-            if isinstance(root, Var) and root.id not in seen \
-                    and root.id in self.domains:
+            if store is self and isinstance(root, Var) \
+                    and root.id not in seen:
                 seen.add(root.id)
                 out.append(root)
         return out
@@ -570,8 +568,8 @@ def fd_label(variables, store, state, strategy="leftmost"):
     for v in variables:
         r = store.bindings.deref(v)
         if isinstance(r, Var):
-            if not store.dom(r).is_finite():
-                raise UnboundedDomain(f"cannot label {r.name}: infinite domain")
+            if r.id not in store.domains or not store.dom(r).is_finite():
+                raise UnboundedDomain(f"{r.name} has no finite domain")
             todo.append(r)
     yield from _label(todo, store, state, strategy)
 

@@ -4,7 +4,9 @@ Incremental Gaussian elimination: equality rows are kept in reduced
 row-echelon form with a designated pivot per row; newly determined
 variables are bound straight into the engine bindings.  Inequalities are
 checked by Fourier-Motzkin elimination under a small row cap, eliminating
-first the variable whose step adds the fewest rows.
+first the variable whose step adds the fewest rows.  A variable belongs
+to at most one store: an FD variable in a posted relation, or aliased
+with a rational one, is a TypeMix error.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (IneqCapExceeded, NonLinearUnsupported, PlTypeError,
-                     TypeMix, ZeroDivisor)
-from .terms import Struct, Var, linearize, normalize_number
+                     ZeroDivisor)
+from .terms import Struct, Var, is_number, linearize, normalize_number
 
 EQ_OPS = {"=", "#="}
 INEQ_OPS = {"<": "lt", ">": "gt", "=<": "le", ">=": "ge", "#<": "lt",
@@ -26,19 +28,17 @@ ELIMINATION_CAP = 20_000    # rows Fourier-Motzkin elimination may hold
 class RStore:
     """Echelon equality rows plus inequality rows.
 
-    The three tables are written only through bindings.set, and a stored
+    The two tables are written only through bindings.set, and a stored
     row is never mutated in place, so the query's one trail undoes them
     together with the bindings.  tick() is called once per row that
     elimination rewrites or derives, so the work counts toward the
     query's budget.
     """
 
-    def __init__(self, bindings, is_fd, tick):
+    def __init__(self, bindings, tick):
         self.bindings = bindings
         self.rows = {}        # pivot vid -> (expr: {vid: Fraction}, const)
         self.ineqs = {}       # index -> ({vid: Fraction}, const, "le"|"lt")
-        self.varobj = {}      # vid -> Var
-        self.is_fd = is_fd
         self.tick = tick
 
     def mark(self):
@@ -87,10 +87,7 @@ class RStore:
                          self._divide)
 
     def _register(self, var):
-        if self.is_fd(var):
-            raise TypeMix(f"{var.name} is already finite-domain constrained")
-        if var.id not in self.varobj:
-            self.bindings.set(self.varobj, var.id, var)
+        self.bindings.claim(var, self)
         return var.id
 
     def _divide(self, expr):
@@ -145,12 +142,23 @@ class RStore:
         self.bindings.set(self.ineqs, len(self.ineqs), (expr, const, rel))
 
     def _bind_determined(self):
+        # unification never binds a rational variable to another
+        # variable, so it is either unbound or bound to its value
         for pivot, (e, k) in self.rows.items():
-            if not e:
-                var = self.varobj.get(pivot)
-                if var is not None and isinstance(self.bindings.deref(var), Var):
-                    self.bindings.bind(self.bindings.deref(var),
-                                       normalize_number(k))
+            held = self.bindings.owner.get(pivot)
+            if not e and held is not None \
+                    and isinstance(self.bindings.deref(held[1]), Var):
+                self.bindings.bind(held[1], normalize_number(k))
+
+    # --- unification hooks --------------------------------------------
+
+    def on_bind_value(self, var, value):
+        """Unify var, an unbound rational variable, with value."""
+        return is_number(value) and self.post(Struct("=", (var, value)))
+
+    def on_alias(self, var, other):
+        """Unify two unbound rational variables."""
+        return self.post(Struct("=", (var, other)))
 
     # --- queries ------------------------------------------------------
 

@@ -30,7 +30,7 @@ from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
 from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      ExistenceError, InstantiationError, PlTypeError,
-                     ZeroDivisor)
+                     TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
                     is_number, list_to_python, make_list, normalize_number,
@@ -134,7 +134,7 @@ class SolveState:
         self.occurs_check = occurs_check
         self.bindings = Bindings()
         self.fd = FdStore(self.bindings, self._tick)
-        self.r = RStore(self.bindings, self.fd.is_fd_var, self._tick)
+        self.r = RStore(self.bindings, self._tick)
         self.steps = 0
         self.deadline = None
         self._barriers = itertools.count()
@@ -189,40 +189,27 @@ class SolveState:
         return True
 
     def _bind_var_var(self, a, c):
-        a_fd, c_fd = self.fd.is_fd_var(a), self.fd.is_fd_var(c)
-        a_r, c_r = a.id in self.r.varobj, c.id in self.r.varobj
-        if a_fd and c_fd:
-            self.bindings.bind(a, c)
-            return self.fd.on_alias(a, c)
-        if a_fd or c_fd:
-            if a_fd:
-                a, c = c, a  # bind the plain var to the FD var
+        store, other = self.bindings.owner_of(a), self.bindings.owner_of(c)
+        if store is None:
             self.bindings.bind(a, c)
             return True
-        if a_r and c_r:
-            return self.r.post(Struct("=", (a, c)))
-        if a_r or c_r:
-            if a_r:
-                a, c = c, a
-            self.bindings.bind(a, c)
+        if other is None:
+            self.bindings.bind(c, a)
             return True
-        self.bindings.bind(a, c)
-        return True
+        if store is not other:
+            raise TypeMix(f"{a.name} and {c.name} are in different stores")
+        return store.on_alias(a, c)
 
     def _bind_var_value(self, var, value):
         if self.occurs_check and isinstance(value, Struct):
             from .terms import occurs
             if occurs(var, value, self.bindings):
                 return False
-        if self.fd.is_fd_var(var):
+        store = self.bindings.owner_of(var)
+        if store is None:
             self.bindings.bind(var, value)
-            return self.fd.on_bind_value(var, value)
-        if var.id in self.r.varobj:
-            if not is_number(value):
-                return False
-            return self.r.post(Struct("=", (var, value)))
-        self.bindings.bind(var, value)
-        return True
+            return True
+        return store.on_bind_value(var, value)
 
     # --- resolution ---------------------------------------------------
 
@@ -291,7 +278,8 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
         resolved = {v.name: state.bindings.resolve(v) for v in query_vars}
         loose = frozenset(
             name for name, t in resolved.items()
-            if any(v.id in state.r.varobj for v in term_vars(t)))
+            if any(state.bindings.owner_of(v) is state.r
+                   for v in term_vars(t)))
         return Solution(resolved, notes, loose)
 
     def answers():
@@ -688,7 +676,7 @@ def _rational_route(state, args):
         t = state.bindings.deref(stack.pop())
         if isinstance(t, Fraction) or isinstance(t, float):
             return True
-        if isinstance(t, Var) and t.id in state.r.varobj:
+        if isinstance(t, Var) and state.bindings.owner_of(t) is state.r:
             return True
         if isinstance(t, Struct):
             if t.name in ("/", "rdiv") and len(t.args) == 2:
@@ -736,9 +724,6 @@ def _bi_labeling(state, args, barrier):
             strategy = "leftmost"
         else:
             raise PlTypeError(f"unknown labeling option {opt!r}")
-    for v in variables:
-        if isinstance(state.bindings.deref(v), Var):
-            state.fd.ensure_var(v)
     yield from fd_label(variables, state.fd, state, strategy)
 
 

@@ -5,12 +5,6 @@ class ProliteError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- term model ---
-
-class ZeroDenominator(ProliteError):
-    pass
-
-
 # --- reader ---
 
 class LexError(ProliteError):
@@ -108,10 +102,6 @@ class SchemaError(ProliteError):
 
 
 class DuplicateId(ProliteError):
-    pass
-
-
-class UnknownInstruction(ProliteError):
     pass
 
 

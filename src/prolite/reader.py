@@ -17,7 +17,8 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .errors import LexError, OperatorClash, ParseError
-from .terms import NIL, Atom, Clause, Struct, Var, make_list
+from .terms import (NIL, Atom, Clause, Struct, Var, make_list,
+                    normalize_number)
 
 _SYMBOL = r"[#$&*+\-./:<=>?@^~\\]"
 _TERMINATED = r"(?=[ \t\r\n%]|\Z)"  # what may follow a clause-ending '.'
@@ -281,7 +282,7 @@ class _Parser:
                 if left is None:
                     left = self.varmap[name] = Var(name)
         elif kind == "int" or kind == "dec":
-            left = tok[2]
+            left = tok[2] if kind == "int" else normalize_number(tok[2])
         elif kind == "punct":
             left = self.punct(tok)
         elif kind == "str":
@@ -315,9 +316,7 @@ class _Parser:
             elif name == "rdiv" and type(left) is int and type(right) is int \
                     and right != 0:
                 # two integer literals fold into an exact rational
-                left = Fraction(left, right)
-                if left.denominator == 1:
-                    left = left.numerator
+                left = normalize_number(Fraction(left, right))
                 continue
             left = Struct(name, (left, right))
 
@@ -332,7 +331,7 @@ class _Parser:
         if name == "-" and (nkind == "int" or nkind == "dec") \
                 and prefix is not None:
             self.pos += 1
-            return -nxt[2], 0
+            return normalize_number(-nxt[2]), 0
         if prefix is not None and prefix[0] > max_prio:
             prefix = None
         # 'name(' is functional notation; a prefix operator, layout,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import NonLinearUnsupported, ZeroDenominator
+from .errors import NonLinearUnsupported, TypeMix
 
 
 class Var:
@@ -76,19 +76,9 @@ class Struct:
 
 NIL = Atom("[]")
 
-Term = object  # Var | Atom | int | Fraction | float | Struct
-
 
 def is_number(t):
     return isinstance(t, (int, Fraction, float)) and not isinstance(t, bool)
-
-
-def rat_normalize(num, den):
-    """Canonical rational from a numerator/denominator pair."""
-    if den == 0:
-        raise ZeroDenominator(f"{num}/0")
-    value = Fraction(num, den)
-    return int(value) if value.denominator == 1 else value
 
 
 def normalize_number(value):
@@ -124,19 +114,26 @@ _ABSENT = object()  # trailed as the old value of a key that set() created
 
 
 class Bindings:
-    """Variable-id -> term map plus the one trail of a query.
+    """Variable-id -> term map, the owner table, and the one trail of a
+    query.
 
     Every undoable write of a query goes through bind (a variable) or set
     (a key of a dict that a constraint store owns), and undo_to rewinds
     both in reverse order.  The values written are never mutated in place
     afterwards, so restoring the old value restores the old state.
+
+    A variable belongs to at most one constraint store: owner maps its id
+    to (store, var), written only by claim.  Unification hands a binding
+    of an owned variable to its store, and aliasing variables of two
+    stores is a TypeMix error.
     """
 
-    __slots__ = ("map", "trail")
+    __slots__ = ("map", "trail", "owner")
 
     def __init__(self):
         self.map = {}
         self.trail = []     # var id | (dict, key, old value or _ABSENT)
+        self.owner = {}     # var id -> (store, var), in claiming order
 
     def mark(self):
         return len(self.trail)
@@ -162,6 +159,19 @@ class Bindings:
         """d[key] = value, undone by undo_to."""
         self.trail.append((d, key, d.get(key, _ABSENT)))
         d[key] = value
+
+    def claim(self, var, store):
+        """Make store the owner of var; TypeMix if another store owns it."""
+        held = self.owner.get(var.id)
+        if held is None:
+            self.set(self.owner, var.id, (store, var))
+        elif held[0] is not store:
+            raise TypeMix(f"{var.name} is constrained by another store")
+
+    def owner_of(self, var):
+        """The store that owns var, or None."""
+        held = self.owner.get(var.id)
+        return None if held is None else held[0]
 
     def deref(self, t):
         """Follow the binding chain of t; only the root is resolved."""

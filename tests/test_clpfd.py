@@ -5,12 +5,13 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (EXPLODING, brute_solution_set, fd_solution_set,
                      random_csp, run_query)
 from prolite import Budget
 from prolite.clpfd import FdDomain
-from prolite.errors import UnboundedDomain
+from prolite.errors import PrologRuntimeError, UnboundedDomain
 from prolite.orchestrator import run_candidate
 
 
@@ -199,3 +200,70 @@ def test_relaxation_checks_are_charged_to_the_budget(body, budget, status,
     elapsed = time.perf_counter() - started
     assert (result.status, result.answer) == (status, answer), result.detail
     assert elapsed < 2 * budget.wall_timeout + 0.5
+
+
+# A variable belongs to at most one constraint store: aliasing variables
+# of the FD and the rational store is a runtime error, and labeling a
+# variable without a finite FD domain is underdetermined.
+@pytest.mark.parametrize("body, status, answer", [
+    ("X #>= 0, X #=< 5, {Y + Z = 21/2}, Y = X, {Z = 1}, A = X",
+     "runtime-error", None),
+    ("X #>= 0, X #=< 5, {Y + Z = 21/2}, X = Y, {Z = 1}, A = X",
+     "runtime-error", None),
+    ("X #>= 0, X #=< 5, {Y + Z = 10}, Y = X, {Z = 1}, A = X",
+     "runtime-error", None),
+    ("X #>= 0, X #=< 5, {Y + Z = 10}, X = Y, {Z = 1}, A = X",
+     "runtime-error", None),
+    ("{X + Y = 3}, label([X]), A = X", "underdetermined", None),
+    ("label([X]), A = X", "underdetermined", None),
+    ("{X + Y = 10}, X = Y, A = X", "ok", 5),
+    ("X #>= 0, X #=< 5, Y = X, Y = 4, A = X", "ok", 4),
+], ids=["fraction-alias-rational-first", "fraction-alias-fd-first",
+        "integer-alias-rational-first", "integer-alias-fd-first",
+        "label-rational", "label-plain", "rational-alias", "plain-alias"])
+def test_each_variable_has_one_store(body, status, answer):
+    result = run_candidate(f"problem(A) :- {body}.")
+    assert (result.status, result.answer) == (status, answer), result.detail
+
+
+@st.composite
+def _mixed_conjunctions(draw):
+    """(goal text, {name: (lo, hi)}): X and Y get finite bounds first;
+    then, in any order, a {} equation over Z and W, an alias of X or Y
+    with Z or W, a {} or = goal that fixes Z or W, and up to two more
+    # relations over X and Y or aliases of any two variables."""
+    bounds, goals = {}, []
+    for name in "XY":
+        lo = draw(st.integers(-3, 3))
+        bounds[name] = (lo, lo + draw(st.integers(0, 6)))
+        goals.append(f"{name} #>= {lo}, {name} #=< {bounds[name][1]}")
+    fd, rational = st.sampled_from("XY"), st.sampled_from("ZW")
+    number = st.integers(-6, 12)
+    fraction = st.builds("{}/{}".format, number, st.integers(1, 2))
+    drawn = [
+        draw(st.builds("{{Z + W = {}}}".format, fraction)),
+        draw(st.one_of(st.builds("{} = {}".format, fd, rational),
+                       st.builds("{} = {}".format, rational, fd))),
+        draw(st.one_of(st.builds("{{{} = {}}}".format, rational, fraction),
+                       st.builds("{} = {}".format, rational, number))),
+    ] + draw(st.lists(st.one_of(
+        st.builds("{} + {} {} {}".format, fd, fd,
+                  st.sampled_from(["#\\=", "#=<", "#>="]), number),
+        st.permutations("XYZW").map(lambda vs: f"{vs[0]} = {vs[1]}")),
+        max_size=2))
+    goals += draw(st.permutations(drawn))
+    return ", ".join(goals), bounds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mixed_conjunctions())
+def test_fd_variables_keep_their_domains_under_aliasing(case):
+    goal, bounds = case
+    try:
+        solutions = run_query("", goal, budget=BUDGET)
+    except PrologRuntimeError:
+        return
+    for sol in solutions:
+        for name, (lo, hi) in bounds.items():
+            value = sol.bindings[name]
+            assert type(value) is int and lo <= value <= hi, (goal, sol)

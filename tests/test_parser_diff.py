@@ -6,7 +6,7 @@ to a renaming of variables that keeps each variable's name and which
 occurrences share it, or the same error: type, message, line, column
 and `expected`.
 
-Two differences are intended.
+Three differences are intended.
 - The new reader reads '-' directly before a number as a negative
   literal wherever it stands at the start of a term, as ISO does; the
   reference did so only where the prefix operator '-' met the priority
@@ -19,7 +19,14 @@ Two differences are intended.
   a bare `ValueError` for a variable head and returned a number head for
   `consult` to fail on with a bare `TypeError`.  Where the new reader
   rejects a head, the clause there must have such a head, and the text
-  before it must read the same on both sides."""
+  before it must read the same on both sides.
+- An integral decimal literal such as `2.0` reads as the int 2; the
+  reference kept `Fraction(2, 1)`.  Where the two differ, writing each
+  integral decimal of the source as the equal integer (padded with
+  spaces, so no other token moves) is done before the rewriting above,
+  and the reference must then give what the new reader gave: where the
+  reference had an integral Fraction, the new reader has the equal int,
+  also inside a folded `rdiv`."""
 
 from __future__ import annotations
 
@@ -307,6 +314,18 @@ def negative_literal_at(source, line, col):
     return None
 
 
+def integral_decimals_as_integers(source):
+    """source with each integral decimal literal, such as 2.0, written
+    as the equal integer followed by spaces, so that every token keeps
+    its offset."""
+    for tok in tokenize(source):
+        if tok.kind == "dec" and tok.value.denominator == 1:
+            end = tok.offset + len(tok.text)
+            source = (source[:tok.offset]
+                      + str(tok.value).ljust(len(tok.text)) + source[end:])
+    return source
+
+
 def without_position(message):
     return message.rsplit(" at ", 1)[0]
 
@@ -334,9 +353,11 @@ def assert_same(source, ops=DEFAULT_OPS):
                 "clause head is not callable at "):
             assert_rejected_head(source, got[3], got[4], ops)
             continue
-        # the intended difference: parenthesise each negative literal
-        # the reference stopped at, until it reads on or stops elsewhere
-        rewritten = source
+        # the intended differences: write integral decimals as integers,
+        # then parenthesise each negative literal the reference stopped
+        # at, until it reads on or stops elsewhere
+        rewritten = integral_decimals_as_integers(source)
+        expected = outcome(reference, rewritten, ops)
         while expected[0] == "error":
             span = negative_literal_at(rewritten, expected[3], expected[4])
             if span is None:

@@ -2,27 +2,14 @@
 
 from fractions import Fraction
 
-import pytest
-
-from prolite.errors import ZeroDenominator
 from prolite.terms import (NIL, Atom, Bindings, Clause, Struct, Var,
                            indicator, list_to_python, make_list,
-                           normalize_number, occurs, rat_normalize,
-                           term_vars, variant)
+                           normalize_number, occurs, term_vars, variant)
 
 
 def test_atoms_are_interned():
     assert Atom("foo") is Atom("foo")
     assert Atom("foo") is not Atom("bar")
-
-
-def test_rat_normalize_reduces_and_collapses_integers():
-    assert rat_normalize(6, 3) == 2
-    assert isinstance(rat_normalize(6, 3), int)
-    assert rat_normalize(2, 4) == Fraction(1, 2)
-    assert rat_normalize(-2, -4) == Fraction(1, 2)
-    with pytest.raises(ZeroDenominator):
-        rat_normalize(1, 0)
 
 
 def test_normalize_number_collapses_unit_denominator():

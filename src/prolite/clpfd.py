@@ -11,9 +11,20 @@ runs and the rows the check handles are charged to the query's step
 budget.  A variable belongs to at most one store, so aliasing an FD
 variable with a rational one is a TypeMix error; labeling a variable
 without a finite domain raises UnboundedDomain (underdetermined).
+
+Each propagator names in its wake attribute the domain event it reads,
+and a domain change queues only the watchers it can affect: a bounds
+propagator (linear eq/le) wakes when a min or max moves, a disequality
+when a variable becomes a singleton, mod and abs on any change.  The
+events nest (a singleton is also a bounds change, which is also a
+change), so their levels compare as integers.  A linear post over at
+most one variable narrows that domain once and adds no propagator,
+since its relation reads only that domain and domains only shrink.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .clpr import RStore
 from .errors import (IneqCapExceeded, NonLinearUnsupported, PlTypeError,
@@ -30,6 +41,9 @@ ENUM_CAP = 4096
 # A fixpoint gets one relaxation check at this many propagator runs per
 # propagator: bounded CSPs stay near 2, a cycle on wide domains has no end.
 SLOW_FIXPOINT = 16
+
+# Domain events, each implying the ones below it.
+CHANGED, BOUNDS, FIXED = 0, 1, 2
 
 
 class FdDomain:
@@ -135,14 +149,19 @@ def _ceil_div(a, b):
 
 
 class LinearProp:
-    """sum(c_i * x_i) rel k with rel in eq | le | ne (le means <= k)."""
+    """sum(c_i * x_i) rel k with rel in eq | le | ne (le means <= k).
 
-    __slots__ = ("coeffs", "k", "rel")
+    eq and le read only bounds; ne acts once at most one operand is
+    unfixed, so it waits for a variable to become a singleton.
+    """
+
+    __slots__ = ("coeffs", "k", "rel", "wake")
 
     def __init__(self, coeffs, k, rel):
         self.coeffs = [(c, v) for c, v in coeffs if c != 0]
         self.k = k
         self.rel = rel
+        self.wake = FIXED if rel == "ne" else BOUNDS
 
     def vars(self):
         return [v for _, v in self.coeffs]
@@ -220,6 +239,7 @@ class ModProp:
     """y = x mod m with m a ground positive integer."""
 
     __slots__ = ("x", "m", "y")
+    wake = CHANGED
 
     def __init__(self, x, m, y):
         self.x = x
@@ -251,6 +271,7 @@ class AbsProp:
     """y = |x|."""
 
     __slots__ = ("x", "y")
+    wake = CHANGED
 
     def __init__(self, x, y):
         self.x = x
@@ -310,7 +331,8 @@ class FdStore:
         self.domains = {}          # var id -> FdDomain
         self.props = {}            # prop index -> propagator
         self.watchers = {}         # var id -> tuple of prop indexes
-        self._queue = []           # propagator indexes awaiting a run
+        self._queue = deque()      # propagator indexes awaiting a run
+        self._queued = set()       # the same indexes, for membership
 
     # --- variables ----------------------------------------------------
 
@@ -344,10 +366,26 @@ class FdStore:
         self.bindings.set(self.domains, vid, newdom)
         if newdom.is_empty():
             return False
+        lo, hi = newdom.min(), newdom.max()
+        if lo == hi:
+            event = FIXED
+        elif lo != old.min() or hi != old.max():
+            event = BOUNDS
+        else:
+            event = CHANGED
         for pi in self.watchers.get(vid, ()):
-            if pi not in self._queue:
-                self._queue.append(pi)
+            if self.props[pi].wake <= event:
+                self._enqueue(pi)
         return True
+
+    def _enqueue(self, idx):
+        if idx not in self._queued:
+            self._queued.add(idx)
+            self._queue.append(idx)
+
+    def _clear_queue(self):
+        self._queue.clear()
+        self._queued.clear()
 
     # --- posting and propagation -------------------------------------
 
@@ -358,7 +396,7 @@ class FdStore:
             v = self.bindings.deref(v)
             if isinstance(v, Var):
                 self._watch(v.id, (idx,))
-        self._queue.append(idx)
+        self._enqueue(idx)
 
     def _watch(self, vid, indexes):
         self.bindings.set(self.watchers, vid,
@@ -370,13 +408,15 @@ class FdStore:
         runs, slow = 0, SLOW_FIXPOINT * len(self.props)
         while self._queue:
             self.tick()
-            prop = self.props[self._queue.pop(0)]
+            idx = self._queue.popleft()
+            self._queued.discard(idx)
+            prop = self.props[idx]
             ok = prop.propagate(self)
             runs += 1
             if ok and runs == slow:
                 ok = self._relaxation_feasible(prop.vars())
             if not ok:
-                self._queue = []
+                self._clear_queue()
                 return False
         return True
 
@@ -403,7 +443,8 @@ class FdStore:
                 rows.append(({v.id: 1}, -dom.max(), "le"))
             for idx in self.watchers.get(v.id, ()):
                 prop = self.props[idx]
-                if idx in done or getattr(prop, "rel", "ne") == "ne":
+                # the eq/le rows are exactly the bounds propagators
+                if idx in done or prop.wake != BOUNDS:
                     continue
                 done.add(idx)
                 self.tick()
@@ -440,7 +481,7 @@ class FdStore:
         if not (isinstance(goal, Struct) and goal.name in REL_OPS
                 and len(goal.args) == 2):
             raise PlTypeError(f"not a finite-domain constraint: {goal!r}")
-        self._queue = []
+        self._clear_queue()
         # lhs rel rhs  ->  sum(c * v) rel k, from lhs - rhs = sum + const
         coeffs, const = self._linearize(Struct("-", goal.args))
         coeffs, k = [(c, v) for v, c in coeffs.items()], -const
@@ -457,11 +498,14 @@ class FdStore:
             prop = LinearProp([(-c, v) for c, v in coeffs], -k, "le")
         else:  # "#>"
             prop = LinearProp([(-c, v) for c, v in coeffs], -k - 1, "le")
+        if len(prop.coeffs) <= 1:
+            self.tick()
+            return prop.propagate(self) and self.propagate_fixpoint()
         self.add_prop(prop)
         # a variable that only prop watches and that is still unbounded
         # can always meet prop, so the relaxation check could not fail
         idx = len(self.props) - 1
-        decide = prop.rel != "ne" and len(prop.coeffs) >= 2 and not any(
+        decide = prop.wake == BOUNDS and not any(
             self.watchers[v.id] == (idx,) and self.domains[v.id] == FdDomain()
             for v in prop.vars())
         return self._settle(prop.vars() if decide else ())
@@ -512,7 +556,7 @@ class FdStore:
                 or not self.domains[var.id].contains(value):
             return False
         self.bindings.bind(var, value)
-        self._queue = []
+        self._clear_queue()
         if not self.set_dom_raw(var.id, FdDomain.from_range(value, value)):
             return False
         return self.propagate_fixpoint()
@@ -522,7 +566,7 @@ class FdStore:
         watchers, and re-link and re-run the propagators over var."""
         self.bindings.bind(var, root)
         merged = self.domains[var.id].intersect(self.domains[root.id])
-        self._queue = []
+        self._clear_queue()
         if not self.set_dom_raw(root.id, merged):
             return False
         moved = self.watchers.get(var.id, ())
@@ -532,8 +576,7 @@ class FdStore:
             if isinstance(prop, LinearProp):
                 self.bindings.set(self.props, idx,
                                   prop.relinked(self.bindings))
-            if idx not in self._queue:
-                self._queue.append(idx)
+            self._enqueue(idx)
         return self._settle((root,))
 
     # --- labeling -----------------------------------------------------
@@ -571,6 +614,8 @@ def fd_label(variables, store, state, strategy="leftmost"):
             if r.id not in store.domains or not store.dom(r).is_finite():
                 raise UnboundedDomain(f"{r.name} has no finite domain")
             todo.append(r)
+        elif not isinstance(r, int) or isinstance(r, bool):
+            raise PlTypeError(f"labeling expects integers, got {r!r}")
     yield from _label(todo, store, state, strategy)
 
 
@@ -591,10 +636,11 @@ def _label(variables, store, state, strategy):
         var = min(pending, key=lambda v: store.dom(v).size())
     else:
         var = pending[0]
-    for value in list(store.dom(var).values()):
+    # the domain object is immutable, so its values can be read lazily
+    for value in store.dom(var).values():
         m = state.mark()
         root = store.bindings.deref(var)
-        store._queue = []
+        store._clear_queue()
         ok = store.set_dom_raw(root.id, FdDomain.from_range(value, value))
         if ok:
             state.bindings.bind(root, value)

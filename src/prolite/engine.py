@@ -123,6 +123,7 @@ class Solution:
     bindings: dict            # query variable name -> resolved term
     notes: tuple = ()
     underdetermined: frozenset = frozenset()  # names with rational residue
+    steps: int = 0            # inference steps spent up to this answer
 
 
 class SolveState:
@@ -280,7 +281,7 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
             name for name, t in resolved.items()
             if any(state.bindings.owner_of(v) is state.r
                    for v in term_vars(t)))
-        return Solution(resolved, notes, loose)
+        return Solution(resolved, notes, loose, state.steps)
 
     def answers():
         try:

@@ -620,31 +620,54 @@ def fd_label(variables, store, state, strategy="leftmost"):
 
 
 def _label(variables, store, state, strategy):
-    pending = [v for v in variables
-               if isinstance(store.bindings.deref(v), Var)
-               and store.dom(v).size() > 1]
-    if not pending:
-        # ground the remaining singleton domains into the bindings
-        for v in variables:
-            r = store.bindings.deref(v)
-            if isinstance(r, Var):
-                value = store.dom(r).min()
-                state.bindings.bind(r, value)
-        yield None
-        return
-    if strategy == "first_fail":
-        var = min(pending, key=lambda v: store.dom(v).size())
-    else:
-        var = pending[0]
-    # the domain object is immutable, so its values can be read lazily
-    for value in store.dom(var).values():
-        m = state.mark()
-        root = store.bindings.deref(var)
-        store._clear_queue()
-        ok = store.set_dom_raw(root.id, FdDomain.from_range(value, value))
-        if ok:
-            state.bindings.bind(root, value)
-            ok = store.propagate_fixpoint()
-        if ok:
-            yield from _label(variables, store, state, strategy)
-        state.undo_to(m)
+    """Depth-first search on an explicit stack of frames [values left,
+    variable, mark taken before the value being tried]; a frame is
+    pushed per labeled variable, so the number of variables costs no
+    Python recursion."""
+    frames = []
+    while True:
+        pending = [v for v in variables
+                   if isinstance(store.bindings.deref(v), Var)
+                   and store.dom(v).size() > 1]
+        if pending:
+            if strategy == "first_fail":
+                var = min(pending, key=lambda v: store.dom(v).size())
+            else:
+                var = pending[0]
+            # the domain object is immutable, so its values can be read
+            # lazily
+            frames.append([iter(store.dom(var).values()), var, None])
+        else:
+            # ground the remaining singleton domains into the bindings
+            for v in variables:
+                r = store.bindings.deref(v)
+                if isinstance(r, Var):
+                    value = store.dom(r).min()
+                    state.bindings.bind(r, value)
+            yield None
+        # go on with the next consistent value of the newest variable
+        # that has one left
+        while frames:
+            frame = frames[-1]
+            values, var, m = frame
+            if m is not None:
+                state.undo_to(m)
+            for value in values:
+                m = state.mark()
+                root = store.bindings.deref(var)
+                store._clear_queue()
+                ok = store.set_dom_raw(root.id,
+                                       FdDomain.from_range(value, value))
+                if ok:
+                    state.bindings.bind(root, value)
+                    ok = store.propagate_fixpoint()
+                if ok:
+                    frame[2] = m
+                    break
+                state.undo_to(m)
+            else:
+                frames.pop()
+                continue
+            break
+        else:
+            return

@@ -1,26 +1,50 @@
-"""SLD resolution with chronological backtracking, cut, negation as
-failure, exact arithmetic, and the bridge into the FD and rational
-constraint stores.
+"""SLD resolution as one loop over two explicit stacks, with cut,
+negation as failure, exact arithmetic, and the bridge into the FD and
+rational constraint stores.
+
+The machine (`_run`) proves a query without Python recursion:
+
+- the goal continuation is a linked list of `(goal, barrier, next,
+  depth)` tuples, the goals still to prove, each with the height of the
+  choice-point stack that a cut in it returns to;
+- the choice-point stack holds, per entry, what to retry and the trail
+  mark to rewind to first: the remaining clause alternatives of a call,
+  a suspended builtin generator, the other branch of `;`, or the frame
+  of a `\\+` or findall/3 goal.
+
+Proving a goal pops the continuation; failing retries the newest choice
+point.  Cut pops choice points back to its barrier's height.  The
+machine itself runs `,`, `;`, `->`, `\\+`, `call/1`, `!`, findall/3 and
+variable goals (each still an entry of BUILTINS), so proof depth costs
+no Python stack, and a deterministic call leaves no choice point behind
+(last-call behaviour).
+
+Clauses are templates and are never renamed for a call.  A head is
+unified with the goal slot by slot: a clause variable's id is its slot
+in a per-call frame, its first occurrence takes the goal's argument as
+it is, and only the subterms a goal variable gets bound to are built.
+The body is built once per head that unifies.  Each predicate has a
+first-argument index (key -> clauses in source order, clauses with a
+variable first argument merged in), and a call pushes no choice point
+when no later clause can match.
 
 Solutions stream lazily in standard order: clauses top-down, goals left
-to right.  Bindings, FD domains and rational rows are all written
-through the one trail of `terms.Bindings`.  The trail is rewound only
-where an alternative is retried or a goal's effects are thrown away: by
-the clause loop, disjunction, between/3, labeling, if-then-else,
-negation, non-unification and findall/3.  No other handler rewinds: the
-trail is LIFO, so the next choice point to retry pops whatever later
-goals wrote.  Cut is a control-flow exception carrying the barrier of
-its clause.  It is caught only by the clause loop of `solve_goal` and
-by `call/1`, the one other cut scope, through which the top-level
-query, if-then-else conditions, negation, findall/3 and variable body
-goals run their goals.
+to right.  One step is charged per goal dispatched; a clause the index
+skips, or whose head does not unify, costs nothing.  Bindings, FD
+domains and rational rows are all written through the one trail of
+`terms.Bindings`, which is rewound only when a choice point is retried
+or a goal's effects are thrown away.  The budget bounds steps, wall time
+(checked also when a builtin is redone, without charging a step) and
+memory: the trail entries, choice points and pending goals a query holds
+at once, so proof depth is an explicit budget; each continuation entry
+carries its depth, so the pending goals are counted without a walk.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,20 +57,26 @@ from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
-                    is_number, list_to_python, make_list, normalize_number,
-                    term_vars)
+                    enter_binding, is_number, list_to_python, make_list,
+                    normalize_number, rebuild, term_vars)
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
+DEFAULT_MAX_MEMORY = 2 ** 18
 
 
 @dataclass(frozen=True)
 class Budget:
+    """Per-query limits: inference steps, wall-clock seconds, and
+    memory as the trail entries, choice points and pending goals held
+    at once (which bounds proof depth)."""
     max_inference_steps: int = DEFAULT_MAX_STEPS
     wall_timeout: float = DEFAULT_WALL_TIMEOUT
+    max_memory: int = DEFAULT_MAX_MEMORY
 
     def __post_init__(self):
-        if self.max_inference_steps <= 0 or self.wall_timeout <= 0:
+        if self.max_inference_steps <= 0 or self.wall_timeout <= 0 \
+                or self.max_memory <= 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -71,6 +101,36 @@ pl_neq_all_([Y|T], X) :- X #\\= Y, pl_neq_all_(T, X).
 """
 
 
+class _Predicate:
+    """First-argument index over the clauses of one predicate.
+
+    Each clause is kept as (head arguments, body goals).  by_key maps the
+    key of a first argument (terms.arg_key) to the clauses whose first
+    argument has that key or is a variable, in source order; a goal
+    whose first argument has a key no clause names gets the variable
+    ones, and a goal whose first argument is unbound gets all.
+    """
+
+    __slots__ = ("clauses", "by_key", "open")
+
+    def __init__(self, clauses):
+        self.clauses = []
+        self.by_key = {}
+        self.open = []          # clauses with a variable first argument
+        for clause in clauses:
+            head = clause.head
+            entry = (head.args if isinstance(head, Struct) else (),
+                     clause.body)
+            self.clauses.append(entry)
+            if clause.key is None:
+                self.open.append(entry)
+                for bucket in self.by_key.values():
+                    bucket.append(entry)
+            else:
+                self.by_key.setdefault(clause.key, list(self.open)) \
+                    .append(entry)
+
+
 def _index_library():
     library = {}
     for clause in parse_program(_LIBRARY_SOURCE).clauses:
@@ -79,9 +139,11 @@ def _index_library():
                              for key, clauses in library.items()})
 
 
-# Parsed once at import and shared read-only by every Database:
-# resolution only iterates these clauses and renames each before use.
+# Parsed once at import and shared read-only by every Database, as
+# clauses and as their first-argument indexes.
 _LIBRARY = _index_library()
+_LIBRARY_INDEX = MappingProxyType(
+    {key: _Predicate(clauses) for key, clauses in _LIBRARY.items()})
 
 
 class Database:
@@ -90,19 +152,25 @@ class Database:
     def __init__(self):
         self.preds = {}
         self.library = _LIBRARY
+        self._indexes = {}
 
     def add_clause(self, clause):
         key = indicator(clause.head)
         if key in BUILTINS or key in self.library:
             raise BuiltinRedefinition(f"cannot redefine {key[0]}/{key[1]}")
         self.preds.setdefault(key, []).append(clause)
+        self._indexes.pop(key, None)
 
-    def lookup(self, key):
-        if key in self.preds:
-            return self.preds[key]
-        if key in self.library:
-            return self.library[key]
-        return None
+    def index(self, key):
+        """The _Predicate of key, built at its first call; None if no
+        clause defines key."""
+        pred = self._indexes.get(key)
+        if pred is None:
+            clauses = self.preds.get(key)
+            if clauses is None:
+                return _LIBRARY_INDEX.get(key)
+            pred = self._indexes[key] = _Predicate(clauses)
+        return pred
 
 
 def consult(program) -> Database:
@@ -113,17 +181,15 @@ def consult(program) -> Database:
     return db
 
 
-class _Cut(Exception):
-    def __init__(self, barrier):
-        self.barrier = barrier
-
-
 @dataclass
 class Solution:
     bindings: dict            # query variable name -> resolved term
     notes: tuple = ()
     underdetermined: frozenset = frozenset()  # names with rational residue
     steps: int = 0            # inference steps spent up to this answer
+
+
+_CYCLE_CHECK_AFTER = 4096
 
 
 class SolveState:
@@ -138,7 +204,8 @@ class SolveState:
         self.r = RStore(self.bindings, self._tick)
         self.steps = 0
         self.deadline = None
-        self._barriers = itertools.count()
+        self.choicepoints = []
+        self.depth = 0          # goals pending, as of the last check
 
     # --- state stack --------------------------------------------------
 
@@ -152,42 +219,63 @@ class SolveState:
         self.steps += 1
         if self.steps > self.budget.max_inference_steps:
             raise BudgetExceeded("steps")
-        if self.steps % 1024 == 0 and self.deadline is not None \
-                and time.monotonic() > self.deadline:
+        if self.steps % 1024 == 0:
+            self._check_limits()
+
+    def _check_limits(self):
+        """Wall time and memory; called every 1024 steps or redos."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time")
+        if len(self.bindings.trail) + len(self.choicepoints) + self.depth \
+                > self.budget.max_memory:
+            raise BudgetExceeded("memory")
 
     # --- unification --------------------------------------------------
 
     def unify(self, t1, t2):
-        b = self.bindings
-        stack = [(t1, t2)]
-        while stack:
-            a, c = stack.pop()
-            a, c = b.deref(a), b.deref(c)
-            if a is c:
-                continue
-            if isinstance(a, Var) or isinstance(c, Var):
-                if not isinstance(a, Var):
-                    a, c = c, a
-                if isinstance(c, Var):
-                    if not self._bind_var_var(a, c):
+        """Unify t1 with t2, visiting argument pairs right to left, depth
+        first; False on a clash (bindings made so far stay trailed).
+
+        Without occurs check the terms may be cyclic, so once a call has
+        expanded _CYCLE_CHECK_AFTER pairs of compounds it skips a pair it
+        has already expanded, which is being unified already (rational
+        trees); on finite terms that pair would bind nothing new.
+        """
+        deref = self.bindings.deref
+        stack = None
+        expanded, met = 0, None
+        while True:
+            a, c = deref(t1), deref(t2)
+            if a is not c:
+                if type(a) is Var or type(c) is Var:
+                    if type(a) is not Var:
+                        a, c = c, a
+                    if type(c) is Var:
+                        if not self._bind_var_var(a, c):
+                            return False
+                    elif not self._bind_var_value(a, c):
                         return False
-                    continue
-                if not self._bind_var_value(a, c):
+                elif type(a) is Struct and type(c) is Struct:
+                    if a.name != c.name or len(a.args) != len(c.args):
+                        return False
+                    if stack is None:
+                        stack = []
+                    expanded += 1
+                    if expanded <= _CYCLE_CHECK_AFTER:
+                        stack.extend(zip(a.args, c.args))
+                    elif met is None or (id(a), id(c)) not in met:
+                        if met is None:
+                            met = set()
+                        met.add((id(a), id(c)))
+                        stack.extend(zip(a.args, c.args))
+                elif is_number(a) and is_number(c):
+                    if a != c or isinstance(a, float) != isinstance(c, float):
+                        return False
+                elif a != c:
                     return False
-                continue
-            if isinstance(a, Struct) and isinstance(c, Struct):
-                if a.name != c.name or len(a.args) != len(c.args):
-                    return False
-                stack.extend(zip(a.args, c.args))
-                continue
-            if is_number(a) and is_number(c):
-                if a != c or isinstance(a, float) != isinstance(c, float):
-                    return False
-                continue
-            if a != c:
-                return False
-        return True
+            if not stack:
+                return True
+            t1, t2 = stack.pop()
 
     def _bind_var_var(self, a, c):
         store, other = self.bindings.owner_of(a), self.bindings.owner_of(c)
@@ -212,54 +300,347 @@ class SolveState:
             return True
         return store.on_bind_value(var, value)
 
-    # --- resolution ---------------------------------------------------
 
-    def solve_goal(self, goal, barrier):
-        self._tick()
-        if isinstance(goal, Var):
-            goal = self.bindings.deref(goal)
-            if isinstance(goal, Var):
+# --- clause templates -------------------------------------------------
+#
+# A clause is used as it was read.  A call unifies the goal with the
+# head through a frame {clause variable id: term} and builds the body
+# from the frame, so no clause is copied whole.  The walks below recurse
+# over the clause's own text, never over runtime terms; past _SHALLOW
+# levels of nesting they hand over to walks without recursion.
+
+_SHALLOW = 200
+
+
+def _match(state, tpl, t, frame, depth=0):
+    """Unify head template tpl with goal term t, extending frame.
+
+    A clause variable's first occurrence takes t as it is and later ones
+    unify with it; a compound of the head is built only when a goal
+    variable gets bound to it.  Arguments are visited right to left and
+    depth first, the order `SolveState.unify` visits them in, so that
+    bindings reach the constraint stores (which may propagate, charging
+    steps, or fail) in the same order as when unifying a renamed copy of
+    the head, and the terms built hold a fresh variable wherever such a
+    copy would.
+    """
+    if type(tpl) is Var:
+        seen = frame.get(tpl.id)
+        if seen is None:
+            frame[tpl.id] = t
+            return True
+        return state.unify(t, seen)
+    bmap = state.bindings.map
+    while type(t) is Var:
+        bound = bmap.get(t.id)
+        if bound is None:
+            if type(tpl) is Struct:
+                tpl = _build(tpl, frame, depth)
+            return state._bind_var_value(t, tpl)
+        t = bound
+    if type(tpl) is not Struct:
+        return type(t) is not Struct and tpl == t \
+            and (type(tpl) is float) == (type(t) is float)
+    if type(t) is not Struct or t.name != tpl.name \
+            or len(t.args) != len(tpl.args):
+        return False
+    if depth > _SHALLOW:
+        return state.unify(t, _build(tpl, frame, depth))
+    targs, gargs = tpl.args, t.args
+    for i in range(len(targs) - 1, -1, -1):
+        if not _match(state, targs[i], gargs[i], frame, depth + 1):
+            return False
+    return True
+
+
+def _build(tpl, frame, depth=0):
+    """The term tpl stands for under frame; a clause variable not yet in
+    frame gets a fresh variable of the same name."""
+    if type(tpl) is Var:
+        v = frame.get(tpl.id)
+        if v is None:
+            v = frame[tpl.id] = Var(tpl.name)
+        return v
+    if type(tpl) is not Struct:
+        return tpl
+    return _build_struct(tpl, frame, depth)
+
+
+def _build_struct(tpl, frame, depth):
+    if depth > _SHALLOW:
+        return rebuild(tpl, None, lambda v: _build(v, frame))
+    args = []
+    for a in tpl.args:
+        kind = type(a)
+        if kind is Var:
+            v = frame.get(a.id)
+            if v is None:
+                v = frame[a.id] = Var(a.name)
+            args.append(v)
+        elif kind is Struct:
+            args.append(_build_struct(a, frame, depth + 1))
+        else:
+            args.append(a)
+    # the template's arity is valid, so skip Struct.__init__'s checks
+    term = _new(Struct)
+    term.name = tpl.name
+    term.args = tuple(args)
+    return term
+
+
+_new = object.__new__
+
+
+# How the machine reads each argument of a control construct: as a goal
+# (_GOAL), as the left branch of `;`, which may be an if-then (_LEFT), as
+# a goal it dereferences first (_CALLED), or as data (_DATA).
+_GOAL, _LEFT, _CALLED, _DATA = range(4)
+_CONTROL_ARGS = {
+    (",", 2): (_GOAL, _GOAL),
+    (";", 2): (_LEFT, _GOAL),
+    ("->", 2): (_CALLED, _GOAL),
+    ("\\+", 1): (_CALLED,),
+    ("call", 1): (_CALLED,),
+    ("findall", 3): (_DATA, _CALLED, _DATA),
+}
+_CONTROL_NAMES = frozenset(name for name, _ in _CONTROL_ARGS)
+
+
+def _build_goal(tpl, frame, role=_GOAL, depth=0):
+    """Build a body goal.  A clause variable in goal position stands for
+    call/1 of its value (ISO's conversion of a clause body), so a value
+    that is not a variable is built as call(Value): one step more and a
+    cut in it stays local, as for the variable itself."""
+    if type(tpl) is Var:
+        v = frame.get(tpl.id)
+        if v is None:
+            v = frame[tpl.id] = Var(tpl.name)
+        elif role != _CALLED and type(v) is not Var and not (
+                role == _LEFT and type(v) is Struct and v.name == "->"
+                and len(v.args) == 2):
+            v = Struct("call", (v,))
+        return v
+    if type(tpl) is not Struct:
+        return tpl
+    roles = _CONTROL_ARGS.get((tpl.name, len(tpl.args))) \
+        if tpl.name in _CONTROL_NAMES and depth <= _SHALLOW else None
+    if roles is None:
+        return _build(tpl, frame, depth)
+    return Struct(tpl.name, [
+        _build(a, frame, depth + 1) if role == _DATA
+        else _build_goal(a, frame, role, depth + 1)
+        for a, role in zip(tpl.args, roles)])
+
+
+def _resolve_clause(state, args, cands, i, mark):
+    """Try cands[i:] against the goal arguments args in order.  Returns
+    (index after the clause whose head unifies, its frame, its body), or
+    None when none does; a failed head is undone to mark."""
+    bindings = state.bindings
+    n = len(cands)
+    while i < n:
+        head, body = cands[i]
+        i += 1
+        frame = {}
+        for j in range(len(head) - 1, -1, -1):
+            if not _match(state, head[j], args[j], frame):
+                break
+        else:
+            return i, frame, body
+        if len(bindings.trail) > mark:
+            bindings.undo_to(mark)
+    return None
+
+
+def _push_body(body, frame, barrier, cont):
+    """cont with the goals of body, built under frame, in front."""
+    goals = [_build_struct(g, frame, 0) if type(g) is Struct
+             and g.name not in _CONTROL_NAMES else _build_goal(g, frame)
+             for g in body]
+    depth = 0 if cont is None else cont[3]
+    for goal in reversed(goals):
+        depth += 1
+        cont = (goal, barrier, cont, depth)
+    return cont
+
+
+def _then(goal, barrier, cont):
+    """cont with goal in front."""
+    return (goal, barrier, cont, 1 if cont is None else cont[3] + 1)
+
+
+# --- the machine -------------------------------------------------------
+
+class _Control:
+    """A BUILTINS entry the machine runs itself.  run(state, args,
+    barrier, cont) returns the continuation to go on with, or _FAIL; it
+    may push choice points on state.choicepoints."""
+
+    __slots__ = ("run",)
+
+    def __init__(self, run):
+        self.run = run
+
+
+class _Marker:
+    """A goal the machine runs without charging a step: it closes a
+    control construct, and its barrier field holds the height of the
+    choice point the construct pushed.  _FAIL, the continuation of a
+    goal that failed, is one too, though it never sits in an entry."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+
+_FAIL = _Marker("fail")
+_CUT_TO = _Marker("cut-to")            # an if-then-else condition held
+_NOT_PROVED = _Marker("not-proved")    # the goal of \+ has a proof
+_COLLECT = _Marker("collect")          # the goal of findall/3 has a proof
+
+# choice-point kinds; an entry is a list that starts with its kind
+_CLAUSES, _REDO, _ELSE, _NOT, _FINDALL = range(5)
+
+
+def _run(state, query):
+    """Yield once per proof of query, leaving its bindings in place."""
+    bindings = state.bindings
+    trail = bindings.trail
+    undo_to = bindings.undo_to
+    index = state.db.index
+    builtin_of = BUILTINS.get
+    max_steps = state.budget.max_inference_steps
+    cps = state.choicepoints
+    redos = 0
+    cont = (query, 0, None, 1)
+    while True:
+        if cont is None:
+            yield
+            cont = _FAIL
+        if cont is _FAIL:
+            # retry the newest choice point that still has an alternative
+            while cps:
+                cp = cps[-1]
+                kind = cp[0]
+                if kind == _CLAUSES:
+                    _, mark, args, cands, i, nxt = cp
+                    undo_to(mark)
+                    found = _resolve_clause(state, args, cands, i, mark)
+                    if found is None:
+                        cps.pop()
+                        continue
+                    i, frame, body = found
+                    barrier = len(cps) - 1
+                    if i < len(cands):
+                        cp[4] = i
+                    else:
+                        cps.pop()
+                    cont = _push_body(body, frame, barrier, nxt) \
+                        if body else nxt
+                    break
+                if kind == _REDO:
+                    redos += 1
+                    if not redos & 1023:
+                        state._check_limits()
+                    try:
+                        next(cp[1])
+                    except StopIteration:
+                        cps.pop()
+                        continue
+                    cont = cp[2]
+                    break
+                cps.pop()
+                undo_to(cp[1])
+                if kind == _ELSE:
+                    cont = _then(cp[2], cp[3], cp[4])
+                    break
+                if kind == _NOT:
+                    cont = cp[2]
+                    break
+                # _FINDALL: the goal has no more proofs
+                if state.unify(cp[4], make_list(cp[2])):
+                    cont = cp[5]
+                    break
+            else:
+                return
+            continue
+
+        goal, barrier, nxt, depth = cont
+        kind = type(goal)
+        if kind is _Marker:
+            if goal is _CUT_TO:
+                del cps[barrier:]
+                cont = nxt
+            elif goal is _COLLECT:
+                cp = cps[barrier]
+                cp[2].append(copy_term(cp[3], bindings))
+                if len(cp[2]) > state.budget.max_memory:
+                    raise BudgetExceeded("memory")
+                cont = _FAIL
+            else:  # _NOT_PROVED
+                mark = cps[barrier][1]
+                del cps[barrier:]
+                undo_to(mark)
+                cont = _FAIL
+            continue
+
+        steps = state.steps = state.steps + 1
+        if steps > max_steps:
+            raise BudgetExceeded("steps")
+        if not steps & 1023:
+            state.depth = depth
+            state._check_limits()
+        if kind is Struct:
+            args = goal.args
+            key = (goal.name, len(args))
+        elif kind is Atom:
+            args = ()
+            key = (goal.name, 0)
+        elif kind is Var:
+            goal = bindings.deref(goal)
+            if type(goal) is Var:
                 raise InstantiationError("unbound goal")
             # a variable goal G runs as call(G), so a cut in G is local
-            yield from _bi_call(self, (goal,), barrier)
-            return
-        if not isinstance(goal, (Atom, Struct)):
+            cont = (goal, len(cps), nxt, depth)
+            continue
+        else:
             raise PlTypeError(f"goal is not callable: {goal!r}")
-        key = indicator(goal)
-        builtin = BUILTINS.get(key)
+
+        builtin = builtin_of(key)
         if builtin is not None:
-            args = goal.args if isinstance(goal, Struct) else ()
-            yield from builtin(self, args, barrier)
-            return
+            if type(builtin) is _Control:
+                cont = builtin.run(state, args, barrier, nxt)
+                continue
+            result = builtin(state, args, barrier)
+            if type(result) is tuple:
+                cont = nxt if result else _FAIL
+                continue
+            try:
+                next(result)
+            except StopIteration:
+                cont = _FAIL
+                continue
+            cps.append([_REDO, result, nxt])
+            cont = nxt
+            continue
 
-        clauses = self.db.lookup(key)
-        if clauses is None:
+        pred = index(key)
+        if pred is None:
             raise ExistenceError(*key)
-        # every clause is tried from the bindings as they are now, so the
-        # goal's first argument is read once
-        first = arg_key(self.bindings.deref(goal.args[0])) \
-            if isinstance(goal, Struct) else None
-        my_barrier = next(self._barriers)
-        m = self.mark()
-        try:
-            for clause in clauses:
-                if first is not None and clause.key is not None \
-                        and clause.key != first:
-                    continue
-                renamed = clause.rename()
-                if self.unify(goal, renamed.head):
-                    yield from self._solve_conj(renamed.body, 0, my_barrier)
-                self.undo_to(m)
-        except _Cut as cut:
-            if cut.barrier != my_barrier:
-                raise
-
-    def _solve_conj(self, goals, i, barrier):
-        if i >= len(goals):
-            yield
-            return
-        for _ in self.solve_goal(goals[i], barrier):
-            yield from self._solve_conj(goals, i + 1, barrier)
+        first = arg_key(bindings.deref(args[0])) if args else None
+        cands = pred.clauses if first is None \
+            else pred.by_key.get(first, pred.open)
+        mark = len(trail)
+        found = _resolve_clause(state, args, cands, 0, mark)
+        if found is None:
+            cont = _FAIL
+            continue
+        i, frame, body = found
+        barrier = len(cps)
+        if i < len(cands):
+            cps.append([_CLAUSES, mark, args, cands, i, nxt])
+        cont = _push_body(body, frame, barrier, nxt) if body else nxt
 
 
 def solve(query, db, budget=None, occurs_check=False, auto_label=True):
@@ -268,9 +649,6 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
     Yields one Solution per proof; FD variables in the answer are
     grounded by auto-labeling when the query leaves them non-ground.
     """
-    import sys
-    if sys.getrecursionlimit() < 8_000:
-        sys.setrecursionlimit(8_000)  # conjunction depth tracks proof depth
     state = SolveState(db, budget, occurs_check)
     state.deadline = time.monotonic() + state.budget.wall_timeout
     query_vars = term_vars(query)
@@ -285,7 +663,7 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
 
     def answers():
         try:
-            for _ in _bi_call(state, (query,), None):
+            for _ in _run(state, state.bindings.deref(query)):
                 pending = [
                     v for v in state.fd.constrained_vars()
                     if isinstance(state.bindings.deref(v), Var)]
@@ -295,14 +673,12 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
                         yield snapshot(("auto-label fired",))
                 else:
                     yield snapshot()
-        except RecursionError:
-            # proof depth is bounded by the interpreter stack; report it
-            # the same way as an exhausted step budget
-            raise BudgetExceeded("depth") from None
         finally:
-            # the stores hold state._tick; drop it so that a finished
-            # query is freed at once instead of by the cycle collector
+            # the stores hold state._tick, and suspended builtins hold
+            # state; drop both so that a finished query is freed at once
+            # instead of by the cycle collector
             state.fd.tick = state.r.tick = None
+            state.choicepoints.clear()
 
     return answers()
 
@@ -321,32 +697,85 @@ def solve_first(query, db, budget=None):
 # --- arithmetic -------------------------------------------------------
 
 def eval_arith(expr, b):
-    """Exact evaluation of a ground arithmetic expression."""
-    t = b.deref(expr) if b is not None else expr
-    if isinstance(t, Var):
-        raise InstantiationError(f"unbound variable in arithmetic: {t.name}")
-    if isinstance(t, bool):
-        raise PlTypeError("boolean in arithmetic")
-    if isinstance(t, (int, Fraction, float)):
+    """Exact evaluation of a ground arithmetic expression.
+
+    Operands are evaluated depth first, left to right, on an explicit
+    stack; an entry (t,) applies t's function to the values its
+    arguments left on `values`.  A number, and +, - or * of two
+    integers, take a shortcut with the same result.  A cyclic
+    expression exceeds the memory budget (see terms.rebuild).
+    """
+    deref = b.deref if b is not None else _itself
+    t = deref(expr)
+    kind = type(t)
+    if kind is int or kind is Fraction or kind is float:
         return t
-    if isinstance(t, Atom):
-        if t.name == "pi":
-            return math.pi
-        if t.name == "e":
-            return math.e
-        raise PlTypeError(f"non-numeric leaf in arithmetic: {t.name}")
-    if not isinstance(t, Struct):
-        raise PlTypeError(f"bad arithmetic term: {t!r}")
-    args = [eval_arith(a, b) for a in t.args]
+    if kind is Struct and len(t.args) == 2:
+        op = _INT_OPS.get(t.name)
+        if op is not None:
+            x, y = t.args
+            x, y = deref(x), deref(y)
+            if type(x) is int and type(y) is int:
+                return op(x, y)
+    values = []
+    stack = [expr]
+    inside = set()
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            if type(t[0]) is int:
+                inside.discard(t[0])
+                continue
+            t = t[0]
+            n = len(t.args)
+            args = values[-n:]
+            del values[-n:]
+            values.append(_apply_checked(t.name, args))
+            continue
+        if type(t) is Var:
+            var, t = t, deref(t)
+            if type(t) is Struct:
+                enter_binding(var, inside, stack)
+        if isinstance(t, Var):
+            raise InstantiationError(
+                f"unbound variable in arithmetic: {t.name}")
+        if isinstance(t, bool):
+            raise PlTypeError("boolean in arithmetic")
+        if isinstance(t, (int, Fraction, float)):
+            values.append(t)
+        elif isinstance(t, Atom):
+            if t.name == "pi":
+                values.append(math.pi)
+            elif t.name == "e":
+                values.append(math.e)
+            else:
+                raise PlTypeError(
+                    f"non-numeric leaf in arithmetic: {t.name}")
+        elif isinstance(t, Struct):
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+        else:
+            raise PlTypeError(f"bad arithmetic term: {t!r}")
+    return values[0]
+
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _itself(t):
+    return t
+
+
+def _apply_checked(name, args):
     try:
-        value = _apply_arith(t.name, args)
+        value = _apply_arith(name, args)
     except (ArithmeticError, ValueError) as exc:
         # float overflow, 0 ^ -1, a math domain error, ...
         raise EvaluationError(
-            f"{t.name}/{len(args)}: {type(exc).__name__}: {exc}") from None
+            f"{name}/{len(args)}: {type(exc).__name__}: {exc}") from None
     if isinstance(value, float) and not math.isfinite(value):
         # float * and / overflow to inf, and inf - inf gives nan, silently
-        raise EvaluationError(f"{t.name}/{len(args)}: float result {value}")
+        raise EvaluationError(f"{name}/{len(args)}: float result {value}")
     return value
 
 
@@ -462,21 +891,27 @@ def _type_rank(t):
 
 
 def compare_terms(a, c):
-    ra, rc = _type_rank(a), _type_rank(c)
-    if ra != rc:
-        return -1 if ra < rc else 1
-    if ra == 0:
-        return (a.id > c.id) - (a.id < c.id)
-    if ra == 1:
-        return (a > c) - (a < c)
-    if ra == 2:
-        return (a.name > c.name) - (a.name < c.name)
-    if len(a.args) != len(c.args):
-        return -1 if len(a.args) < len(c.args) else 1
-    if a.name != c.name:
-        return -1 if a.name < c.name else 1
-    for x, y in zip(a.args, c.args):
-        r = compare_terms(x, y)
+    """Standard order of two resolved terms: -1, 0 or 1.  Arguments are
+    compared left to right, depth first, on an explicit stack."""
+    stack = [(a, c)]
+    while stack:
+        a, c = stack.pop()
+        ra, rc = _type_rank(a), _type_rank(c)
+        if ra != rc:
+            return -1 if ra < rc else 1
+        if ra == 0:
+            r = (a.id > c.id) - (a.id < c.id)
+        elif ra == 1:
+            r = (a > c) - (a < c)
+        elif ra == 2:
+            r = (a.name > c.name) - (a.name < c.name)
+        elif len(a.args) != len(c.args):
+            return -1 if len(a.args) < len(c.args) else 1
+        elif a.name != c.name:
+            return -1 if a.name < c.name else 1
+        else:
+            stack.extend(reversed(list(zip(a.args, c.args))))
+            continue
         if r != 0:
             return r
     return 0
@@ -486,133 +921,156 @@ def copy_term(t, b, mapping=None):
     """Resolved copy of t with unbound variables renamed fresh."""
     if mapping is None:
         mapping = {}
-    t = b.deref(t)
-    if isinstance(t, Var):
-        nv = mapping.get(t.id)
+
+    def fresh(v):
+        nv = mapping.get(v.id)
         if nv is None:
-            nv = Var(t.name)
-            mapping[t.id] = nv
+            nv = mapping[v.id] = Var(v.name)
         return nv
-    if isinstance(t, Struct):
-        return Struct(t.name, tuple(copy_term(a, b, mapping) for a in t.args))
-    return t
+
+    return rebuild(t, b, fresh)
 
 
 # --- builtin predicates ----------------------------------------------
 #
 # Every entry of BUILTINS takes (state, args, barrier) and returns an
-# iterator that yields once per solution; barrier is the cut barrier of
-# the clause the goal appears in.  A handler rewinds the trail only to
-# retry an alternative or to throw a goal's effects away, and a goal
-# that must not cut the caller's clause runs through _bi_call.
+# iterable with one item per solution: a tuple when it has at most one
+# (_ONCE or ()), so that the machine keeps no choice point for it, or a
+# generator that the machine resumes on backtracking; barrier is the
+# cut barrier of the clause the goal appears in.  A handler rewinds the
+# trail only to retry an alternative or to throw a goal's effects away.
+# The control constructs are _Control entries that the machine runs.
+
+_ONCE = (None,)
+
 
 def _bi_true(state, args, barrier):
-    yield
+    return _ONCE
 
 
 def _bi_fail(state, args, barrier):
     return ()
 
 
-def _bi_cut(state, args, barrier):
-    yield
-    raise _Cut(barrier)
+def _run_cut(state, args, barrier, cont):
+    del state.choicepoints[barrier:]
+    return cont
 
 
-def _bi_and(state, args, barrier):
-    for _ in state.solve_goal(args[0], barrier):
-        yield from state.solve_goal(args[1], barrier)
+def _run_and(state, args, barrier, cont):
+    return _then(args[0], barrier, _then(args[1], barrier, cont))
 
 
-def _bi_or(state, args, barrier):
+def _run_or(state, args, barrier, cont):
     left = state.bindings.deref(args[0])
     if isinstance(left, Struct) and left.name == "->" \
             and len(left.args) == 2:
-        yield from _if_then_else(state, left.args[0], left.args[1], args[1],
-                                 barrier)
-        return
-    m = state.mark()
-    yield from state.solve_goal(args[0], barrier)
-    state.undo_to(m)
-    yield from state.solve_goal(args[1], barrier)
+        return _if_then_else(state, left.args[0], left.args[1], args[1],
+                             barrier, cont)
+    state.choicepoints.append(
+        [_ELSE, state.mark(), args[1], barrier, cont])
+    return _then(args[0], barrier, cont)
 
 
-def _bi_if_then(state, args, barrier):
-    return _if_then_else(state, args[0], args[1], Atom("fail"), barrier)
+def _run_if_then(state, args, barrier, cont):
+    return _if_then_else(state, args[0], args[1], Atom("fail"), barrier,
+                         cont)
 
 
-def _if_then_else(state, cond, then, alt, barrier):
-    m = state.mark()
-    for _ in _bi_call(state, (cond,), barrier):
-        yield from state.solve_goal(then, barrier)
-        return
-    state.undo_to(m)
-    yield from state.solve_goal(alt, barrier)
+def _if_then_else(state, cond, then, alt, barrier, cont):
+    # the condition runs as call(Cond); its first proof cuts back to
+    # below the else branch and goes on with then
+    cps = state.choicepoints
+    height = len(cps)
+    cps.append([_ELSE, state.mark(), alt, barrier, cont])
+    return _then(state.bindings.deref(cond), height + 1,
+                 _then(_CUT_TO, height, _then(then, barrier, cont)))
 
 
-def _bi_not(state, args, barrier):
-    m = state.mark()
-    proved = any(True for _ in _bi_call(state, args, barrier))
-    state.undo_to(m)
-    if not proved:
-        yield
+def _run_not(state, args, barrier, cont):
+    cps = state.choicepoints
+    height = len(cps)
+    cps.append([_NOT, state.mark(), cont])
+    return _then(state.bindings.deref(args[0]), height + 1,
+                 _closing(_NOT_PROVED, height, cont))
 
 
-def _bi_call(state, args, barrier):
-    inner = next(state._barriers)
-    try:
-        yield from state.solve_goal(state.bindings.deref(args[0]), inner)
-    except _Cut as cut:
-        if cut.barrier != inner:
-            raise
+def _run_call(state, args, barrier, cont):
+    return _then(state.bindings.deref(args[0]), len(state.choicepoints),
+                 cont)
+
+
+def _run_findall(state, args, barrier, cont):
+    template, goal, result = args
+    cps = state.choicepoints
+    height = len(cps)
+    cps.append([_FINDALL, state.mark(), [], template, result, cont])
+    return _then(state.bindings.deref(goal), height + 1,
+                 _closing(_COLLECT, height, cont))
+
+
+def _closing(marker, height, cont):
+    """The continuation of a goal run inside \\+ or findall/3: marker
+    alone, since the choice point at height holds cont; it counts
+    toward the depth as if cont followed."""
+    return (marker, height, None, 1 if cont is None else cont[3] + 1)
 
 
 def _bi_unify(state, args, barrier):
-    if state.unify(args[0], args[1]):
-        yield
+    return _ONCE if state.unify(args[0], args[1]) else ()
 
 
 def _bi_not_unify(state, args, barrier):
     m = state.mark()
     ok = state.unify(args[0], args[1])
     state.undo_to(m)
-    if not ok:
-        yield
+    return () if ok else _ONCE
 
 
 def _structurally_equal(state, t1, t2):
+    """t1 == t2.  A pair of compounds met again is taken as equal, so
+    cyclic terms compare in finite time (as rational trees)."""
     b = state.bindings
-    t1, t2 = b.deref(t1), b.deref(t2)
-    if isinstance(t1, Var) or isinstance(t2, Var):
-        return isinstance(t1, Var) and isinstance(t2, Var) and t1.id == t2.id
-    if isinstance(t1, Struct) and isinstance(t2, Struct):
-        return (t1.name == t2.name and len(t1.args) == len(t2.args)
-                and all(_structurally_equal(state, a, c)
-                        for a, c in zip(t1.args, t2.args)))
-    return type(t1) is type(t2) and t1 == t2
+    stack = [(t1, t2)]
+    compared = set()
+    while stack:
+        t1, t2 = stack.pop()
+        t1, t2 = b.deref(t1), b.deref(t2)
+        if t1 is t2:
+            continue
+        if isinstance(t1, Var) or isinstance(t2, Var):
+            if not (isinstance(t1, Var) and isinstance(t2, Var)
+                    and t1.id == t2.id):
+                return False
+        elif isinstance(t1, Struct) and isinstance(t2, Struct):
+            if t1.name != t2.name or len(t1.args) != len(t2.args):
+                return False
+            if (id(t1), id(t2)) not in compared:
+                compared.add((id(t1), id(t2)))
+                stack.extend(zip(t1.args, t2.args))
+        elif not (type(t1) is type(t2) and t1 == t2):
+            return False
+    return True
 
 
 def _bi_struct_eq(state, args, barrier):
-    if _structurally_equal(state, args[0], args[1]):
-        yield
+    return _ONCE if _structurally_equal(state, args[0], args[1]) else ()
 
 
 def _bi_struct_neq(state, args, barrier):
-    if not _structurally_equal(state, args[0], args[1]):
-        yield
+    return () if _structurally_equal(state, args[0], args[1]) else _ONCE
 
 
 def _bi_is(state, args, barrier):
-    if state.unify(args[0], eval_arith(args[1], state.bindings)):
-        yield
+    value = eval_arith(args[1], state.bindings)
+    return _ONCE if state.unify(args[0], value) else ()
 
 
 def _arith_compare(op):
     def run(state, args, barrier):
         x = eval_arith(args[0], state.bindings)
         y = eval_arith(args[1], state.bindings)
-        if op(x, y):
-            yield
+        return _ONCE if op(x, y) else ()
     return run
 
 
@@ -623,12 +1081,14 @@ def _bi_between(state, args, barrier):
         raise PlTypeError("between/3 expects integer bounds")
     x = state.bindings.deref(args[2])
     if isinstance(x, int):
-        if lo <= x <= hi:
-            yield
-        return
+        return _ONCE if lo <= x <= hi else ()
+    return _between_values(state, lo, hi, args[2])
+
+
+def _between_values(state, lo, hi, x):
     m = state.mark()
     for value in range(lo, hi + 1):
-        if state.unify(args[2], value):
+        if state.unify(x, value):
             yield
         state.undo_to(m)
 
@@ -637,14 +1097,13 @@ def _bi_length(state, args, barrier):
     b = state.bindings
     items = list_to_python(args[0], b)
     if items is not None:
-        if state.unify(args[1], len(items)):
-            yield
-        return
+        return _ONCE if state.unify(args[1], len(items)) else ()
     n = b.deref(args[1])
     if isinstance(n, int) and n >= 0:
-        if state.unify(args[0], make_list([Var() for _ in range(n)])):
-            yield
-        return
+        if n > state.budget.max_memory:
+            raise BudgetExceeded("memory")
+        fresh = make_list([Var() for _ in range(n)])
+        return _ONCE if state.unify(args[0], fresh) else ()
     raise InstantiationError("length/2: list and length both unbound")
 
 
@@ -654,18 +1113,7 @@ def _bi_msort(state, args, barrier):
         raise InstantiationError("msort/2 expects a proper list")
     resolved = [state.bindings.resolve(x) for x in items]
     resolved.sort(key=functools.cmp_to_key(compare_terms))
-    if state.unify(args[1], make_list(resolved)):
-        yield
-
-
-def _bi_findall(state, args, barrier):
-    template, goal, result = args
-    m = state.mark()
-    collected = [copy_term(template, state.bindings)
-                 for _ in _bi_call(state, (goal,), barrier)]
-    state.undo_to(m)
-    if state.unify(result, make_list(collected)):
-        yield
+    return _ONCE if state.unify(args[1], make_list(resolved)) else ()
 
 
 # --- constraint goals -----------------------------------------------
@@ -673,8 +1121,16 @@ def _bi_findall(state, args, barrier):
 def _rational_route(state, args):
     """True when a #-constraint belongs to the rational solver."""
     stack = list(args)
+    inside = set()
     while stack:
-        t = state.bindings.deref(stack.pop())
+        t = stack.pop()
+        if type(t) is tuple:
+            inside.discard(t[0])
+            continue
+        if type(t) is Var:
+            var, t = t, state.bindings.deref(t)
+            if type(t) is Struct:
+                enter_binding(var, inside, stack)
         if isinstance(t, Fraction) or isinstance(t, float):
             return True
         if isinstance(t, Var) and state.bindings.owner_of(t) is state.r:
@@ -690,8 +1146,7 @@ def _fd_relation(op):
     def post(state, args, barrier):
         goal = Struct(op, args)
         store = state.r if _rational_route(state, args) else state.fd
-        if store.post(goal):
-            yield
+        return _ONCE if store.post(goal) else ()
     return post
 
 
@@ -701,8 +1156,8 @@ def _bi_braces(state, args, barrier):
         if not (isinstance(rel, Struct) and len(rel.args) == 2):
             raise PlTypeError(f"bad brace constraint: {rel!r}")
         if not state.r.post(rel):
-            return
-    yield
+            return ()
+    return _ONCE
 
 
 def _bi_label(state, args, barrier):
@@ -725,19 +1180,19 @@ def _bi_labeling(state, args, barrier):
             strategy = "leftmost"
         else:
             raise PlTypeError(f"unknown labeling option {opt!r}")
-    yield from fd_label(variables, state.fd, state, strategy)
+    return fd_label(variables, state.fd, state, strategy)
 
 
 BUILTINS = {
     ("true", 0): _bi_true,
     ("fail", 0): _bi_fail,
     ("false", 0): _bi_fail,
-    ("!", 0): _bi_cut,
-    (",", 2): _bi_and,
-    (";", 2): _bi_or,
-    ("->", 2): _bi_if_then,
-    ("\\+", 1): _bi_not,
-    ("call", 1): _bi_call,
+    ("!", 0): _Control(_run_cut),
+    (",", 2): _Control(_run_and),
+    (";", 2): _Control(_run_or),
+    ("->", 2): _Control(_run_if_then),
+    ("\\+", 1): _Control(_run_not),
+    ("call", 1): _Control(_run_call),
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
     ("==", 2): _bi_struct_eq,
@@ -752,7 +1207,7 @@ BUILTINS = {
     ("between", 3): _bi_between,
     ("length", 2): _bi_length,
     ("msort", 2): _bi_msort,
-    ("findall", 3): _bi_findall,
+    ("findall", 3): _Control(_run_findall),
     ("{}", 1): _bi_braces,
     ("label", 1): _bi_label,
     ("labeling", 2): _bi_labeling,

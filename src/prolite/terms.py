@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import NonLinearUnsupported, TypeMix
+from .errors import BudgetExceeded, NonLinearUnsupported, TypeMix
 
 
 class Var:
@@ -96,14 +96,21 @@ def make_list(items, tail=NIL):
 
 
 def list_to_python(t, b=None):
-    """Walk a proper list into a Python list; returns None when improper."""
+    """Walk a proper list into a Python list; returns None when improper,
+    cyclic lists included (found by Brent's method: the cell saved at
+    each power of two recurs within a cycle's length)."""
     items = []
+    saved, power = None, 1
     while True:
         if b is not None:
             t = b.deref(t)
         if t is NIL:
             return items
         if isinstance(t, Struct) and t.name == "." and len(t.args) == 2:
+            if t is saved:
+                return None
+            if len(items) == power:
+                saved, power = t, 2 * power
             items.append(b.deref(t.args[0]) if b is not None else t.args[0])
             t = t.args[1]
         else:
@@ -175,7 +182,7 @@ class Bindings:
 
     def deref(self, t):
         """Follow the binding chain of t; only the root is resolved."""
-        while isinstance(t, Var):
+        while type(t) is Var:
             bound = self.map.get(t.id)
             if bound is None:
                 return t
@@ -184,10 +191,58 @@ class Bindings:
 
     def resolve(self, t):
         """Fully substitute bindings through t (for answer snapshots)."""
-        t = self.deref(t)
-        if isinstance(t, Struct):
-            return Struct(t.name, tuple(self.resolve(a) for a in t.args))
-        return t
+        return rebuild(t, self)
+
+
+def rebuild(t, bindings=None, leaf=None):
+    """Copy of t read through bindings (when given), with each unbound
+    variable v replaced by leaf(v) (when given).
+
+    Compounds are rebuilt bottom-up on an explicit stack, so the depth
+    of t costs no Python recursion; leaf sees the variables left to
+    right, in order of first occurrence.  Unification has no occurs
+    check, so a binding can make t cyclic; its copy would be infinite,
+    which is reported as exceeding the memory budget.
+    """
+    out = []
+    stack = [t]
+    inside = set()      # variables whose bound compound is being copied
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            if type(t[0]) is int:
+                # (variable id,): its bound compound is copied
+                inside.discard(t[0])
+                continue
+            # (compound,): its arguments are the last len(args) of out
+            t = t[0]
+            n = len(t.args)
+            args = out[-n:]
+            del out[-n:]
+            out.append(Struct(t.name, args))
+            continue
+        if bindings is not None and type(t) is Var:
+            var, t = t, bindings.deref(t)
+            if type(t) is Struct:
+                enter_binding(var, inside, stack)
+        if type(t) is Struct:
+            stack.append((t,))
+            stack.extend(reversed(t.args))
+        elif leaf is not None and type(t) is Var:
+            out.append(leaf(t))
+        else:
+            out.append(t)
+    return out[0]
+
+
+def enter_binding(var, inside, stack):
+    """Note that a walk enters the compound var is bound to, until the
+    (var id,) entry pushed here is popped; entering it again inside is a
+    cycle."""
+    if var.id in inside:
+        raise BudgetExceeded("memory")
+    inside.add(var.id)
+    stack.append((var.id,))
 
 
 def occurs(var, t, b):
@@ -207,14 +262,18 @@ def term_vars(t, b=None, acc=None):
     """All unbound variables in t, in left-to-right first-occurrence order."""
     if acc is None:
         acc = []
-    if b is not None:
-        t = b.deref(t)
-    if isinstance(t, Var):
-        if all(v.id != t.id for v in acc):
-            acc.append(t)
-    elif isinstance(t, Struct):
-        for a in t.args:
-            term_vars(a, b, acc)
+    seen = {v.id for v in acc}
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if b is not None:
+            t = b.deref(t)
+        if isinstance(t, Var):
+            if t.id not in seen:
+                seen.add(t.id)
+                acc.append(t)
+        elif isinstance(t, Struct):
+            stack.extend(reversed(t.args))
     return acc
 
 
@@ -281,44 +340,72 @@ def linearize(expr, bindings, constant, leaf, special):
     fresh (coeffs, const) pair for a compound the store handles itself,
     or None.  Leaves are visited left to right, so the side effects of
     leaf and special happen in source order.  Zero coefficients are
-    dropped from the result.
+    dropped from the result.  The walk keeps its own stack: an entry
+    (t, op) combines the values that t's arguments left on `values`.
     """
     one, zero = constant(1), constant(0)
-
-    def walk(t):
-        t = bindings.deref(t)
+    values = []
+    stack = [expr]
+    inside = set()
+    while stack:
+        t = stack.pop()
+        if type(t) is tuple:
+            if type(t[0]) is int:
+                inside.discard(t[0])
+            else:
+                _combine(values, t[1], zero)
+            continue
+        if type(t) is Var:
+            var, t = t, bindings.deref(t)
+            if type(t) is Struct:
+                enter_binding(var, inside, stack)
         if isinstance(t, Var):
-            return {leaf(t): one}, zero
+            values.append(({leaf(t): one}, zero))
+            continue
         if isinstance(t, Struct):
-            args = t.args
-            if t.name in ("+", "-") and len(args) == 1:
-                coeffs, k = walk(args[0])
-                if t.name == "+":
-                    return coeffs, k
-                return {v: -c for v, c in coeffs.items()}, -k
-            if t.name in ("+", "-") and len(args) == 2:
-                (coeffs, k), (rcoeffs, rk) = walk(args[0]), walk(args[1])
-                sign = 1 if t.name == "+" else -1
-                for v, c in rcoeffs.items():
-                    coeffs[v] = coeffs.get(v, zero) + sign * c
-                return coeffs, k + sign * rk
-            if t.name == "*" and len(args) == 2:
-                left, right = walk(args[0]), walk(args[1])
-                if not any(left[0].values()):
-                    scale, (coeffs, k) = left[1], right
-                elif not any(right[0].values()):
-                    scale, (coeffs, k) = right[1], left
-                else:
-                    raise NonLinearUnsupported(
-                        "product of two non-ground expressions")
-                return {v: scale * c for v, c in coeffs.items()}, scale * k
+            op = _LINEAR_OPS.get((t.name, len(t.args)))
+            if op is not None:
+                stack.append((t, op))
+                stack.extend(reversed(t.args))
+                continue
             found = special(t)
             if found is not None:
-                return found
-        return {}, constant(t)
-
-    coeffs, k = walk(expr)
+                values.append(found)
+                continue
+        values.append(({}, constant(t)))
+    coeffs, k = values[0]
     return {v: c for v, c in coeffs.items() if c != 0}, k
+
+
+_LINEAR_OPS = {("+", 1): "pos", ("-", 1): "neg", ("+", 2): "add",
+               ("-", 2): "sub", ("*", 2): "mul"}
+
+
+def _combine(values, op, zero):
+    """Replace the operand values of op on top of values by its result."""
+    if op == "pos":
+        return
+    if op == "neg":
+        coeffs, k = values.pop()
+        values.append(({v: -c for v, c in coeffs.items()}, -k))
+        return
+    (rcoeffs, rk) = values.pop()
+    left = values.pop()
+    if op == "mul":
+        right = (rcoeffs, rk)
+        if not any(left[0].values()):
+            scale, (coeffs, k) = left[1], right
+        elif not any(rcoeffs.values()):
+            scale, (coeffs, k) = rk, left
+        else:
+            raise NonLinearUnsupported("product of two non-ground expressions")
+        values.append(({v: scale * c for v, c in coeffs.items()}, scale * k))
+        return
+    coeffs, k = left
+    sign = 1 if op == "add" else -1
+    for v, c in rcoeffs.items():
+        coeffs[v] = coeffs.get(v, zero) + sign * c
+    values.append((coeffs, k + sign * rk))
 
 
 def indicator(t):

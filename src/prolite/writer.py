@@ -33,6 +33,28 @@ def term_to_text(t, ops=DEFAULT_OPS, bindings=None):
 
 
 def _write(t, max_prio, ops):
+    """Text of t where a term of priority above max_prio needs brackets.
+
+    Subterms are written on an explicit stack, so the depth of t costs
+    no Python recursion: an entry (t, max_prio) writes t onto `out`, and
+    a callable entry joins the texts its subterms left on `out`.
+    """
+    out = []
+    work = [(t, max_prio)]
+    while work:
+        item = work.pop()
+        if callable(item):
+            item(out, work)
+            continue
+        t, max_prio = item
+        if isinstance(t, Struct):
+            _write_struct(t, max_prio, ops, work)
+        else:
+            out.append(_atomic_text(t, max_prio))
+    return out[0]
+
+
+def _atomic_text(t, max_prio):
     if isinstance(t, Var):
         return f"_G{t.id}"
     if isinstance(t, bool):
@@ -46,53 +68,94 @@ def _write(t, max_prio, ops):
         return _maybe_paren(repr(t), 200 if t < 0 else 0, max_prio)
     if isinstance(t, Atom):
         return _atom_text(t.name)
-    if isinstance(t, Struct):
-        if t.name == "." and len(t.args) == 2:
-            return _write_list(t, ops)
-        if t.name == "{}" and len(t.args) == 1:
-            return "{" + _write(t.args[0], 1200, ops) + "}"
-        # 'N rdiv D' of two integers reads back as a rational
-        if len(t.args) == 2 and t.name in ops.infix and not (
-                t.name == "rdiv" and all(isinstance(a, int) for a in t.args)):
-            prio, typ = ops.infix[t.name]
-            lmax = prio if typ == "yfx" else prio - 1
-            rmax = prio if typ == "xfy" else prio - 1
-            sep = f" {t.name} " if t.name != "," else ", "
-            text = _write(t.args[0], lmax, ops) + sep \
-                + _write(t.args[1], rmax, ops)
-            return _maybe_paren(text, prio, max_prio)
-        if len(t.args) == 1 and t.name in ops.prefix:
-            prio, typ = ops.prefix[t.name]
-            amax = prio if typ == "fy" else prio - 1
-            arg = _write(t.args[0], amax, ops)
+    raise TypeError(f"unprintable term {t!r}")
+
+
+def _pop(out, n):
+    texts = out[len(out) - n:]
+    del out[len(out) - n:]
+    return texts
+
+
+def _write_struct(t, max_prio, ops, work):
+    """Push onto work the entries that write the compound t."""
+    if t.name == "." and len(t.args) == 2:
+        _write_list(t, work)
+        return
+    if t.name == "{}" and len(t.args) == 1:
+        work.append(lambda out, work: out.append("{" + out.pop() + "}"))
+        work.append((t.args[0], 1200))
+        return
+    # 'N rdiv D' of two integers reads back as a rational
+    if len(t.args) == 2 and t.name in ops.infix and not (
+            t.name == "rdiv" and all(isinstance(a, int) for a in t.args)):
+        prio, typ = ops.infix[t.name]
+        lmax = prio if typ == "yfx" else prio - 1
+        rmax = prio if typ == "xfy" else prio - 1
+        sep = f" {t.name} " if t.name != "," else ", "
+
+        def infix(out, work):
+            left, right = _pop(out, 2)
+            out.append(_maybe_paren(left + sep + right, prio, max_prio))
+
+        work.append(infix)
+        work.append((t.args[1], rmax))
+        work.append((t.args[0], lmax))
+        return
+    if len(t.args) == 1 and t.name in ops.prefix:
+        prio, typ = ops.prefix[t.name]
+        amax = prio if typ == "fy" else prio - 1
+
+        def prefix(out, work):
+            arg = out.pop()
             # '- 1' and '- 1 ^ 2' would read back with the number -1,
             # and '\+ (a, b)' as '\+'/2, so such operands take
             # functional notation
-            if not (is_number(t.args[0]) or arg[0] == "("
-                    or arg[0].isdigit()):
-                space = " " if (arg[0].isalnum() or arg[0] in "_-" or
-                                t.name[-1] in _UNQUOTED_SYMBOLIC and
-                                arg[0] in _UNQUOTED_SYMBOLIC or
-                                t.name[-1].isalnum()) else ""
-                return _maybe_paren(f"{_atom_text(t.name)}{space}{arg}",
-                                    prio, max_prio)
-        args = ", ".join(_write(a, 999, ops) for a in t.args)
-        return f"{_atom_text(t.name)}({args})"
-    raise TypeError(f"unprintable term {t!r}")
+            if is_number(t.args[0]) or arg[0] == "(" or arg[0].isdigit():
+                _write_canonical(t, work)
+                return
+            space = " " if (arg[0].isalnum() or arg[0] in "_-" or
+                            t.name[-1] in _UNQUOTED_SYMBOLIC and
+                            arg[0] in _UNQUOTED_SYMBOLIC or
+                            t.name[-1].isalnum()) else ""
+            out.append(_maybe_paren(f"{_atom_text(t.name)}{space}{arg}",
+                                    prio, max_prio))
+
+        work.append(prefix)
+        work.append((t.args[0], amax))
+        return
+    _write_canonical(t, work)
+
+
+def _write_canonical(t, work):
+    n = len(t.args)
+    work.append(lambda out, work: out.append(
+        f"{_atom_text(t.name)}({', '.join(_pop(out, n))})"))
+    work.extend((a, 999) for a in reversed(t.args))
 
 
 def _maybe_paren(text, prio, max_prio):
     return f"({text})" if prio > max_prio else text
 
 
-def _write_list(t, ops):
-    parts = []
+def _write_list(t, work):
+    items = []
     while True:
-        parts.append(_write(t.args[0], 999, ops))
+        items.append(t.args[0])
         tail = t.args[1]
         if isinstance(tail, Struct) and tail.name == "." and len(tail.args) == 2:
             t = tail
             continue
-        if tail is Atom("[]"):
-            return "[" + ", ".join(parts) + "]"
-        return "[" + ", ".join(parts) + "|" + _write(tail, 999, ops) + "]"
+        break
+    n = len(items)
+    if tail is Atom("[]"):
+        work.append(lambda out, work: out.append(
+            "[" + ", ".join(_pop(out, n)) + "]"))
+    else:
+        def partial(out, work):
+            texts = _pop(out, n + 1)
+            out.append("[" + ", ".join(texts[:n]) + "|" + texts[n] + "]")
+
+        work.append(partial)
+        work.append((tail, 999))
+    work.extend((item, 999) for item in reversed(items))

@@ -1,6 +1,8 @@
 """Resolution engine: clause search, cut, control constructs, builtins,
 exact arithmetic, and budget enforcement."""
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,8 @@ from prolite.engine import SolveState
 from prolite.harness import gen_navigate
 from prolite.orchestrator import run_candidate
 from prolite.reader import Program, parse_term_text
-from prolite.terms import Atom, Clause, Struct, Var
+from prolite.terms import Atom, Clause, Struct, Var, list_to_python
+from prolite.writer import term_to_text
 
 
 FAMILY = """\
@@ -423,3 +426,83 @@ def test_skipped_clauses_cost_no_steps(name, steps):
                      budget=Budget(max_inference_steps=steps))
     with pytest.raises(BudgetExceeded):
         run_query(source, query, budget=Budget(max_inference_steps=steps - 1))
+
+
+# --- the resolution machine: depth, memory and cut ----------------------
+
+COUNT = "count(0).\ncount(N) :- N > 0, M is N - 1, count(M).\n"
+
+
+def test_deterministic_recursion_runs_100000_levels_deep():
+    assert len(run_query(COUNT, "count(100000)")) == 1
+
+
+def test_if_then_else_recursion_runs_100000_levels_deep():
+    program = "c(N) :- ( N =:= 0 -> true ; M is N - 1, c(M) ).\n"
+    assert len(run_query(program, "c(100000)")) == 1
+
+
+def test_findall_over_a_10000_element_member_is_fast():
+    started = time.monotonic()
+    sols = run_query("", f"L = {list(range(10_000))}, "
+                         "findall(x, member(_, L), M), length(M, N)")
+    assert time.monotonic() - started < 2.0
+    assert values(sols, "N") == [10_000]
+
+
+def test_nrev_of_500_elements():
+    items = list(range(500))
+    sols = run_query(NREV, f"nrev({items}, R)")
+    assert len(sols) == 1
+    assert list_to_python(sols[0].bindings["R"]) == items[::-1]
+
+
+def test_solving_leaves_the_recursion_limit_alone():
+    before = sys.getrecursionlimit()
+    run_query(COUNT, "count(3000)")
+    assert sys.getrecursionlimit() == before
+
+
+def test_exceeding_the_trail_cap_reports_memory():
+    with pytest.raises(BudgetExceeded, match="memory"):
+        run_query(COUNT, "count(50000)",
+                  budget=Budget(max_inference_steps=10_000_000,
+                                wall_timeout=30.0, max_memory=10_000))
+    result = run_candidate("grow(N, [N|T]) :- M is N + 1, grow(M, T).\n"
+                           "problem(A) :- grow(0, A).\n",
+                           budget=Budget(max_memory=10_000))
+    assert result.status == "budget-exceeded"
+    assert "memory" in result.detail
+
+
+@pytest.mark.parametrize("program, query, answers", [
+    # answers and the steps spent up to each, as the recursive engine
+    # this machine replaced gave them
+    ("d(0, []) :- !.\n"
+     "d(N, [N|T]) :- ( N > 2, ! ; true ), M is N - 1, d(M, T).\n",
+     "d(4, L)", [("L", "[4, 3, 2, 1]", 26)]),
+    ("e(0, []).\n"
+     "e(N, [X|T]) :- N > 0, ( member(X, [a, b]), X == b -> true ; X = c ), "
+     "M is N - 1, e(M, T).\n",
+     "e(3, L)", [("L", "[b, b, b]", 31)]),
+    ("f(N, R) :- ( N >= 3 -> !, R = stop ; M is N + 1, f(M, R) ).\n"
+     "f(_, other).\n",
+     "f(0, R)", [("R", "stop", 21)] + [("R", "other", 21)] * 3),
+    ("g(N, N).\n"
+     "g(N, R) :- N < 4, ( N mod 2 =:= 0, ! ; true ), M is N + 1, g(M, R).\n",
+     "g(0, R)", [("R", str(n), 1 + 7 * n) for n in range(5)]),
+])
+def test_cut_in_disjunction_and_if_then_else_of_a_recursive_clause(
+        program, query, answers):
+    sols = run_query(program, query)
+    assert [(name, term_to_text(s.bindings[name]), s.steps)
+            for s, (name, _, _) in zip(sols, answers)] == answers
+    assert len(sols) == len(answers)
+
+
+def test_a_bound_variable_in_a_goal_built_as_data_is_its_value():
+    # ISO: call((! ; true)) cuts its own disjunction, however the term
+    # was built; only a variable written as a body goal acts as call/1
+    program = "p(X) :- G = (X ; true), call(G).\nq(X) :- (X ; true).\n"
+    assert len(run_query(program, "p(!)")) == 1
+    assert len(run_query(program, "q(!)")) == 2

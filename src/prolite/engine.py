@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,21 +61,19 @@ from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
+# trail entries, choice points and pending goals a query may hold at
+# once, which bounds proof depth; also the longest findall/3 answer list
+# and length/2 list built
 DEFAULT_MAX_MEMORY = 2 ** 18
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Per-query limits: inference steps, wall-clock seconds, and
-    memory as the trail entries, choice points and pending goals held
-    at once (which bounds proof depth)."""
     max_inference_steps: int = DEFAULT_MAX_STEPS
     wall_timeout: float = DEFAULT_WALL_TIMEOUT
-    max_memory: int = DEFAULT_MAX_MEMORY
 
     def __post_init__(self):
-        if self.max_inference_steps <= 0 or self.wall_timeout <= 0 \
-                or self.max_memory <= 0:
+        if self.max_inference_steps <= 0 or self.wall_timeout <= 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -227,7 +224,7 @@ class SolveState:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time")
         if len(self.bindings.trail) + len(self.choicepoints) + self.depth \
-                > self.budget.max_memory:
+                > DEFAULT_MAX_MEMORY:
             raise BudgetExceeded("memory")
 
     # --- unification --------------------------------------------------
@@ -307,7 +304,11 @@ class SolveState:
 # head through a frame {clause variable id: term} and builds the body
 # from the frame, so no clause is copied whole.  The walks below recurse
 # over the clause's own text, never over runtime terms; past _SHALLOW
-# levels of nesting they hand over to walks without recursion.
+# levels of nesting they hand over to walks without recursion.  Both are
+# needed: the reader reads a list or a left-nested operator chain of any
+# length without recursing, so clause text can nest deeper than the
+# Python stack allows, while building and unifying a copy of every head
+# through the walks without recursion ran nrev about half as fast.
 
 _SHALLOW = 200
 
@@ -392,12 +393,12 @@ _new = object.__new__
 
 
 # How the machine reads each argument of a control construct: as a goal
-# (_GOAL), as the left branch of `;`, which may be an if-then (_LEFT), as
-# a goal it dereferences first (_CALLED), or as data (_DATA).
-_GOAL, _LEFT, _CALLED, _DATA = range(4)
+# (_GOAL), as a goal it dereferences and runs under a barrier of its own
+# (_CALLED), or as data (_DATA).
+_GOAL, _CALLED, _DATA = range(3)
 _CONTROL_ARGS = {
     (",", 2): (_GOAL, _GOAL),
-    (";", 2): (_LEFT, _GOAL),
+    (";", 2): (_GOAL, _GOAL),
     ("->", 2): (_CALLED, _GOAL),
     ("\\+", 1): (_CALLED,),
     ("call", 1): (_CALLED,),
@@ -406,30 +407,54 @@ _CONTROL_ARGS = {
 _CONTROL_NAMES = frozenset(name for name, _ in _CONTROL_ARGS)
 
 
-def _build_goal(tpl, frame, role=_GOAL, depth=0):
-    """Build a body goal.  A clause variable in goal position stands for
-    call/1 of its value (ISO's conversion of a clause body), so a value
-    that is not a variable is built as call(Value): one step more and a
-    cut in it stays local, as for the variable itself."""
-    if type(tpl) is Var:
-        v = frame.get(tpl.id)
-        if v is None:
-            v = frame[tpl.id] = Var(tpl.name)
-        elif role != _CALLED and type(v) is not Var and not (
-                role == _LEFT and type(v) is Struct and v.name == "->"
-                and len(v.args) == 2):
-            v = Struct("call", (v,))
-        return v
-    if type(tpl) is not Struct:
-        return tpl
-    roles = _CONTROL_ARGS.get((tpl.name, len(tpl.args))) \
-        if tpl.name in _CONTROL_NAMES and depth <= _SHALLOW else None
-    if roles is None:
-        return _build(tpl, frame, depth)
-    return Struct(tpl.name, [
-        _build(a, frame, depth + 1) if role == _DATA
-        else _build_goal(a, frame, role, depth + 1)
-        for a, role in zip(tpl.args, roles)])
+class _VarGoal:
+    """A clause variable in goal position, standing for call/1 of its
+    value (ISO's conversion of a clause body) whatever the value is, so
+    a cut in it stays local.  As the left branch of `;`, a value C -> T
+    makes an if-then-else.  A variable the machine meets in a goal is
+    one that the running program put into a term, and it is its value."""
+
+    __slots__ = ("term",)
+
+    def __init__(self, term):
+        self.term = term
+
+
+def _build_goal(tpl, frame, role=_GOAL):
+    """Build a body goal, a clause variable in goal position as a
+    _VarGoal.  The walk keeps its own stack of (template, role) entries;
+    an entry (t, None) means the arguments of control construct t lie
+    built on `built`."""
+    built = []
+    todo = [(tpl, role)]
+    while todo:
+        t, role = todo.pop()
+        kind = type(t)
+        if role is None:
+            n = len(t.args)
+            term = _new(Struct)
+            term.name = t.name
+            term.args = tuple(built[-n:])
+            del built[-n:]
+            built.append(term)
+        elif kind is Var:
+            v = frame.get(t.id)
+            if v is None:
+                v = frame[t.id] = Var(t.name)
+            built.append(_VarGoal(v) if role == _GOAL else v)
+        elif kind is not Struct:
+            built.append(t)
+        else:
+            roles = _CONTROL_ARGS.get((t.name, len(t.args))) \
+                if role != _DATA else None
+            if roles is None:
+                built.append(_build_struct(t, frame, 0))
+            else:
+                todo.append((t, None))
+                args = t.args
+                for i in range(len(args) - 1, -1, -1):
+                    todo.append((args[i], roles[i]))
+    return built[0]
 
 
 def _resolve_clause(state, args, cands, i, mark):
@@ -575,7 +600,7 @@ def _run(state, query):
             elif goal is _COLLECT:
                 cp = cps[barrier]
                 cp[2].append(copy_term(cp[3], bindings))
-                if len(cp[2]) > state.budget.max_memory:
+                if len(cp[2]) > DEFAULT_MAX_MEMORY:
                     raise BudgetExceeded("memory")
                 cont = _FAIL
             else:  # _NOT_PROVED
@@ -597,12 +622,17 @@ def _run(state, query):
         elif kind is Atom:
             args = ()
             key = (goal.name, 0)
-        elif kind is Var:
-            goal = bindings.deref(goal)
+        elif kind is Var or kind is _VarGoal:
+            if kind is Var:
+                # a variable in a goal term the program built is its value
+                goal = bindings.deref(goal)
+            else:
+                # call/1 of the value, so a cut in it is local
+                goal = bindings.deref(goal.term)
+                barrier = len(cps)
             if type(goal) is Var:
                 raise InstantiationError("unbound goal")
-            # a variable goal G runs as call(G), so a cut in G is local
-            cont = (goal, len(cps), nxt, depth)
+            cont = (goal, barrier, nxt, depth)
             continue
         else:
             raise PlTypeError(f"goal is not callable: {goal!r}")
@@ -663,7 +693,11 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
 
     def answers():
         try:
-            for _ in _run(state, state.bindings.deref(query)):
+            # the query is converted as a clause body is, and like call/1
+            # it is opaque to cut
+            goal = _build_goal(query, {v.id: v for v in query_vars},
+                               _CALLED)
+            for _ in _run(state, goal):
                 pending = [
                     v for v in state.fd.constrained_vars()
                     if isinstance(state.bindings.deref(v), Var)]
@@ -701,8 +735,7 @@ def eval_arith(expr, b):
 
     Operands are evaluated depth first, left to right, on an explicit
     stack; an entry (t,) applies t's function to the values its
-    arguments left on `values`.  A number, and +, - or * of two
-    integers, take a shortcut with the same result.  A cyclic
+    arguments left on `values`.  A number is returned at once.  A cyclic
     expression exceeds the memory budget (see terms.rebuild).
     """
     deref = b.deref if b is not None else _itself
@@ -710,13 +743,6 @@ def eval_arith(expr, b):
     kind = type(t)
     if kind is int or kind is Fraction or kind is float:
         return t
-    if kind is Struct and len(t.args) == 2:
-        op = _INT_OPS.get(t.name)
-        if op is not None:
-            x, y = t.args
-            x, y = deref(x), deref(y)
-            if type(x) is int and type(y) is int:
-                return op(x, y)
     values = []
     stack = [expr]
     inside = set()
@@ -757,9 +783,6 @@ def eval_arith(expr, b):
         else:
             raise PlTypeError(f"bad arithmetic term: {t!r}")
     return values[0]
-
-
-_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _itself(t):
@@ -962,7 +985,9 @@ def _run_and(state, args, barrier, cont):
 
 
 def _run_or(state, args, barrier, cont):
-    left = state.bindings.deref(args[0])
+    left = args[0]
+    left = state.bindings.deref(
+        left.term if type(left) is _VarGoal else left)
     if isinstance(left, Struct) and left.name == "->" \
             and len(left.args) == 2:
         return _if_then_else(state, left.args[0], left.args[1], args[1],
@@ -1100,7 +1125,7 @@ def _bi_length(state, args, barrier):
         return _ONCE if state.unify(args[1], len(items)) else ()
     n = b.deref(args[1])
     if isinstance(n, int) and n >= 0:
-        if n > state.budget.max_memory:
+        if n > DEFAULT_MAX_MEMORY:
             raise BudgetExceeded("memory")
         fresh = make_list([Var() for _ in range(n)])
         return _ONCE if state.unify(args[0], fresh) else ()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import run_query
-from prolite import Budget, consult, parse_program, solve_first
+from prolite import Budget, consult, engine, parse_program, solve_first
 from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             ZeroDivisor)
@@ -463,14 +463,14 @@ def test_solving_leaves_the_recursion_limit_alone():
     assert sys.getrecursionlimit() == before
 
 
-def test_exceeding_the_trail_cap_reports_memory():
+def test_exceeding_the_trail_cap_reports_memory(monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", 10_000)
     with pytest.raises(BudgetExceeded, match="memory"):
         run_query(COUNT, "count(50000)",
                   budget=Budget(max_inference_steps=10_000_000,
-                                wall_timeout=30.0, max_memory=10_000))
+                                wall_timeout=30.0))
     result = run_candidate("grow(N, [N|T]) :- M is N + 1, grow(M, T).\n"
-                           "problem(A) :- grow(0, A).\n",
-                           budget=Budget(max_memory=10_000))
+                           "problem(A) :- grow(0, A).\n")
     assert result.status == "budget-exceeded"
     assert "memory" in result.detail
 
@@ -500,9 +500,24 @@ def test_cut_in_disjunction_and_if_then_else_of_a_recursive_clause(
     assert len(sols) == len(answers)
 
 
-def test_a_bound_variable_in_a_goal_built_as_data_is_its_value():
-    # ISO: call((! ; true)) cuts its own disjunction, however the term
-    # was built; only a variable written as a body goal acts as call/1
-    program = "p(X) :- G = (X ; true), call(G).\nq(X) :- (X ; true).\n"
-    assert len(run_query(program, "p(!)")) == 1
-    assert len(run_query(program, "q(!)")) == 2
+@pytest.mark.parametrize("query, count", [
+    # ISO: call((! ; true)) cuts its own disjunction, whether the cut
+    # reached the term through a head argument or a bound variable
+    ("p(!)", 1),
+    ("Y = !, p(Y)", 1),
+    ("b", 1),
+    ("X = !, G = (X ; true), call(G)", 1),
+    ("G = (X ; true), X = !, call(G)", 1),
+    # a variable written as a goal acts as call/1, however deep it sits
+    ("q(!)", 2),
+    ("Y = !, q(Y)", 2),
+    ("d(!)", 2),
+    ("Y = !, d(Y)", 2),
+])
+def test_a_bound_variable_in_a_goal_built_as_data_is_its_value(query,
+                                                               count):
+    program = ("p(X) :- G = (X ; true), call(G).\n"
+               "b :- X = !, G = (X ; true), call(G).\n"
+               "q(X) :- (X ; true).\n"
+               "d(X) :- ( " + "fail ; " * 300 + "X ; true ).\n")
+    assert len(run_query(program, query)) == count

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from prolite import Budget, consult, parse_program, parse_term_text, solve
+from prolite import (Budget, consult, engine, parse_program,
+                     parse_term_text, solve)
 from prolite.orchestrator import run_candidate
 from prolite.terms import Atom, Struct
 from prolite.writer import term_to_text
@@ -47,6 +48,21 @@ def test_a_deep_term_prints():
     assert term_to_text(sols[0].bindings["X"]) == text
 
 
+def test_clause_text_nested_deeper_than_the_python_stack_runs():
+    # the reader reads a list and a left-nested operator chain of any
+    # length without recursing, so a head or body template can be far
+    # deeper than a recursive walk over it could go
+    n = 3000
+    items = ", ".join(str(i) for i in range(n))
+    program = (f"big([{items}]).\n"
+               f"sum(A) :- A is {' + '.join(['1'] * n)}.\n"
+               "problem(A) :- big(L), length(L, N), "
+               f"findall(X, between(0, {n - 1}, X), M), big(M), "
+               "sum(S), A is N + S.\n")
+    result = run_candidate(program)
+    assert (result.status, result.answer) == ("ok", 2 * n), result.detail
+
+
 def test_a_builtin_redo_loop_stops_on_the_wall_clock():
     budget = Budget(max_inference_steps=1000, wall_timeout=0.2)
     program = ("problem(A) :- findall(X, between(1, 300000, X), L), "
@@ -63,9 +79,10 @@ def test_a_builtin_redo_loop_stops_on_the_wall_clock():
     "findall(X, between(1, 2000, X), A)",
     "length(A, 2000)",
 ])
-def test_answers_larger_than_the_memory_budget_are_refused(body):
-    result = run_candidate(f"problem(A) :- {body}.\n",
-                           budget=Budget(max_memory=1000))
+def test_answers_larger_than_the_memory_budget_are_refused(body,
+                                                          monkeypatch):
+    monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", 1000)
+    result = run_candidate(f"problem(A) :- {body}.\n")
     assert result.status == "budget-exceeded"
     assert "memory" in result.detail
 

@@ -24,11 +24,12 @@ since its relation reads only that domain and domains only shrink.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 
 from .clpr import RStore
-from .errors import (IneqCapExceeded, NonLinearUnsupported, PlTypeError,
-                     UnboundedDomain)
+from .errors import (BudgetExceeded, IneqCapExceeded, NonLinearUnsupported,
+                     PlTypeError, UnboundedDomain)
 from .terms import Bindings, Struct, Var, linearize
 
 INF = float("inf")
@@ -623,7 +624,8 @@ def _label(variables, store, state, strategy):
     """Depth-first search on an explicit stack of frames [values left,
     variable, mark taken before the value being tried]; a frame is
     pushed per labeled variable, so the number of variables costs no
-    Python recursion."""
+    Python recursion.  The wall clock is read at every value tried,
+    which charges no step."""
     frames = []
     while True:
         pending = [v for v in variables
@@ -653,6 +655,8 @@ def _label(variables, store, state, strategy):
             if m is not None:
                 state.undo_to(m)
             for value in values:
+                if time.monotonic() > state.deadline:
+                    raise BudgetExceeded("time")
                 m = state.mark()
                 root = store.bindings.deref(var)
                 store._clear_queue()

@@ -56,8 +56,8 @@ from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
-                    enter_binding, is_number, list_to_python, make_list,
-                    normalize_number, rebuild, term_vars)
+                    is_number, list_to_python, make_list, normalize_number,
+                    occurs, rebuild, term_vars)
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
@@ -186,21 +186,20 @@ class Solution:
     steps: int = 0            # inference steps spent up to this answer
 
 
-_CYCLE_CHECK_AFTER = 4096
+_SHARING_MEMO_AFTER = 4096
 
 
 class SolveState:
     """Single-owner machine state for one query."""
 
-    def __init__(self, db, budget=None, occurs_check=False):
+    def __init__(self, db, budget=None):
         self.db = db
         self.budget = budget or Budget()
-        self.occurs_check = occurs_check
         self.bindings = Bindings()
         self.fd = FdStore(self.bindings, self._tick)
         self.r = RStore(self.bindings, self._tick)
         self.steps = 0
-        self.deadline = None
+        self.deadline = math.inf
         self.choicepoints = []
         self.depth = 0          # goals pending, as of the last check
 
@@ -221,7 +220,7 @@ class SolveState:
 
     def _check_limits(self):
         """Wall time and memory; called every 1024 steps or redos."""
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise BudgetExceeded("time")
         if len(self.bindings.trail) + len(self.choicepoints) + self.depth \
                 > DEFAULT_MAX_MEMORY:
@@ -231,12 +230,13 @@ class SolveState:
 
     def unify(self, t1, t2):
         """Unify t1 with t2, visiting argument pairs right to left, depth
-        first; False on a clash (bindings made so far stay trailed).
+        first; False on a clash or where a variable would occur in its own
+        value (occurs check), and bindings made so far stay trailed.
 
-        Without occurs check the terms may be cyclic, so once a call has
-        expanded _CYCLE_CHECK_AFTER pairs of compounds it skips a pair it
-        has already expanded, which is being unified already (rational
-        trees); on finite terms that pair would bind nothing new.
+        Terms may share subterms (X = f(Y, Y) nested n deep is a tree of
+        2^n leaves), so once a call has expanded _SHARING_MEMO_AFTER pairs
+        of compounds it skips a pair it has already expanded: unifying
+        that pair again would bind nothing new.
         """
         deref = self.bindings.deref
         stack = None
@@ -250,6 +250,8 @@ class SolveState:
                     if type(c) is Var:
                         if not self._bind_var_var(a, c):
                             return False
+                    elif type(c) is Struct and occurs(a, c, self.bindings):
+                        return False
                     elif not self._bind_var_value(a, c):
                         return False
                 elif type(a) is Struct and type(c) is Struct:
@@ -258,7 +260,7 @@ class SolveState:
                     if stack is None:
                         stack = []
                     expanded += 1
-                    if expanded <= _CYCLE_CHECK_AFTER:
+                    if expanded <= _SHARING_MEMO_AFTER:
                         stack.extend(zip(a.args, c.args))
                     elif met is None or (id(a), id(c)) not in met:
                         if met is None:
@@ -287,10 +289,7 @@ class SolveState:
         return store.on_alias(a, c)
 
     def _bind_var_value(self, var, value):
-        if self.occurs_check and isinstance(value, Struct):
-            from .terms import occurs
-            if occurs(var, value, self.bindings):
-                return False
+        """Bind var to a non-variable value checked not to hold var."""
         store = self.bindings.owner_of(var)
         if store is None:
             self.bindings.bind(var, value)
@@ -318,12 +317,14 @@ def _match(state, tpl, t, frame, depth=0):
 
     A clause variable's first occurrence takes t as it is and later ones
     unify with it; a compound of the head is built only when a goal
-    variable gets bound to it.  Arguments are visited right to left and
-    depth first, the order `SolveState.unify` visits them in, so that
-    bindings reach the constraint stores (which may propagate, charging
-    steps, or fail) in the same order as when unifying a renamed copy of
-    the head, and the terms built hold a fresh variable wherever such a
-    copy would.
+    variable gets bound to it.  That binding needs the occurs check only
+    when the frame holds values already, since a compound built from an
+    empty frame holds fresh variables alone.  Arguments are visited right
+    to left and depth first, the order `SolveState.unify` visits them in,
+    so that bindings reach the constraint stores (which may propagate,
+    charging steps, or fail) in the same order as when unifying a renamed
+    copy of the head, and the terms built hold a fresh variable wherever
+    such a copy would.
     """
     if type(tpl) is Var:
         seen = frame.get(tpl.id)
@@ -336,7 +337,10 @@ def _match(state, tpl, t, frame, depth=0):
         bound = bmap.get(t.id)
         if bound is None:
             if type(tpl) is Struct:
-                tpl = _build(tpl, frame, depth)
+                checked = not frame
+                tpl = _build_struct(tpl, frame, depth)
+                if not checked and occurs(t, tpl, state.bindings):
+                    return False
             return state._bind_var_value(t, tpl)
         t = bound
     if type(tpl) is not Struct:
@@ -673,18 +677,18 @@ def _run(state, query):
         cont = _push_body(body, frame, barrier, nxt) if body else nxt
 
 
-def solve(query, db, budget=None, occurs_check=False, auto_label=True):
+def solve(query, db, budget=None):
     """Lazily enumerate solutions of query against db in SLD order.
 
     Yields one Solution per proof; FD variables in the answer are
     grounded by auto-labeling when the query leaves them non-ground.
     """
-    state = SolveState(db, budget, occurs_check)
+    state = SolveState(db, budget)
     state.deadline = time.monotonic() + state.budget.wall_timeout
     query_vars = term_vars(query)
 
     def snapshot(notes=()):
-        resolved = {v.name: state.bindings.resolve(v) for v in query_vars}
+        resolved = {v.name: rebuild(v, state.bindings) for v in query_vars}
         loose = frozenset(
             name for name, t in resolved.items()
             if any(state.bindings.owner_of(v) is state.r
@@ -698,12 +702,10 @@ def solve(query, db, budget=None, occurs_check=False, auto_label=True):
             goal = _build_goal(query, {v.id: v for v in query_vars},
                                _CALLED)
             for _ in _run(state, goal):
-                pending = [
-                    v for v in state.fd.constrained_vars()
-                    if isinstance(state.bindings.deref(v), Var)]
-                if auto_label and pending:
-                    for _ in fd_label(state.fd.constrained_vars(),
-                                      state.fd, state):
+                # the unbound FD variables
+                pending = state.fd.constrained_vars()
+                if pending:
+                    for _ in fd_label(pending, state.fd, state):
                         yield snapshot(("auto-label fired",))
                 else:
                     yield snapshot()
@@ -735,22 +737,23 @@ def eval_arith(expr, b):
 
     Operands are evaluated depth first, left to right, on an explicit
     stack; an entry (t,) applies t's function to the values its
-    arguments left on `values`.  A number is returned at once.  A cyclic
-    expression exceeds the memory budget (see terms.rebuild).
+    arguments left on `values`, and an entry (id,) records the value of
+    a compound reached through a variable, so that a shared one is
+    evaluated once.  A number is returned at once.
     """
-    deref = b.deref if b is not None else _itself
+    deref = b.deref
     t = deref(expr)
     kind = type(t)
     if kind is int or kind is Fraction or kind is float:
         return t
     values = []
     stack = [expr]
-    inside = set()
+    done = {}           # id of a variable's compound -> its value
     while stack:
         t = stack.pop()
         if type(t) is tuple:
             if type(t[0]) is int:
-                inside.discard(t[0])
+                done[t[0]] = values[-1]
                 continue
             t = t[0]
             n = len(t.args)
@@ -759,9 +762,13 @@ def eval_arith(expr, b):
             values.append(_apply_checked(t.name, args))
             continue
         if type(t) is Var:
-            var, t = t, deref(t)
+            t = deref(t)
             if type(t) is Struct:
-                enter_binding(var, inside, stack)
+                value = done.get(id(t))
+                if value is not None:
+                    values.append(value)
+                    continue
+                stack.append((id(t),))
         if isinstance(t, Var):
             raise InstantiationError(
                 f"unbound variable in arithmetic: {t.name}")
@@ -783,10 +790,6 @@ def eval_arith(expr, b):
         else:
             raise PlTypeError(f"bad arithmetic term: {t!r}")
     return values[0]
-
-
-def _itself(t):
-    return t
 
 
 def _apply_checked(name, args):
@@ -940,10 +943,9 @@ def compare_terms(a, c):
     return 0
 
 
-def copy_term(t, b, mapping=None):
+def copy_term(t, b):
     """Resolved copy of t with unbound variables renamed fresh."""
-    if mapping is None:
-        mapping = {}
+    mapping = {}
 
     def fresh(v):
         nv = mapping.get(v.id)
@@ -1053,8 +1055,8 @@ def _bi_not_unify(state, args, barrier):
 
 
 def _structurally_equal(state, t1, t2):
-    """t1 == t2.  A pair of compounds met again is taken as equal, so
-    cyclic terms compare in finite time (as rational trees)."""
+    """t1 == t2.  A pair of compounds is compared once, so terms that
+    share subterms compare in time linear in their size as DAGs."""
     b = state.bindings
     stack = [(t1, t2)]
     compared = set()
@@ -1136,7 +1138,7 @@ def _bi_msort(state, args, barrier):
     items = list_to_python(args[0], state.bindings)
     if items is None:
         raise InstantiationError("msort/2 expects a proper list")
-    resolved = [state.bindings.resolve(x) for x in items]
+    resolved = [rebuild(x, state.bindings) for x in items]
     resolved.sort(key=functools.cmp_to_key(compare_terms))
     return _ONCE if state.unify(args[1], make_list(resolved)) else ()
 
@@ -1146,23 +1148,17 @@ def _bi_msort(state, args, barrier):
 def _rational_route(state, args):
     """True when a #-constraint belongs to the rational solver."""
     stack = list(args)
-    inside = set()
+    walked = set()      # ids of compounds, so a shared one is walked once
     while stack:
-        t = stack.pop()
-        if type(t) is tuple:
-            inside.discard(t[0])
-            continue
-        if type(t) is Var:
-            var, t = t, state.bindings.deref(t)
-            if type(t) is Struct:
-                enter_binding(var, inside, stack)
+        t = state.bindings.deref(stack.pop())
         if isinstance(t, Fraction) or isinstance(t, float):
             return True
         if isinstance(t, Var) and state.bindings.owner_of(t) is state.r:
             return True
-        if isinstance(t, Struct):
+        if isinstance(t, Struct) and id(t) not in walked:
             if t.name in ("/", "rdiv") and len(t.args) == 2:
                 return True
+            walked.add(id(t))
             stack.extend(t.args)
     return False
 

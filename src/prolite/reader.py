@@ -235,18 +235,27 @@ _STARTS_TERM = frozenset(("int", "dec", "var", "atom", "str"))
 _OPENS_TERM = frozenset(("(", "[", "{"))
 
 
+MAX_NESTING = 200       # levels of brackets and prefix operators
+
+
 class _Parser:
     """Pratt parser reading a token list in place from an index.
 
     `parse` reads a prefix-position term (a primary, or a prefix operator
     and its operand), then folds infix operators into it while they bind
-    no looser than its priority limit.  Every token that can end a term
-    is left unread, and reading an `end` or `eof` as a term is an error,
-    so a clause is parsed without slicing it out of the list.  Tokens
-    are read as tuples (kind, text, value, layout, source, offset).
+    no looser than its priority limit.  It reads an infix operator's
+    right operand in the same loop, keeping (left operand, operator,
+    priority, outer limit, next) on the `pending` chain, so a chain of
+    operators of any length costs no Python recursion.  Brackets,
+    argument lists and prefix operators recurse, and a term nested more
+    than MAX_NESTING levels is a ParseError.  Every token that can end a
+    term is left unread, and reading an `end` or `eof` as a term is an
+    error, so a clause is parsed without slicing it out of the list.
+    Tokens are read as tuples (kind, text, value, layout, source,
+    offset).
     """
 
-    __slots__ = ("toks", "pos", "varmap", "prefix", "infix")
+    __slots__ = ("toks", "pos", "varmap", "prefix", "infix", "depth")
 
     def __init__(self, tokens, ops):
         self.toks = tokens
@@ -254,71 +263,80 @@ class _Parser:
         self.varmap = {}
         self.prefix = ops.prefix
         self.infix = ops.infix
+        self.depth = 0
 
     def fail(self, message, tok, expected=None):
         raise ParseError(message, *_line_col(tok[4], tok[5]), expected)
 
     def parse(self, max_prio):
         toks = self.toks
-        pos = self.pos
-        tok = toks[pos]
-        self.pos = pos + 1
-        kind = tok[0]
-        prio = 0
-        if kind == "atom":
-            nxt = toks[pos + 1]
-            if nxt[1] == "(" and nxt[0] == "punct" and not nxt[3]:
-                # functional notation, the commonest case of self.atom
-                self.pos = pos + 2
-                left = Struct(tok[1], self.arguments())
-            else:
-                left, prio = self.atom(tok, max_prio)
-        elif kind == "var":
-            name = tok[1]
-            if name == "_":
-                left = Var("_")
-            else:
-                left = self.varmap.get(name)
-                if left is None:
-                    left = self.varmap[name] = Var(name)
-        elif kind == "int" or kind == "dec":
-            left = tok[2] if kind == "int" else normalize_number(tok[2])
-        elif kind == "punct":
-            left = self.punct(tok)
-        elif kind == "str":
-            left = Atom(tok[1])
-        elif kind == "end":
-            self.fail("unexpected end of clause", tok)
-        else:
-            self.fail("unexpected end of input", tok)
-
+        depth = self.depth = self.depth + 1
+        if depth > MAX_NESTING:
+            self.fail(f"term nested deeper than {MAX_NESTING} levels",
+                      toks[self.pos])
         infix = self.infix
+        pending = None
         while True:
-            tok = toks[self.pos]
-            kind, name = tok[0], tok[1]
-            if not (kind == "atom"
-                    or kind == "punct" and (name == "," or name == "|")):
-                return left
-            entry = infix.get(name)
-            if entry is None:
-                return left
-            op_prio, typ = entry
-            if op_prio > max_prio:
-                return left
-            if prio > (op_prio if typ == "yfx" else op_prio - 1):
-                raise OperatorClash(f"operator priority clash at {name!r}",
-                                    *_line_col(tok[4], tok[5]))
-            self.pos += 1
-            right = self.parse(op_prio if typ == "xfy" else op_prio - 1)
-            prio = op_prio
-            if name == "|":
-                name = ";"  # '|' as infix is an alternative spelling of ';'
-            elif name == "rdiv" and type(left) is int and type(right) is int \
-                    and right != 0:
-                # two integer literals fold into an exact rational
-                left = normalize_number(Fraction(left, right))
-                continue
-            left = Struct(name, (left, right))
+            pos = self.pos
+            tok = toks[pos]
+            self.pos = pos + 1
+            kind = tok[0]
+            prio = 0
+            if kind == "atom":
+                nxt = toks[pos + 1]
+                if nxt[1] == "(" and nxt[0] == "punct" and not nxt[3]:
+                    # functional notation, the commonest case of self.atom
+                    self.pos = pos + 2
+                    left = Struct(tok[1], self.arguments())
+                else:
+                    left, prio = self.atom(tok, max_prio)
+            elif kind == "var":
+                name = tok[1]
+                if name == "_":
+                    left = Var("_")
+                else:
+                    left = self.varmap.get(name)
+                    if left is None:
+                        left = self.varmap[name] = Var(name)
+            elif kind == "int" or kind == "dec":
+                left = tok[2] if kind == "int" else normalize_number(tok[2])
+            elif kind == "punct":
+                left = self.punct(tok)
+            elif kind == "str":
+                left = Atom(tok[1])
+            elif kind == "end":
+                self.fail("unexpected end of clause", tok)
+            else:
+                self.fail("unexpected end of input", tok)
+
+            while True:
+                tok = toks[self.pos]
+                kind, name = tok[0], tok[1]
+                entry = infix.get(name) if kind == "atom" or kind == "punct" \
+                    and (name == "," or name == "|") else None
+                if entry is None or entry[0] > max_prio:
+                    if pending is None:
+                        self.depth = depth - 1
+                        return left
+                    right = left
+                    left, name, prio, max_prio, pending = pending
+                    if name == "rdiv" and type(left) is int \
+                            and type(right) is int and right != 0:
+                        # two integer literals fold into an exact rational
+                        left = normalize_number(Fraction(left, right))
+                    else:
+                        left = Struct(name, (left, right))
+                    continue
+                op_prio, typ = entry
+                if prio > (op_prio if typ == "yfx" else op_prio - 1):
+                    raise OperatorClash(f"operator priority clash at {name!r}",
+                                        *_line_col(tok[4], tok[5]))
+                self.pos += 1
+                if name == "|":
+                    name = ";"  # '|' as infix is another spelling of ';'
+                pending = (left, name, op_prio, max_prio, pending)
+                max_prio = op_prio if typ == "xfy" else op_prio - 1
+                break
 
     def atom(self, tok, max_prio):
         """(term, priority) of a term that starts with an atom."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import BudgetExceeded, NonLinearUnsupported, TypeMix
+from .errors import NonLinearUnsupported, TypeMix
 
 
 class Var:
@@ -96,25 +96,17 @@ def make_list(items, tail=NIL):
 
 
 def list_to_python(t, b=None):
-    """Walk a proper list into a Python list; returns None when improper,
-    cyclic lists included (found by Brent's method: the cell saved at
-    each power of two recurs within a cycle's length)."""
+    """Walk a proper list into a Python list; returns None when improper."""
     items = []
-    saved, power = None, 1
     while True:
         if b is not None:
             t = b.deref(t)
         if t is NIL:
             return items
-        if isinstance(t, Struct) and t.name == "." and len(t.args) == 2:
-            if t is saved:
-                return None
-            if len(items) == power:
-                saved, power = t, 2 * power
-            items.append(b.deref(t.args[0]) if b is not None else t.args[0])
-            t = t.args[1]
-        else:
+        if not (isinstance(t, Struct) and t.name == "." and len(t.args) == 2):
             return None
+        items.append(b.deref(t.args[0]) if b is not None else t.args[0])
+        t = t.args[1]
 
 
 _ABSENT = object()  # trailed as the old value of a key that set() created
@@ -189,10 +181,6 @@ class Bindings:
             t = bound
         return t
 
-    def resolve(self, t):
-        """Fully substitute bindings through t (for answer snapshots)."""
-        return rebuild(t, self)
-
 
 def rebuild(t, bindings=None, leaf=None):
     """Copy of t read through bindings (when given), with each unbound
@@ -200,32 +188,30 @@ def rebuild(t, bindings=None, leaf=None):
 
     Compounds are rebuilt bottom-up on an explicit stack, so the depth
     of t costs no Python recursion; leaf sees the variables left to
-    right, in order of first occurrence.  Unification has no occurs
-    check, so a binding can make t cyclic; its copy would be infinite,
-    which is reported as exceeding the memory budget.
+    right, in order of first occurrence.  A compound met again is
+    copied once and the copy shared, so a term whose subterms are shared
+    (a DAG, such as X = f(Y, Y) nested) costs time in its size as a DAG,
+    not as the tree it stands for.
     """
     out = []
     stack = [t]
-    inside = set()      # variables whose bound compound is being copied
+    copies = {}         # id of a compound -> its copy
     while stack:
         t = stack.pop()
         if type(t) is tuple:
-            if type(t[0]) is int:
-                # (variable id,): its bound compound is copied
-                inside.discard(t[0])
-                continue
             # (compound,): its arguments are the last len(args) of out
             t = t[0]
             n = len(t.args)
             args = out[-n:]
             del out[-n:]
-            out.append(Struct(t.name, args))
+            copy = copies[id(t)] = Struct(t.name, args)
+            out.append(copy)
             continue
         if bindings is not None and type(t) is Var:
-            var, t = t, bindings.deref(t)
-            if type(t) is Struct:
-                enter_binding(var, inside, stack)
-        if type(t) is Struct:
+            t = bindings.deref(t)
+        if type(t) is Struct and id(t) in copies:
+            out.append(copies[id(t)])
+        elif type(t) is Struct:
             stack.append((t,))
             stack.extend(reversed(t.args))
         elif leaf is not None and type(t) is Var:
@@ -235,46 +221,34 @@ def rebuild(t, bindings=None, leaf=None):
     return out[0]
 
 
-def enter_binding(var, inside, stack):
-    """Note that a walk enters the compound var is bound to, until the
-    (var id,) entry pushed here is popped; entering it again inside is a
-    cycle."""
-    if var.id in inside:
-        raise BudgetExceeded("memory")
-    inside.add(var.id)
-    stack.append((var.id,))
-
-
 def occurs(var, t, b):
-    """True iff var appears in the dereferenced expansion of t."""
+    """True iff var occurs in t read through b.  Each compound is walked
+    once, so a shared subterm costs its size once."""
     stack = [t]
+    walked = set()
     while stack:
-        cur = b.deref(stack.pop())
-        if isinstance(cur, Var):
-            if cur.id == var.id:
-                return True
-        elif isinstance(cur, Struct):
-            stack.extend(cur.args)
+        t = b.deref(stack.pop())
+        if type(t) is Struct and id(t) not in walked:
+            walked.add(id(t))
+            stack.extend(t.args)
+        elif t is var:
+            return True
     return False
 
 
-def term_vars(t, b=None, acc=None):
-    """All unbound variables in t, in left-to-right first-occurrence order."""
-    if acc is None:
-        acc = []
-    seen = {v.id for v in acc}
+def term_vars(t):
+    """All variables in t, in left-to-right first-occurrence order."""
+    found = {}          # var id -> var, in order of first occurrence
+    walked = set()      # ids of compounds, so a shared subterm is walked once
     stack = [t]
     while stack:
         t = stack.pop()
-        if b is not None:
-            t = b.deref(t)
         if isinstance(t, Var):
-            if t.id not in seen:
-                seen.add(t.id)
-                acc.append(t)
-        elif isinstance(t, Struct):
+            found.setdefault(t.id, t)
+        elif isinstance(t, Struct) and id(t) not in walked:
+            walked.add(id(t))
             stack.extend(reversed(t.args))
-    return acc
+    return list(found.values())
 
 
 def arg_key(t):
@@ -341,24 +315,32 @@ def linearize(expr, bindings, constant, leaf, special):
     or None.  Leaves are visited left to right, so the side effects of
     leaf and special happen in source order.  Zero coefficients are
     dropped from the result.  The walk keeps its own stack: an entry
-    (t, op) combines the values that t's arguments left on `values`.
+    (t, op) combines the values that t's arguments left on `values`, and
+    an entry (id,) records the value of a compound reached through a
+    variable, so that a shared one is walked once.
     """
     one, zero = constant(1), constant(0)
     values = []
     stack = [expr]
-    inside = set()
+    done = {}           # id of a variable's compound -> (coeffs, const)
     while stack:
         t = stack.pop()
         if type(t) is tuple:
             if type(t[0]) is int:
-                inside.discard(t[0])
+                # _combine updates a left operand's coefficients in place
+                coeffs, k = values[-1]
+                done[t[0]] = (dict(coeffs), k)
             else:
                 _combine(values, t[1], zero)
             continue
         if type(t) is Var:
-            var, t = t, bindings.deref(t)
+            t = bindings.deref(t)
             if type(t) is Struct:
-                enter_binding(var, inside, stack)
+                found = done.get(id(t))
+                if found is not None:
+                    values.append((dict(found[0]), found[1]))
+                    continue
+                stack.append((id(t),))
         if isinstance(t, Var):
             values.append(({leaf(t): one}, zero))
             continue

@@ -26,9 +26,7 @@ def _atom_text(name):
     return f"'{escaped}'"
 
 
-def term_to_text(t, ops=DEFAULT_OPS, bindings=None):
-    if bindings is not None:
-        t = bindings.resolve(t)
+def term_to_text(t, ops=DEFAULT_OPS):
     return _write(t, 1200, ops)
 
 

@@ -1,10 +1,13 @@
-"""Hostile candidate programs: huge answers, deep and cyclic terms and
-builtin redo loops end in their exec status within the budget, and the
-walks over those terms raise no Python RecursionError."""
+"""Hostile candidate programs: huge answers, deep terms, terms that
+share subterms, cyclic bindings, long labelings, deeply nested clause
+text and builtin redo loops end in their exec status within the budget,
+and neither the reader nor the walks over those terms raise a Python
+RecursionError."""
 
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prolite import (Budget, consult, engine, parse_program,
                      parse_term_text, solve)
@@ -87,9 +90,10 @@ def test_answers_larger_than_the_memory_budget_are_refused(body,
     assert "memory" in result.detail
 
 
-@pytest.mark.parametrize("body, status, answer", [
-    # unification has no occurs check, so these bindings make cyclic
-    # terms; every walk over them ends
+@pytest.mark.parametrize("body, former_status, former_answer", [
+    # each of these binds a variable to a term that holds it, which the
+    # occurs check fails; the parameters keep the verdict each case had
+    # when unification had no occurs check and made a cyclic term
     ("A = f(A)", "budget-exceeded", None),
     ("X = X + 1, A is X", "budget-exceeded", None),
     ("X = X + 1, A #= X", "budget-exceeded", None),
@@ -102,8 +106,91 @@ def test_answers_larger_than_the_memory_budget_are_refused(body,
     ("L = [1, 2|L], msort(L, A)", "runtime-error", None),
     ("L = [1, 2|L], ( length(L, 3) -> A = 1 ; A = 0 )", "ok", 0),
 ])
-def test_cyclic_terms_end(body, status, answer):
+def test_cyclic_terms_end(body, former_status, former_answer):
     started = time.monotonic()
     result = run_candidate(f"problem(A) :- {body}.\n")
-    assert (result.status, result.answer) == (status, answer), result.detail
+    assert (result.status, result.answer) == ("no-solution", None), \
+        result.detail
     assert time.monotonic() - started < 5.0
+
+
+def _chain(var, n, op):
+    """Goals binding var0 .. var<n>, each var<i> to a term that holds
+    var<i-1> twice: f(X, X) nested n deep, or X + X summing to 2^n."""
+    goals = [f"{var}0 = " + ("a" if op == "f" else "1")]
+    for i in range(1, n + 1):
+        prev = f"{var}{i - 1}"
+        goals.append(f"{var}{i} = " + (f"f({prev}, {prev})" if op == "f"
+                                       else f"{prev} + {prev}"))
+    return ", ".join(goals)
+
+
+SHARED = 60
+
+
+@pytest.mark.parametrize("body, status, answer", [
+    (f"{_chain('X', SHARED, 'f')}, {_chain('Y', SHARED, 'f')}, "
+     f"X{SHARED} = Y{SHARED}, A = 1", "ok", 1),
+    (f"{_chain('X', SHARED, 'f')}, {_chain('Y', SHARED, 'f')}, "
+     f"X{SHARED} == Y{SHARED}, A = 1", "ok", 1),
+    (f"{_chain('X', SHARED, 'f')}, A = X{SHARED}", "non-numeric", None),
+    (f"{_chain('X', SHARED, 'f')}, findall(X{SHARED}, true, [A])",
+     "non-numeric", None),
+    (f"{_chain('X', SHARED, '+')}, {{A = X{SHARED}}}", "ok", 2 ** SHARED),
+    (f"{_chain('X', SHARED, '+')}, A is X{SHARED}", "ok", 2 ** SHARED),
+    (f"{_chain('X', SHARED, '+')}, A #= X{SHARED}", "ok", 2 ** SHARED),
+], ids=["=", "==", "answer", "findall", "braces", "is", "#="])
+def test_shared_subterms_are_walked_once(body, status, answer):
+    # a term of 2^60 leaves as a tree and 60 compounds as a DAG: every
+    # walk on the way (unify, ==, the occurs check, rebuild for answers
+    # and copies, term_vars, arithmetic, linear forms, # routing) must
+    # visit each shared compound once, since none of them checks the
+    # clock
+    budget = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
+    started = time.monotonic()
+    result = run_candidate(f"problem(A) :- {body}.\n", budget=budget)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.answer) == (status, answer), result.detail
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
+def test_labeling_stops_on_the_wall_clock():
+    # 6,000 free 0..1 variables: labeling costs O(n^2) before any
+    # propagation, far past the half second allowed
+    budget = Budget(max_inference_steps=10 ** 6, wall_timeout=0.5)
+    program = ("doms([]).\ndoms([V|T]) :- V #>= 0, V #=< 1, doms(T).\n"
+               "problem(A) :- length(L, 6000), doms(L), label(L), A = 1.\n")
+    started = time.monotonic()
+    result = run_candidate(program, budget=budget)
+    elapsed = time.monotonic() - started
+    assert result.status == "budget-exceeded"
+    assert "time" in result.detail
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
+def test_clause_text_nested_10000_deep_is_a_parse_error():
+    nested = "f(" * 10000 + "a" + ")" * 10000
+    result = run_candidate(f"problem(A) :- A = {nested}.\n")
+    assert result.status == "parse-error"
+    assert "nested deeper" in result.detail
+
+
+def test_a_body_of_10000_goals_runs():
+    result = run_candidate("problem(A) :- " + "true, " * 10000 + "A = 1.\n")
+    assert (result.status, result.answer) == ("ok", 1), result.detail
+
+
+_WRAPPERS = ["f({})", "({})", "[{}]", "{{{}}}", "- {}", "\\+ {}",
+             "g(a, {})", "[a|{}]", "{} + 1", "1 + {}", "(a, {})", "{} ; b",
+             "a ^ {}", "a -> {}", "- ({})", "[{}, b]"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_WRAPPERS), min_size=1, max_size=40),
+       st.integers(1, 60))
+def test_random_nesting_never_escapes_the_reader(wrappers, repeats):
+    term = "x"
+    for wrapper in wrappers * repeats:
+        term = wrapper.format(term)
+    result = run_candidate(f"problem(A) :- X = ({term}), A = 1.\n")
+    assert result.status in ("ok", "parse-error"), result.detail

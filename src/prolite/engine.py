@@ -396,19 +396,11 @@ def _build_struct(tpl, frame, depth):
 _new = object.__new__
 
 
-# How the machine reads each argument of a control construct: as a goal
-# (_GOAL), as a goal it dereferences and runs under a barrier of its own
-# (_CALLED), or as data (_DATA).
+# How the machine reads each argument of a control construct (the
+# roles of its _Control entry in BUILTINS): as a goal (_GOAL), as a goal
+# it dereferences and runs under a barrier of its own (_CALLED), or as
+# data (_DATA).
 _GOAL, _CALLED, _DATA = range(3)
-_CONTROL_ARGS = {
-    (",", 2): (_GOAL, _GOAL),
-    (";", 2): (_GOAL, _GOAL),
-    ("->", 2): (_CALLED, _GOAL),
-    ("\\+", 1): (_CALLED,),
-    ("call", 1): (_CALLED,),
-    ("findall", 3): (_DATA, _CALLED, _DATA),
-}
-_CONTROL_NAMES = frozenset(name for name, _ in _CONTROL_ARGS)
 
 
 class _VarGoal:
@@ -449,13 +441,13 @@ def _build_goal(tpl, frame, role=_GOAL):
         elif kind is not Struct:
             built.append(t)
         else:
-            roles = _CONTROL_ARGS.get((t.name, len(t.args))) \
+            entry = BUILTINS.get((t.name, len(t.args))) \
                 if role != _DATA else None
-            if roles is None:
+            if type(entry) is not _Control:
                 built.append(_build_struct(t, frame, 0))
             else:
                 todo.append((t, None))
-                args = t.args
+                args, roles = t.args, entry.roles
                 for i in range(len(args) - 1, -1, -1):
                     todo.append((args[i], roles[i]))
     return built[0]
@@ -503,12 +495,14 @@ def _then(goal, barrier, cont):
 class _Control:
     """A BUILTINS entry the machine runs itself.  run(state, args,
     barrier, cont) returns the continuation to go on with, or _FAIL; it
-    may push choice points on state.choicepoints."""
+    may push choice points on state.choicepoints.  roles holds, per
+    argument, how _build_goal builds it: _GOAL, _CALLED or _DATA."""
 
-    __slots__ = ("run",)
+    __slots__ = ("run", "roles")
 
-    def __init__(self, run):
+    def __init__(self, run, roles):
         self.run = run
+        self.roles = roles
 
 
 class _Marker:
@@ -587,10 +581,15 @@ def _run(state, query):
                 if kind == _NOT:
                     cont = cp[2]
                     break
-                # _FINDALL: the goal has no more proofs
-                if state.unify(cp[4], make_list(cp[2])):
-                    cont = cp[5]
-                    break
+                # _FINDALL: the goal has no more proofs.  The answers are
+                # fresh copies, so an unbound result cannot occur in them.
+                result, answers = bindings.deref(cp[4]), make_list(cp[2])
+                if type(result) is Var and bindings.owner_of(result) is None:
+                    bindings.bind(result, answers)
+                elif not state.unify(result, answers):
+                    continue
+                cont = cp[5]
+                break
             else:
                 return
             continue
@@ -737,9 +736,9 @@ def eval_arith(expr, b):
 
     Operands are evaluated depth first, left to right, on an explicit
     stack; an entry (t,) applies t's function to the values its
-    arguments left on `values`, and an entry (id,) records the value of
-    a compound reached through a variable, so that a shared one is
-    evaluated once.  A number is returned at once.
+    arguments left on `values` and records the value by t's id, so that
+    a compound the term shares is evaluated once.  A number is returned
+    at once.
     """
     deref = b.deref
     t = deref(expr)
@@ -747,28 +746,28 @@ def eval_arith(expr, b):
     if kind is int or kind is Fraction or kind is float:
         return t
     values = []
-    stack = [expr]
-    done = {}           # id of a variable's compound -> its value
+    stack = [t]
+    done = {}           # id of a compound -> its value
     while stack:
         t = stack.pop()
         if type(t) is tuple:
-            if type(t[0]) is int:
-                done[t[0]] = values[-1]
-                continue
             t = t[0]
             n = len(t.args)
             args = values[-n:]
             del values[-n:]
-            values.append(_apply_checked(t.name, args))
+            value = done[id(t)] = _apply_checked(t.name, args)
+            values.append(value)
             continue
         if type(t) is Var:
             t = deref(t)
-            if type(t) is Struct:
-                value = done.get(id(t))
-                if value is not None:
-                    values.append(value)
-                    continue
-                stack.append((id(t),))
+        if type(t) is Struct:
+            value = done.get(id(t))
+            if value is None:
+                stack.append((t,))
+                stack.extend(reversed(t.args))
+            else:
+                values.append(value)
+            continue
         if isinstance(t, Var):
             raise InstantiationError(
                 f"unbound variable in arithmetic: {t.name}")
@@ -784,9 +783,6 @@ def eval_arith(expr, b):
             else:
                 raise PlTypeError(
                     f"non-numeric leaf in arithmetic: {t.name}")
-        elif isinstance(t, Struct):
-            stack.append((t,))
-            stack.extend(reversed(t.args))
         else:
             raise PlTypeError(f"bad arithmetic term: {t!r}")
     return values[0]
@@ -904,43 +900,53 @@ def _iroot(a, n):
         x = y
 
 
-# --- term ordering (for msort) ---------------------------------------
+# --- standard order of terms ------------------------------------------
 
-def _type_rank(t):
-    if isinstance(t, Var):
-        return 0
-    if is_number(t):
-        return 1
-    if isinstance(t, Atom):
-        return 2
-    return 3
+# ISO/IEC 13211-1 7.2: Var < Number < Atom < Compound
+_ORDER = {Var: 0, int: 1, Fraction: 1, float: 1, Atom: 2, Struct: 3}
 
 
-def compare_terms(a, c):
-    """Standard order of two resolved terms: -1, 0 or 1.  Arguments are
-    compared left to right, depth first, on an explicit stack."""
-    stack = [(a, c)]
-    while stack:
+def compare_terms(a, c, bindings):
+    """Standard order of a and c read through bindings: -1, 0 or 1.
+
+    Variables are ordered by age, numbers by value with a float before
+    an equal integer, atoms by name, and compounds by arity, then name,
+    then arguments left to right.  The walk goes depth first on its own
+    stack and expands a pair of compounds once: terms are acyclic, so a
+    pair met again was found equal the first time, and terms that share
+    subterms compare in time linear in their size as DAGs.
+    """
+    deref = bindings.deref
+    stack = []
+    compared = set()
+    while True:
+        a, c = deref(a), deref(c)
+        if a is not c:
+            rank, other = _ORDER[type(a)], _ORDER[type(c)]
+            if rank != other:
+                return -1 if rank < other else 1
+            if rank == 3:
+                n = len(a.args)
+                if n != len(c.args):
+                    return -1 if n < len(c.args) else 1
+                if a.name != c.name:
+                    return -1 if a.name < c.name else 1
+                if (id(a), id(c)) not in compared:
+                    compared.add((id(a), id(c)))
+                    stack.extend(zip(reversed(a.args), reversed(c.args)))
+            elif rank == 1:
+                if a != c:
+                    return -1 if a < c else 1
+                r = (type(c) is float) - (type(a) is float)
+                if r:
+                    return r
+            elif rank == 0:
+                return -1 if a.id < c.id else 1
+            else:
+                return -1 if a.name < c.name else 1
+        if not stack:
+            return 0
         a, c = stack.pop()
-        ra, rc = _type_rank(a), _type_rank(c)
-        if ra != rc:
-            return -1 if ra < rc else 1
-        if ra == 0:
-            r = (a.id > c.id) - (a.id < c.id)
-        elif ra == 1:
-            r = (a > c) - (a < c)
-        elif ra == 2:
-            r = (a.name > c.name) - (a.name < c.name)
-        elif len(a.args) != len(c.args):
-            return -1 if len(a.args) < len(c.args) else 1
-        elif a.name != c.name:
-            return -1 if a.name < c.name else 1
-        else:
-            stack.extend(reversed(list(zip(a.args, c.args))))
-            continue
-        if r != 0:
-            return r
-    return 0
 
 
 def copy_term(t, b):
@@ -1054,38 +1060,12 @@ def _bi_not_unify(state, args, barrier):
     return () if ok else _ONCE
 
 
-def _structurally_equal(state, t1, t2):
-    """t1 == t2.  A pair of compounds is compared once, so terms that
-    share subterms compare in time linear in their size as DAGs."""
-    b = state.bindings
-    stack = [(t1, t2)]
-    compared = set()
-    while stack:
-        t1, t2 = stack.pop()
-        t1, t2 = b.deref(t1), b.deref(t2)
-        if t1 is t2:
-            continue
-        if isinstance(t1, Var) or isinstance(t2, Var):
-            if not (isinstance(t1, Var) and isinstance(t2, Var)
-                    and t1.id == t2.id):
-                return False
-        elif isinstance(t1, Struct) and isinstance(t2, Struct):
-            if t1.name != t2.name or len(t1.args) != len(t2.args):
-                return False
-            if (id(t1), id(t2)) not in compared:
-                compared.add((id(t1), id(t2)))
-                stack.extend(zip(t1.args, t2.args))
-        elif not (type(t1) is type(t2) and t1 == t2):
-            return False
-    return True
-
-
 def _bi_struct_eq(state, args, barrier):
-    return _ONCE if _structurally_equal(state, args[0], args[1]) else ()
+    return () if compare_terms(args[0], args[1], state.bindings) else _ONCE
 
 
 def _bi_struct_neq(state, args, barrier):
-    return () if _structurally_equal(state, args[0], args[1]) else _ONCE
+    return _ONCE if compare_terms(args[0], args[1], state.bindings) else ()
 
 
 def _bi_is(state, args, barrier):
@@ -1135,12 +1115,13 @@ def _bi_length(state, args, barrier):
 
 
 def _bi_msort(state, args, barrier):
-    items = list_to_python(args[0], state.bindings)
+    b = state.bindings
+    items = list_to_python(args[0], b)
     if items is None:
         raise InstantiationError("msort/2 expects a proper list")
-    resolved = [rebuild(x, state.bindings) for x in items]
-    resolved.sort(key=functools.cmp_to_key(compare_terms))
-    return _ONCE if state.unify(args[1], make_list(resolved)) else ()
+    items.sort(key=functools.cmp_to_key(
+        lambda x, y: compare_terms(x, y, b)))
+    return _ONCE if state.unify(args[1], make_list(items)) else ()
 
 
 # --- constraint goals -----------------------------------------------
@@ -1208,12 +1189,12 @@ BUILTINS = {
     ("true", 0): _bi_true,
     ("fail", 0): _bi_fail,
     ("false", 0): _bi_fail,
-    ("!", 0): _Control(_run_cut),
-    (",", 2): _Control(_run_and),
-    (";", 2): _Control(_run_or),
-    ("->", 2): _Control(_run_if_then),
-    ("\\+", 1): _Control(_run_not),
-    ("call", 1): _Control(_run_call),
+    ("!", 0): _Control(_run_cut, ()),
+    (",", 2): _Control(_run_and, (_GOAL, _GOAL)),
+    (";", 2): _Control(_run_or, (_GOAL, _GOAL)),
+    ("->", 2): _Control(_run_if_then, (_CALLED, _GOAL)),
+    ("\\+", 1): _Control(_run_not, (_CALLED,)),
+    ("call", 1): _Control(_run_call, (_CALLED,)),
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
     ("==", 2): _bi_struct_eq,
@@ -1228,9 +1209,14 @@ BUILTINS = {
     ("between", 3): _bi_between,
     ("length", 2): _bi_length,
     ("msort", 2): _bi_msort,
-    ("findall", 3): _Control(_run_findall),
+    ("findall", 3): _Control(_run_findall, (_DATA, _CALLED, _DATA)),
     ("{}", 1): _bi_braces,
     ("label", 1): _bi_label,
     ("labeling", 2): _bi_labeling,
     **{(op, 2): _fd_relation(op) for op in REL_OPS},
 }
+
+# names of the control constructs with arguments; _push_body builds a
+# body goal with one of them through _build_goal
+_CONTROL_NAMES = frozenset(name for (name, _), entry in BUILTINS.items()
+                           if type(entry) is _Control and entry.roles)

@@ -58,7 +58,7 @@ class EvaluationError(PrologRuntimeError):
 class BudgetExceeded(PrologRuntimeError):
     def __init__(self, kind):
         super().__init__(f"budget exceeded ({kind})")
-        self.kind = kind  # "steps" or "time"
+        self.kind = kind  # "steps", "time" or "memory"
 
 
 class BuiltinRedefinition(ProliteError):

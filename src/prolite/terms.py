@@ -316,13 +316,17 @@ def linearize(expr, bindings, constant, leaf, special):
     leaf and special happen in source order.  Zero coefficients are
     dropped from the result.  The walk keeps its own stack: an entry
     (t, op) combines the values that t's arguments left on `values`, and
-    an entry (id,) records the value of a compound reached through a
-    variable, so that a shared one is walked once.
+    an entry (id,) records a copy of the value of a compound.  A compound
+    reached through a variable, and a special one, is recorded when it is
+    first met; any other is recorded only when it is met a second time,
+    so an unshared term pays no copy per compound, and a shared one is
+    walked at most twice.
     """
     one, zero = constant(1), constant(0)
     values = []
     stack = [expr]
-    done = {}           # id of a variable's compound -> (coeffs, const)
+    done = {}           # id of a compound -> (coeffs, const)
+    seen = set()        # ids of compounds walked once, not recorded
     while stack:
         t = stack.pop()
         if type(t) is tuple:
@@ -333,25 +337,29 @@ def linearize(expr, bindings, constant, leaf, special):
             else:
                 _combine(values, t[1], zero)
             continue
-        if type(t) is Var:
+        through_var = type(t) is Var
+        if through_var:
             t = bindings.deref(t)
-            if type(t) is Struct:
-                found = done.get(id(t))
-                if found is not None:
-                    values.append((dict(found[0]), found[1]))
-                    continue
-                stack.append((id(t),))
         if isinstance(t, Var):
             values.append(({leaf(t): one}, zero))
             continue
         if isinstance(t, Struct):
+            found = done.get(id(t))
+            if found is not None:
+                values.append((dict(found[0]), found[1]))
+                continue
             op = _LINEAR_OPS.get((t.name, len(t.args)))
             if op is not None:
+                if through_var or id(t) in seen:
+                    stack.append((id(t),))
+                else:
+                    seen.add(id(t))
                 stack.append((t, op))
                 stack.extend(reversed(t.args))
                 continue
             found = special(t)
             if found is not None:
+                done[id(t)] = (dict(found[0]), found[1])
                 values.append(found)
                 continue
         values.append(({}, constant(t)))

@@ -215,6 +215,19 @@ def test_msort_sorts_keeping_duplicates():
     assert list_to_python(lst) == [1, 1, 2, 3]
 
 
+def test_msort_and_equality_follow_the_standard_order():
+    # floats come from float/1: the reader reads 1.0 as the exact 1
+    sols = run_query("", "F is float(1), H is F / 2, "
+                         "msort([1, F, a, X, f(b), H], L)")
+    lst = list_to_python(sols[0].bindings["L"])
+    assert isinstance(lst[0], Var)
+    assert [(t, type(t)) for t in lst[1:4]] == \
+        [(0.5, float), (1.0, float), (1, int)]
+    assert lst[4:] == [Atom("a"), Struct("f", (Atom("b"),))]
+    assert run_query("", "F is float(1), F == 1") == []
+    assert len(run_query("", "F is float(1), F \\== 1")) == 1
+
+
 def test_findall_collects_all_proofs():
     sols = run_query(FAMILY, "findall(C, parent(tom, C), L)")
     from prolite.terms import list_to_python
@@ -224,6 +237,14 @@ def test_findall_collects_all_proofs():
 def test_findall_empty_on_failure():
     sols = run_query(FAMILY, "findall(C, parent(liz, C), L)")
     assert sols[0].bindings["L"] is parse_term_text("[]")
+
+
+@pytest.mark.parametrize("constraint", ["X #> 0", "{X > 0}"])
+def test_findall_result_a_store_owns_goes_through_that_store(constraint):
+    # an unbound result no store owns is bound to the answer list
+    # directly; one a constraint store owns must still be refused by it
+    assert run_query("", f"{constraint}, findall(Y, member(Y, [1]), X)") \
+        == []
 
 
 def test_library_member_and_append():

@@ -139,7 +139,16 @@ SHARED = 60
     (f"{_chain('X', SHARED, '+')}, {{A = X{SHARED}}}", "ok", 2 ** SHARED),
     (f"{_chain('X', SHARED, '+')}, A is X{SHARED}", "ok", 2 ** SHARED),
     (f"{_chain('X', SHARED, '+')}, A #= X{SHARED}", "ok", 2 ** SHARED),
-], ids=["=", "==", "answer", "findall", "braces", "is", "#="])
+    (f"{_chain('X', SHARED, 'f')}, findall(X{SHARED}, true, [C]), "
+     f"msort([X{SHARED}, C], _), A = 1", "ok", 1),
+    (f"{_chain('X', SHARED, '+')}, findall(X{SHARED}, true, [E]), A is E",
+     "ok", 2 ** SHARED),
+    (f"{_chain('X', SHARED, '+')}, findall(X{SHARED}, true, [E]), A #= E",
+     "ok", 2 ** SHARED),
+    (f"{_chain('X', SHARED, '+')}, findall(X{SHARED}, true, [E]), "
+     "{A = E}", "ok", 2 ** SHARED),
+], ids=["=", "==", "answer", "findall", "braces", "is", "#=", "msort",
+        "is-copy", "#=-copy", "braces-copy"])
 def test_shared_subterms_are_walked_once(body, status, answer):
     # a term of 2^60 leaves as a tree and 60 compounds as a DAG: every
     # walk on the way (unify, ==, the occurs check, rebuild for answers

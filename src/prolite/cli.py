@@ -12,6 +12,7 @@ environment only, never from flags or config files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -232,7 +233,13 @@ def cmd_oracle(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The one parser of this process, built at its first call.
+
+    Building it costs more than a small `run` does, so every in-process
+    call of main reuses it: parse_args leaves a parser as it was, and
+    help is formatted to the terminal width of the moment it prints."""
     parser = argparse.ArgumentParser(
         prog="prolite",
         description="Logic-programming engine with constraint solving "

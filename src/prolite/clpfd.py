@@ -519,24 +519,29 @@ class FdStore:
     def _flatten_special(self, expr):
         """abs and mod, flattened onto fresh auxiliary variables."""
         if expr.name == "abs" and len(expr.args) == 1:
-            x = self._flatten(expr.args[0])
-            y = self._aux()
-            self.add_prop(AbsProp(x, y))
-            return {y: 1}, 0
+            return expr.args, lambda x: self._onto_aux(x, AbsProp)
         if expr.name == "mod" and len(expr.args) == 2:
             m = self.bindings.deref(expr.args[1])
             if not isinstance(m, int) or m <= 0:
                 raise NonLinearUnsupported(
                     "mod requires a ground positive modulus")
-            x = self._flatten(expr.args[0])
-            y = self._aux()
-            self.add_prop(ModProp(x, m, y))
-            return {y: 1}, 0
+            return expr.args[:1], lambda x: self._onto_aux(
+                x, lambda x, y: ModProp(x, m, y))
         return None
 
-    def _flatten(self, expr):
-        """Auxiliary variable equal to expr (identity for plain vars)."""
-        coeffs, k = self._linearize(expr)
+    def _onto_aux(self, linear, make_prop):
+        """Linear form of a fresh auxiliary y tied by make_prop(x, y) to
+        the variable x equal to linear."""
+        x = self._flatten(linear)
+        y = self._aux()
+        self.add_prop(make_prop(x, y))
+        return {y: 1}, 0
+
+    def _flatten(self, linear):
+        """Auxiliary variable equal to the linear form (coeffs, k), or
+        the variable itself when the form is one."""
+        coeffs, k = linear
+        coeffs = {v: c for v, c in coeffs.items() if c != 0}
         if k == 0 and list(coeffs.values()) == [1]:
             return next(iter(coeffs))
         y = self._aux()

@@ -94,13 +94,7 @@ class RStore:
         """Division by a ground, non-zero divisor."""
         if expr.name not in ("/", "rdiv") or len(expr.args) != 2:
             return None
-        num, k = self._linearize(expr.args[0])
-        den, dk = self._linearize(expr.args[1])
-        if den:
-            raise NonLinearUnsupported("division by a variable")
-        if dk == 0:
-            raise ZeroDivisor("division by zero in constraint")
-        return {v: c / dk for v, c in num.items()}, k / dk
+        return expr.args, _quotient
 
     # --- echelon maintenance -----------------------------------------
 
@@ -211,6 +205,16 @@ def _violated(rows):
     """True when a row without variables is false."""
     return any(k > 0 if rel == "le" else k >= 0
                for e, k, rel in rows if not e)
+
+
+def _quotient(num, den):
+    """Linear form of num / den, the two linear forms of a division."""
+    (coeffs, k), (dcoeffs, dk) = num, den
+    if any(dcoeffs.values()):
+        raise NonLinearUnsupported("division by a variable")
+    if dk == 0:
+        raise ZeroDivisor("division by zero in constraint")
+    return {v: c / dk for v, c in coeffs.items()}, k / dk
 
 
 def _rational(t):

@@ -310,17 +310,20 @@ def linearize(expr, bindings, constant, leaf, special):
     One walk serves both constraint stores through three hooks:
     constant(t) reads any leaf that is not a variable (constant(1) is the
     unit coefficient) and raises for what the store cannot read;
-    leaf(var) turns an unbound variable into a key; special(t) returns a
-    fresh (coeffs, const) pair for a compound the store handles itself,
-    or None.  Leaves are visited left to right, so the side effects of
-    leaf and special happen in source order.  Zero coefficients are
+    leaf(var) turns an unbound variable into a key; special(t) returns
+    None, or (args, finish) for a compound the store handles itself: the
+    walk reads each of args as a linear expression and then finish(*values)
+    gives the compound's fresh (coeffs, const) pair.  Leaves are visited
+    left to right, and finish runs after its arguments, so the side
+    effects of the hooks happen in source order.  Zero coefficients are
     dropped from the result.  The walk keeps its own stack: an entry
-    (t, op) combines the values that t's arguments left on `values`, and
-    an entry (id,) records a copy of the value of a compound.  A compound
-    reached through a variable, and a special one, is recorded when it is
-    first met; any other is recorded only when it is met a second time,
-    so an unshared term pays no copy per compound, and a shared one is
-    walked at most twice.
+    (None, op) combines the values that an operator's arguments left on
+    `values`, an entry (n, finish) replaces the top n values by a special
+    compound's, and an entry (id, None) records a copy of the value of a
+    compound.  A compound reached through a variable, and a special one,
+    is recorded when it is first met; any other is recorded only when it
+    is met a second time, so an unshared term pays no copy per compound,
+    and a shared one is walked at most twice.
     """
     one, zero = constant(1), constant(0)
     values = []
@@ -330,12 +333,17 @@ def linearize(expr, bindings, constant, leaf, special):
     while stack:
         t = stack.pop()
         if type(t) is tuple:
-            if type(t[0]) is int:
+            n, step = t
+            if step is None:
                 # _combine updates a left operand's coefficients in place
                 coeffs, k = values[-1]
-                done[t[0]] = (dict(coeffs), k)
+                done[n] = (dict(coeffs), k)
+            elif n is None:
+                _combine(values, step, zero)
             else:
-                _combine(values, t[1], zero)
+                found = step(*values[len(values) - n:])
+                del values[len(values) - n:]
+                values.append(found)
             continue
         through_var = type(t) is Var
         if through_var:
@@ -351,16 +359,18 @@ def linearize(expr, bindings, constant, leaf, special):
             op = _LINEAR_OPS.get((t.name, len(t.args)))
             if op is not None:
                 if through_var or id(t) in seen:
-                    stack.append((id(t),))
+                    stack.append((id(t), None))
                 else:
                     seen.add(id(t))
-                stack.append((t, op))
+                stack.append((None, op))
                 stack.extend(reversed(t.args))
                 continue
             found = special(t)
             if found is not None:
-                done[id(t)] = (dict(found[0]), found[1])
-                values.append(found)
+                args, finish = found
+                stack.append((id(t), None))
+                stack.append((len(args), finish))
+                stack.extend(reversed(args))
                 continue
         values.append(({}, constant(t)))
     coeffs, k = values[0]

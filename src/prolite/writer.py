@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import engine
+from .errors import BudgetExceeded
 from .reader import DEFAULT_OPS
 from .terms import Atom, Struct, Var, is_number
 
@@ -35,8 +37,12 @@ def _write(t, max_prio, ops):
 
     Subterms are written on an explicit stack, so the depth of t costs
     no Python recursion: an entry (t, max_prio) writes t onto `out`, and
-    a callable entry joins the texts its subterms left on `out`.
+    a callable entry joins the texts its subterms left on `out`.  A
+    shared subterm is written each time it is reached, so the terms
+    written are counted, and past engine.DEFAULT_MAX_MEMORY the write
+    is refused with BudgetExceeded("memory").
     """
+    limit = engine.DEFAULT_MAX_MEMORY
     out = []
     work = [(t, max_prio)]
     while work:
@@ -44,6 +50,9 @@ def _write(t, max_prio, ops):
         if callable(item):
             item(out, work)
             continue
+        limit -= 1
+        if limit < 0:
+            raise BudgetExceeded("memory")
         t, max_prio = item
         if isinstance(t, Struct):
             _write_struct(t, max_prio, ops, work)

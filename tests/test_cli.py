@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from prolite.cli import main
+from prolite.cli import build_parser, main
 from prolite.harness import load_problems
 
 PUZZLE = """\
@@ -216,3 +216,39 @@ def test_eval_dataset_file(tmp_path, capsys):
                  "--provider", "scripted:reference", "--out", str(out),
                  "--max-attempts", "1"])
     assert code == 2  # external problem has no reference program
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one call, a usage exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_reused_parser_answers_every_call_alike(puzzle_file, capsys):
+    run = ["run", puzzle_file, "-q", "problem(N)"]
+    calls = [run,
+             ["gen-navigate", "--seed", "1", "-n", "0"],
+             ["oracle", "navigate", "--plan", "step 3 forward"],
+             ["--help"],
+             run]
+    first = [_outcome(argv, capsys) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 0]
+    assert first[0][1] == "N = 9821\n"
+    assert "-n must be a positive integer" in first[1][2]
+    assert first[2][1] == "3\n"
+    assert first[3][1].startswith("usage: prolite ")
+    assert first[4] == first[0]
+    # the same calls again in this process, and each against a parser
+    # built afresh, give the same exit codes and the same output
+    assert [_outcome(argv, capsys) for argv in calls] == first
+    for argv, outcome in zip(calls, first):
+        build_parser.cache_clear()
+        assert _outcome(argv, capsys) == outcome

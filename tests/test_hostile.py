@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from prolite import (Budget, consult, engine, parse_program,
                      parse_term_text, solve)
+from prolite.cli import main
+from prolite.errors import BudgetExceeded
 from prolite.orchestrator import run_candidate
 from prolite.terms import Atom, Struct
 from prolite.writer import term_to_text
@@ -203,3 +205,48 @@ def test_random_nesting_never_escapes_the_reader(wrappers, repeats):
         term = wrapper.format(term)
     result = run_candidate(f"problem(A) :- X = ({term}), A = 1.\n")
     assert result.status in ("ok", "parse-error"), result.detail
+
+
+@pytest.mark.parametrize("depth", [3000, 10000])
+@pytest.mark.parametrize("wrap, post, answer", [
+    ("E / 2", "{A = E}", 0.0),
+    ("abs(E)", "A #= E", 1),
+], ids=["divide", "abs"])
+def test_constraint_specials_nested_deep_post(depth, wrap, post, answer):
+    # the stores' special compounds (/ for clpr, abs and mod for clpfd)
+    # are flattened on the linear walk's own stack, not by recursion
+    program = (f"d(0, 1).\nd(N, {wrap}) :- N > 0, M is N - 1, d(M, E).\n"
+               f"problem(A) :- d({depth}, E), {post}.\n")
+    result = run_candidate(program)
+    assert (result.status, result.answer) == ("ok", answer), result.detail
+
+
+SHARED_ANSWER = "c(0, a).\nc(N, f(Y, Y)) :- N > 0, M is N - 1, c(M, Y).\n"
+
+
+def test_printing_a_shared_answer_is_bounded(tmp_path, capsys):
+    # c(60, A) is 61 compounds as a DAG and 2^61 - 1 terms as text: the
+    # writer counts what it writes against the memory budget
+    path = tmp_path / "c.pl"
+    path.write_text(SHARED_ANSWER)
+    started = time.monotonic()
+    code = main(["run", str(path), "-q", "c(60, A)"])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget exceeded (memory)" in captured.err
+    assert elapsed <= 2 * engine.DEFAULT_WALL_TIMEOUT + 0.5
+    assert main(["run", str(path), "-q", "c(2, A)"]) == 0
+    assert capsys.readouterr().out == "A = f(f(a, a), f(a, a))\n"
+
+
+def test_the_writer_reads_the_memory_budget_when_it_writes(monkeypatch):
+    db = consult(parse_program(SHARED_ANSWER))
+    term = next(solve(parse_term_text("c(3, A)"), db)).bindings["A"]
+    assert term_to_text(term).count("a") == 8
+    monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", 14)
+    with pytest.raises(BudgetExceeded, match="memory"):
+        term_to_text(term)
+    monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", 15)
+    assert term_to_text(term).count("a") == 8

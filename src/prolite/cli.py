@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 from .engine import (DEFAULT_MAX_STEPS, DEFAULT_WALL_TIMEOUT, Budget,
@@ -79,12 +80,16 @@ def cmd_run(args):
     program = parse_program(source)
     db = consult(program)
     query = parse_term_text(args.query)
+    budget = _budget_from(args, {})
+    # the answers are written within the query's wall budget
+    deadline = time.monotonic() + budget.wall_timeout
     count = 0
-    for solution in solve(query, db, _budget_from(args, {})):
+    for solution in solve(query, db, budget):
         count += 1
         if solution.bindings:
-            line = ", ".join(f"{name} = {term_to_text(value)}"
-                             for name, value in solution.bindings.items())
+            line = ", ".join(
+                f"{name} = {term_to_text(value, deadline=deadline)}"
+                for name, value in solution.bindings.items())
         else:
             line = "true"
         print(line)

@@ -20,6 +20,13 @@ events nest (a singleton is also a bounds change, which is also a
 change), so their levels compare as integers.  A linear post over at
 most one variable narrows that domain once and adds no propagator,
 since its relation reads only that domain and domains only shrink.
+
+A domain is immutable and keeps its bounds and size, computed once.
+A propagator dereferences each operand once per run, reads an operand
+bound to an integer as that integer, and reads and writes the store's
+domain table directly.  Leftmost labeling starts its scan for the next
+variable at the newest frame's position, so labeling n variables scans
+O(n) list entries, not O(n^2).
 """
 
 from __future__ import annotations
@@ -48,12 +55,25 @@ CHANGED, BOUNDS, FIXED = 0, 1, 2
 
 
 class FdDomain:
-    """Ordered, disjoint, non-adjacent list of [lo, hi] intervals."""
+    """Ordered, disjoint, non-adjacent tuple of [lo, hi] intervals.
 
-    __slots__ = ("intervals",)
+    A domain is immutable, so its bounds lo and hi and its size card are
+    set once: an empty domain has lo > hi and card 0, and a domain with
+    an infinite bound has card INF.
+    """
+
+    __slots__ = ("intervals", "lo", "hi", "card")
 
     def __init__(self, intervals=((-INF, INF),)):
-        self.intervals = tuple(intervals)
+        self.intervals = intervals = tuple(intervals)
+        if not intervals:
+            self.lo, self.hi, self.card = INF, -INF, 0
+            return
+        self.lo, self.hi = intervals[0][0], intervals[-1][1]
+        if self.lo == -INF or self.hi == INF:
+            self.card = INF
+        else:
+            self.card = sum(b - a + 1 for a, b in intervals)
 
     @classmethod
     def from_range(cls, lo, hi):
@@ -71,26 +91,11 @@ class FdDomain:
                 ivs.append([v, v])
         return cls(tuple((a, b) for a, b in ivs))
 
-    def is_empty(self):
-        return not self.intervals
-
-    def min(self):
-        return self.intervals[0][0]
-
-    def max(self):
-        return self.intervals[-1][1]
-
     def size(self):
-        total = 0
-        for lo, hi in self.intervals:
-            if lo == -INF or hi == INF:
-                return INF
-            total += hi - lo + 1
-        return total
+        return self.card
 
     def is_finite(self):
-        return self.is_empty() or (
-            self.intervals[0][0] != -INF and self.intervals[-1][1] != INF)
+        return self.card != INF
 
     def values(self):
         for lo, hi in self.intervals:
@@ -109,6 +114,8 @@ class FdDomain:
         return FdDomain(tuple(out))
 
     def remove(self, v):
+        if not self.lo <= v <= self.hi:
+            return self
         out = []
         for a, b in self.intervals:
             if a <= v <= b:
@@ -135,18 +142,6 @@ class FdDomain:
 
     def __repr__(self):
         return f"FdDomain({list(self.intervals)})"
-
-
-def _floor_div(a, b):
-    if a == INF or a == -INF:
-        return a if b > 0 else -a
-    return a // b
-
-
-def _ceil_div(a, b):
-    if a == INF or a == -INF:
-        return a if b > 0 else -a
-    return -((-a) // b)
 
 
 class LinearProp:
@@ -181,59 +176,81 @@ class LinearProp:
 
     def propagate(self, store):
         if self.rel == "eq":
-            return (self._prune_le(store, self.coeffs, self.k)
-                    and self._prune_le(store, [(-c, v) for c, v in self.coeffs], -self.k))
+            return self._prune_le(store, 1) and self._prune_le(store, -1)
         if self.rel == "le":
-            return self._prune_le(store, self.coeffs, self.k)
+            return self._prune_le(store, 1)
         return self._prune_ne(store)
 
-    def _prune_le(self, store, coeffs, k):
-        if not coeffs:
+    def _prune_le(self, store, sign):
+        """Bounds pruning of sign * sum(c_i * x_i) =< sign * k."""
+        k = sign * self.k
+        if not self.coeffs:
             return 0 <= k
-        mins = []
-        for c, v in coeffs:
-            dom = store.dom(v)
-            if dom.is_empty():
-                return False
-            mins.append(c * dom.min() if c > 0 else c * dom.max())
-        fin = sum(m for m in mins if m != -INF)
-        ninf = sum(1 for m in mins if m == -INF)
-        for (c, v), m in zip(coeffs, mins):
-            if ninf - (1 if m == -INF else 0) > 0:
-                continue
-            others = fin - (m if m != -INF else 0)
-            residual = k - others
-            dom = store.dom(v)
-            if c > 0:
-                hi = _floor_div(residual, c)
-                if hi < dom.max():
-                    if not store.set_dom(v, dom.clip(-INF, hi)):
-                        return False
+        deref, domains = store.bindings.deref, store.domains
+        # (c, operand, least value of c * operand); an operand bound to
+        # an integer is that integer
+        terms, fin, ninf = [], 0, 0
+        for c, v in self.coeffs:
+            c *= sign
+            v = deref(v)
+            if isinstance(v, Var):
+                dom = domains[v.id]
+                if dom.lo > dom.hi:
+                    return False
+                m = c * dom.lo if c > 0 else c * dom.hi
             else:
-                lo = _ceil_div(residual, c)
-                if lo > dom.min():
-                    if not store.set_dom(v, dom.clip(lo, INF)):
-                        return False
+                m = c * v
+            if m == -INF:
+                ninf += 1
+            else:
+                fin += m
+            terms.append((c, v, m))
+        for c, v, m in terms:
+            if m == -INF:
+                if ninf > 1:
+                    continue
+                residual = k - fin
+            elif ninf:
+                continue
+            else:
+                residual = k - (fin - m)
+            if not isinstance(v, Var):
+                if m > residual:
+                    return False
+            elif c > 0:
+                dom = domains[v.id]
+                hi = residual // c
+                if hi < dom.hi and not store.set_dom_raw(
+                        v.id, dom.clip(-INF, hi)):
+                    return False
+            else:
+                dom = domains[v.id]
+                lo = -(-residual // c)
+                if lo > dom.lo and not store.set_dom_raw(
+                        v.id, dom.clip(lo, INF)):
+                    return False
         return True
 
     def _prune_ne(self, store):
-        free = []
-        total = 0
+        deref, domains = store.bindings.deref, store.domains
+        free, total = None, 0
         for c, v in self.coeffs:
-            dom = store.dom(v)
-            if dom.size() == 1:
-                total += c * dom.min()
+            v = deref(v)
+            if not isinstance(v, Var):
+                total += c * v
+            elif domains[v.id].card == 1:
+                total += c * domains[v.id].lo
+            elif free is None:
+                free = (c, v)
             else:
-                free.append((c, v))
-        if not free:
+                return True
+        if free is None:
             return total != self.k
-        if len(free) == 1:
-            c, v = free[0]
-            rest = self.k - total
-            if rest % c == 0:
-                dom = store.dom(v).remove(rest // c)
-                return store.set_dom(v, dom)
-        return True
+        c, v = free
+        rest = self.k - total
+        if rest % c:
+            return True
+        return store.set_dom_raw(v.id, domains[v.id].remove(rest // c))
 
 
 class ModProp:
@@ -251,19 +268,18 @@ class ModProp:
         return [self.x, self.y]
 
     def propagate(self, store):
-        ydom = store.dom(self.y).clip(0, self.m - 1)
-        if not store.set_dom(self.y, ydom):
+        x, y = store.bindings.deref(self.x), store.bindings.deref(self.y)
+        if not store.narrow(y, store.dom_of(y).clip(0, self.m - 1)):
             return False
-        xdom = store.dom(self.x)
-        if xdom.is_finite() and xdom.size() <= ENUM_CAP:
+        xdom = store.dom_of(x)
+        if xdom.card <= ENUM_CAP:
             images = FdDomain.from_values(v % self.m for v in xdom.values())
-            if not store.set_dom(self.y, store.dom(self.y).intersect(images)):
+            if not store.narrow(y, store.dom_of(y).intersect(images)):
                 return False
-            ydom = store.dom(self.y)
-            yvals = set(ydom.values())
+            yvals = set(store.dom_of(y).values())
             kept = [v for v in xdom.values() if v % self.m in yvals]
-            if len(kept) < xdom.size():
-                if not store.set_dom(self.x, FdDomain.from_values(kept)):
+            if len(kept) < xdom.card:
+                if not store.narrow(x, FdDomain.from_values(kept)):
                     return False
         return True
 
@@ -282,27 +298,28 @@ class AbsProp:
         return [self.x, self.y]
 
     def propagate(self, store):
-        xdom, ydom = store.dom(self.x), store.dom(self.y)
-        if xdom.is_empty() or ydom.is_empty():
+        x, y = store.bindings.deref(self.x), store.bindings.deref(self.y)
+        xdom, ydom = store.dom_of(x), store.dom_of(y)
+        xlo, xhi = xdom.lo, xdom.hi
+        if xlo > xhi or ydom.lo > ydom.hi:
             return False
-        xlo, xhi = xdom.min(), xdom.max()
-        hi = max(abs(xlo), abs(xhi)) if xdom.is_finite() else INF
+        hi = max(abs(xlo), abs(xhi))
         if xlo > 0:
             lo = xlo
         elif xhi < 0:
             lo = -xhi
         else:
             lo = 0
-        if not store.set_dom(self.y, ydom.clip(max(lo, 0), hi)):
+        if not store.narrow(y, ydom.clip(max(lo, 0), hi)):
             return False
-        ydom = store.dom(self.y)
-        ylo, yhi = ydom.min(), ydom.max()
+        ydom = store.dom_of(y)
+        ylo, yhi = ydom.lo, ydom.hi
         if yhi != INF:
             mirror = FdDomain.from_range(-yhi, -ylo).intersect(xdom)
             positive = FdDomain.from_range(ylo, yhi).intersect(xdom)
             both = FdDomain(tuple(sorted(set(mirror.intervals) | set(positive.intervals))))
             both = _normalize(both)
-            if not store.set_dom(self.x, both):
+            if not store.narrow(x, both):
                 return False
         return True
 
@@ -349,28 +366,33 @@ class FdStore:
         return v
 
     def dom(self, var):
-        v = self.bindings.deref(var)
-        if isinstance(v, int):
-            return FdDomain.from_range(v, v)
-        return self.domains[v.id]
+        return self.dom_of(self.bindings.deref(var))
 
-    def set_dom(self, var, newdom):
-        v = self.bindings.deref(var)
-        if isinstance(v, int):
-            return newdom.contains(v)
-        return self.set_dom_raw(v.id, newdom)
+    def dom_of(self, t):
+        """Domain of a dereferenced operand: an integer's is its
+        singleton."""
+        if isinstance(t, Var):
+            return self.domains[t.id]
+        return FdDomain.from_range(t, t)
+
+    def narrow(self, t, newdom):
+        """Narrow a dereferenced operand to newdom; an integer is only
+        checked against it."""
+        if isinstance(t, Var):
+            return self.set_dom_raw(t.id, newdom)
+        return newdom.contains(t)
 
     def set_dom_raw(self, vid, newdom):
         old = self.domains[vid]
         if newdom == old:
             return True
         self.bindings.set(self.domains, vid, newdom)
-        if newdom.is_empty():
+        lo, hi = newdom.lo, newdom.hi
+        if lo > hi:
             return False
-        lo, hi = newdom.min(), newdom.max()
         if lo == hi:
             event = FIXED
-        elif lo != old.min() or hi != old.max():
+        elif lo != old.lo or hi != old.hi:
             event = BOUNDS
         else:
             event = CHANGED
@@ -438,10 +460,10 @@ class FdStore:
                 continue
             seen.add(v.id)
             dom = self.domains[v.id]
-            if dom.min() != -INF:
-                rows.append(({v.id: -1}, dom.min(), "le"))
-            if dom.max() != INF:
-                rows.append(({v.id: 1}, -dom.max(), "le"))
+            if dom.lo != -INF:
+                rows.append(({v.id: -1}, dom.lo, "le"))
+            if dom.hi != INF:
+                rows.append(({v.id: 1}, -dom.hi, "le"))
             for idx in self.watchers.get(v.id, ()):
                 prop = self.props[idx]
                 # the eq/le rows are exactly the bounds propagators
@@ -627,48 +649,58 @@ def fd_label(variables, store, state, strategy="leftmost"):
 
 def _label(variables, store, state, strategy):
     """Depth-first search on an explicit stack of frames [values left,
-    variable, mark taken before the value being tried]; a frame is
-    pushed per labeled variable, so the number of variables costs no
-    Python recursion.  The wall clock is read at every value tried,
-    which charges no step."""
+    variable, mark taken before the value being tried, position of the
+    variable in variables]; a frame is pushed per labeled variable, so
+    the number of variables costs no Python recursion.
+
+    Leftmost labeling takes the first variable with more than one value
+    left.  When a frame is pushed, every variable before its position is
+    bound or fixed, and under the frame domains only narrow, so the next
+    scan starts at the newest frame's position; backtracking to a frame
+    restores that start, and labeling n variables scans O(n) entries.
+    First-fail scans from the start and takes the first of the smallest
+    domains.  The wall clock is read at every value tried, which charges
+    no step."""
+    deref, domains = store.bindings.deref, store.domains
+    leftmost = strategy != "first_fail"
     frames = []
     while True:
-        pending = [v for v in variables
-                   if isinstance(store.bindings.deref(v), Var)
-                   and store.dom(v).size() > 1]
-        if pending:
-            if strategy == "first_fail":
-                var = min(pending, key=lambda v: store.dom(v).size())
-            else:
-                var = pending[0]
+        var, best = None, INF
+        start = frames[-1][3] if leftmost and frames else 0
+        for pos in range(start, len(variables)):
+            v = deref(variables[pos])
+            if isinstance(v, Var) and 1 < domains[v.id].card < best:
+                var, best, at = v, domains[v.id].card, pos
+                # no domain left to label is smaller than two values
+                if leftmost or best == 2:
+                    break
+        if var is not None:
             # the domain object is immutable, so its values can be read
             # lazily
-            frames.append([iter(store.dom(var).values()), var, None])
+            frames.append([iter(domains[var.id].values()), var, None, at])
         else:
             # ground the remaining singleton domains into the bindings
             for v in variables:
-                r = store.bindings.deref(v)
+                r = deref(v)
                 if isinstance(r, Var):
-                    value = store.dom(r).min()
-                    state.bindings.bind(r, value)
+                    state.bindings.bind(r, domains[r.id].lo)
             yield None
         # go on with the next consistent value of the newest variable
         # that has one left
         while frames:
             frame = frames[-1]
-            values, var, m = frame
+            values, var, m, _ = frame
             if m is not None:
                 state.undo_to(m)
             for value in values:
                 if time.monotonic() > state.deadline:
                     raise BudgetExceeded("time")
                 m = state.mark()
-                root = store.bindings.deref(var)
                 store._clear_queue()
-                ok = store.set_dom_raw(root.id,
+                ok = store.set_dom_raw(var.id,
                                        FdDomain.from_range(value, value))
                 if ok:
-                    state.bindings.bind(root, value)
+                    state.bindings.bind(var, value)
                     ok = store.propagate_fixpoint()
                 if ok:
                     frame[2] = m

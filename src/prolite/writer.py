@@ -6,6 +6,7 @@ N rdiv D.  parse(print(t)) is a variant of t for default-table terms.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 from . import engine
@@ -14,6 +15,9 @@ from .reader import DEFAULT_OPS
 from .terms import Atom, Struct, Var, is_number
 
 _UNQUOTED_SYMBOLIC = set("#$&*+-./:<=>?@^~\\")
+
+# terms written between two reads of the wall clock
+CLOCK_EVERY = 4096
 
 
 def _atom_text(name):
@@ -28,19 +32,22 @@ def _atom_text(name):
     return f"'{escaped}'"
 
 
-def term_to_text(t, ops=DEFAULT_OPS):
-    return _write(t, 1200, ops)
+def term_to_text(t, ops=DEFAULT_OPS, deadline=None):
+    """Text of t; past deadline, a time.monotonic() value, the write is
+    refused with BudgetExceeded("time")."""
+    return _write(t, 1200, ops, deadline)
 
 
-def _write(t, max_prio, ops):
+def _write(t, max_prio, ops, deadline):
     """Text of t where a term of priority above max_prio needs brackets.
 
     Subterms are written on an explicit stack, so the depth of t costs
     no Python recursion: an entry (t, max_prio) writes t onto `out`, and
     a callable entry joins the texts its subterms left on `out`.  A
     shared subterm is written each time it is reached, so the terms
-    written are counted, and past engine.DEFAULT_MAX_MEMORY the write
-    is refused with BudgetExceeded("memory").
+    written are counted: past engine.DEFAULT_MAX_MEMORY the write is
+    refused with BudgetExceeded("memory"), and every CLOCK_EVERY terms
+    the clock is read against deadline.
     """
     limit = engine.DEFAULT_MAX_MEMORY
     out = []
@@ -53,6 +60,9 @@ def _write(t, max_prio, ops):
         limit -= 1
         if limit < 0:
             raise BudgetExceeded("memory")
+        if deadline is not None and limit % CLOCK_EVERY == 0 \
+                and time.monotonic() > deadline:
+            raise BudgetExceeded("time")
         t, max_prio = item
         if isinstance(t, Struct):
             _write_struct(t, max_prio, ops, work)

@@ -81,19 +81,24 @@ def _disj(rng, n):
             lambda vals, p1=p1, p2=p2: p1(vals) or p2(vals))
 
 
-def random_csp(rng, max_vars=5, max_constraints=6):
-    """(goal text, variable names, domains, python predicate)."""
-    n = rng.randint(2, max_vars)
+def _domains(rng, n):
+    """n random small ranges and the goals that post them on V0..Vn-1."""
     domains = []
     for _ in range(n):
         lo = rng.randint(0, 4)
         hi = min(9, lo + rng.randint(1, 5))
         domains.append(range(lo, hi + 1))
+    return domains, [f"V{i} #>= {d.start}, V{i} #=< {d.stop - 1}"
+                     for i, d in enumerate(domains)]
+
+
+def random_csp(rng, max_vars=5, max_constraints=6):
+    """(goal text, variable names, domains, python predicate)."""
+    n = rng.randint(2, max_vars)
+    domains, goals = _domains(rng, n)
     makers = [_linear, _linear, _mod, _abs, _neq, _disj]
     count = rng.randint(2, max_constraints)
     picked = [rng.choice(makers)(rng, n) for _ in range(count)]
-    goals = [f"V{i} #>= {d.start}, V{i} #=< {d.stop - 1}"
-             for i, d in enumerate(domains)]
     goals += [g for g, _ in picked]
     names = [f"V{i}" for i in range(n)]
     goals.append(f"label([{', '.join(names)}])")
@@ -103,6 +108,56 @@ def random_csp(rng, max_vars=5, max_constraints=6):
         return all(p(vals) for p in preds)
 
     return ", ".join(goals), names, domains, predicate
+
+
+def linked_csp(rng, max_vars=5):
+    """(goal text, variable indexes in the order label/1 first meets
+    them, domains, python predicate over the values by index) of a
+    random CSP whose propagation fixes variables while labeling runs.
+
+    Pairs tied by a sum or a difference fix each other, a variable may
+    be fixed before labeling starts, and the label list is shuffled and
+    may name a variable twice or hold an integer, so variables are
+    fixed both before and after the position being labeled.  Every
+    constant comes from one hidden assignment, which the random linear
+    constraints may still exclude.
+    """
+    n = rng.randint(3, max_vars)
+    domains, goals = _domains(rng, n)
+    hidden = [rng.choice(d) for d in domains]
+    picked = [rng.choice([_linear, _neq])(rng, n)
+              for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.5:
+            s = hidden[i] + hidden[j]
+            picked.append((f"V{i} + V{j} #= {s}",
+                           lambda vals, i=i, j=j, s=s: vals[i] + vals[j] == s))
+        else:
+            d = hidden[i] - hidden[j]
+            picked.append((f"V{i} - V{j} #= {d}",
+                           lambda vals, i=i, j=j, d=d: vals[i] - vals[j] == d))
+    if rng.random() < 0.5:
+        k = rng.randrange(n)
+        picked.append((f"V{k} #= {hidden[k]}",
+                       lambda vals, k=k, v=hidden[k]: vals[k] == v))
+    items = [f"V{i}" for i in rng.sample(range(n), n)]
+    if rng.random() < 0.5:
+        items.insert(rng.randint(0, n), f"V{rng.randrange(n)}")
+    if rng.random() < 0.3:
+        items.insert(rng.randint(0, len(items)), str(rng.randint(0, 9)))
+    order = []
+    for item in items:
+        if item[0] == "V" and int(item[1:]) not in order:
+            order.append(int(item[1:]))
+    goals += [g for g, _ in picked]
+    goals.append(f"label([{', '.join(items)}])")
+    preds = [p for _, p in picked]
+
+    def predicate(vals):
+        return all(p(vals) for p in preds)
+
+    return ", ".join(goals), order, domains, predicate
 
 
 def fd_solution_set(goal_text, names):

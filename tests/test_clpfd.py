@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (EXPLODING, brute_solution_set, fd_solution_set,
-                     random_csp, run_query)
+                     linked_csp, random_csp, run_query)
 from prolite import Budget, consult, solve
 from prolite.clpfd import FdDomain, FdStore
 from prolite.errors import PrologRuntimeError, UnboundedDomain
@@ -28,6 +28,83 @@ def test_domain_interval_algebra():
     assert sorted(d3.values()) == [4, 6]
     assert FdDomain.from_values([1, 2, 3]).intersect(
         FdDomain.from_values([4])).size() == 0
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("dom, lo, hi, size", [
+    (FdDomain(()), INF, -INF, 0),
+    (FdDomain.from_range(3, 2), INF, -INF, 0),
+    (FdDomain(), -INF, INF, INF),
+    (FdDomain(((-INF, 4),)), -INF, 4, INF),
+    (FdDomain(((1, 2), (5, 5), (7, INF))), 1, INF, INF),
+    (FdDomain(((1, 2), (5, 5), (7, 9))), 1, 9, 6),
+    (FdDomain.from_range(4, 4), 4, 4, 1),
+    (FdDomain.from_values([8, 2, 3, 5]), 2, 8, 4),
+    (FdDomain.from_range(1, 9).clip(3, 20), 3, 9, 7),
+    (FdDomain().clip(-5, INF), -5, INF, INF),
+    (FdDomain.from_range(1, 9).clip(10, 20), INF, -INF, 0),
+    (FdDomain.from_range(1, 9).remove(1), 2, 9, 8),
+    (FdDomain.from_range(1, 9).remove(5), 1, 9, 8),
+    (FdDomain.from_range(1, 9).remove(12), 1, 9, 9),
+    (FdDomain.from_range(4, 4).remove(4), INF, -INF, 0),
+    (FdDomain(((-INF, 0), (5, INF))).remove(5), -INF, INF, INF),
+    (FdDomain(((1, 3), (6, 9))).intersect(FdDomain.from_range(2, 7)),
+     2, 7, 4),
+    (FdDomain(((1, 3), (6, 9))).intersect(FdDomain.from_range(4, 5)),
+     INF, -INF, 0),
+], ids=["empty", "empty-range", "all", "half-line", "multi-unbounded",
+        "multi", "singleton", "from-values", "clip", "clip-unbounded",
+        "clip-empty", "remove-lo", "remove-inner", "remove-outside",
+        "remove-last", "remove-unbounded", "intersect", "intersect-empty"])
+def test_domains_cache_their_bounds_and_size(dom, lo, hi, size):
+    assert (dom.lo, dom.hi, dom.card, dom.size()) == (lo, hi, size, size)
+    assert dom.size() == (sum(b - a + 1 for a, b in dom.intervals)
+                          if dom.is_finite() else INF)
+    assert dom.is_finite() == (size != INF)
+
+
+X, Y = Var("X"), Var("Y")
+
+
+@pytest.mark.parametrize("relation, bound, after", [
+    (Struct("#=<", (Struct("+", (X, Y)), 5)), {X: 3}, ((0, 2),)),
+    (Struct("#=<", (Struct("+", (X, Y)), 5)), {X: 3, Y: 2}, True),
+    (Struct("#=<", (Struct("+", (X, Y)), 5)), {X: 3, Y: 3}, False),
+    (Struct("#=<", (Struct("-", (X, Struct("*", (2, Y)))), 1)), {X: 7},
+     ((3, 9),)),
+    (Struct("#=<", (Struct("-", (X, Struct("*", (2, Y)))), 1)),
+     {X: 7, Y: 2}, False),
+    (Struct("#=", (Struct("+", (X, Struct("*", (2, Y)))), 7)), {X: 3},
+     ((2, 2),)),
+    (Struct("#=", (Struct("+", (X, Struct("*", (2, Y)))), 7)),
+     {X: 3, Y: 1}, False),
+    (Struct("#\\=", (X, Struct("+", (Y, 2)))), {X: 5}, ((0, 2), (4, 9))),
+    (Struct("#\\=", (X, Struct("+", (Y, 2)))), {X: 5, Y: 4}, True),
+    (Struct("#\\=", (X, Struct("+", (Y, 2)))), {X: 5, Y: 3}, False),
+    (Struct("#\\=", (X, Struct("+", (Y, 2)))), {Y: 3}, ((0, 4), (6, 9))),
+], ids=["le", "le-both", "le-both-fails", "le-negative", "le-negative-fails",
+        "eq", "eq-both-fails", "ne", "ne-both", "ne-both-fails",
+        "ne-other-side"])
+def test_propagators_read_operands_bound_to_integers(relation, bound, after):
+    # the operands are bound after the post, as unification and labeling
+    # bind them, and the propagators then run over the integers; after is
+    # the domain left to the unbound operand, or whether propagation
+    # succeeds when both are bound
+    store = FdStore(Bindings(), lambda: None)
+    for var in (X, Y):
+        assert store.post(Struct("#>=", (var, 0)))
+        assert store.post(Struct("#=<", (var, 9)))
+    assert store.post(relation)
+    for var, value in bound.items():
+        store.bindings.bind(var, value)
+    ok = all(prop.propagate(store) for prop in store.props.values())
+    if isinstance(after, bool):
+        assert ok == after
+    else:
+        free, = (var for var in (X, Y) if var not in bound)
+        assert ok and store.dom(free) == FdDomain(after)
 
 
 def test_simple_labeling_is_lexicographic():
@@ -306,6 +383,26 @@ def test_leftmost_labeling_enumerates_in_lexicographic_order():
             continue
         checked += 1
         expected = sorted(brute_solution_set(domains, predicate))
+        got = [tuple(s.bindings[n] for n in names)
+               for s in run_query("", goal)]
+        assert got == expected, goal
+        ff = goal.replace("label([", "labeling([ff], [")
+        assert fd_solution_set(ff, names) == set(expected), ff
+
+
+def test_leftmost_labeling_resumes_past_variables_fixed_by_propagation():
+    # propagation fixes variables before and after the position being
+    # labeled; the leftmost order must stay lexicographic in the order
+    # the label list first names the variables
+    rng = random.Random(20261019)
+    for _ in range(80):
+        goal, order, domains, predicate = linked_csp(rng)
+        expected = []
+        for combo in itertools.product(*(domains[i] for i in order)):
+            vals = dict(zip(order, combo))
+            if predicate([vals[i] for i in range(len(domains))]):
+                expected.append(combo)
+        names = [f"V{i}" for i in order]
         got = [tuple(s.bindings[n] for n in names)
                for s in run_query("", goal)]
         assert got == expected, goal

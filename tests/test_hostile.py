@@ -166,11 +166,14 @@ def test_shared_subterms_are_walked_once(body, status, answer):
 
 
 def test_labeling_stops_on_the_wall_clock():
-    # 6,000 free 0..1 variables: labeling costs O(n^2) before any
-    # propagation, far past the half second allowed
+    # 12 variables in 1..11 that must all differ: disequality propagation
+    # does not see the pigeonhole, so one label/1 call walks a tree of
+    # about 11! leaves, far past the half second allowed however cheap
+    # each node is
     budget = Budget(max_inference_steps=10 ** 6, wall_timeout=0.5)
-    program = ("doms([]).\ndoms([V|T]) :- V #>= 0, V #=< 1, doms(T).\n"
-               "problem(A) :- length(L, 6000), doms(L), label(L), A = 1.\n")
+    program = ("doms([]).\ndoms([V|T]) :- V #>= 1, V #=< 11, doms(T).\n"
+               "problem(A) :- length(L, 12), doms(L), all_different(L), "
+               "label(L), A = 1.\n")
     started = time.monotonic()
     result = run_candidate(program, budget=budget)
     elapsed = time.monotonic() - started
@@ -239,6 +242,24 @@ def test_printing_a_shared_answer_is_bounded(tmp_path, capsys):
     assert elapsed <= 2 * engine.DEFAULT_WALL_TIMEOUT + 0.5
     assert main(["run", str(path), "-q", "c(2, A)"]) == 0
     assert capsys.readouterr().out == "A = f(f(a, a), f(a, a))\n"
+
+
+def test_printing_a_shared_answer_stops_on_the_wall_clock(tmp_path, capsys):
+    # c(17, A) is 2^18 - 1 terms as text, within the memory budget but
+    # far more writing than 0.05 s allows: the writer reads the query's
+    # deadline
+    path = tmp_path / "c.pl"
+    path.write_text(SHARED_ANSWER)
+    wall = 0.05
+    started = time.monotonic()
+    code = main(["run", str(path), "-q", "c(17, A)",
+                 "--wall-timeout", str(wall)])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "budget exceeded (time)" in captured.err
+    assert elapsed <= 2 * wall + 0.5
 
 
 def test_the_writer_reads_the_memory_budget_when_it_writes(monkeypatch):

@@ -144,7 +144,13 @@ _LIBRARY_INDEX = MappingProxyType(
 
 
 class Database:
-    """Predicate index over a consulted program plus the clause library."""
+    """Predicate index over a consulted program plus the clause library.
+
+    Read-only once `consult` returns: the engine has no assert or
+    retract, and renames a clause's variables at every use, so queries
+    on any thread may share one Database.  `orchestrator.run_candidate`
+    does so for each distinct candidate text.  `_indexes` is only a
+    memo: threads that race on it store equal values."""
 
     def __init__(self):
         self.preds = {}

@@ -9,6 +9,7 @@ only the temperature changes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .engine import Budget, consult, solve
 from .errors import (BudgetExceeded, LexError, ParseError, ProliteError,
                      ProviderError, TranscriptExhausted, UnboundedDomain)
-from .reader import parse_program, parse_term_text, tokenize
+from .reader import lexes_to_end, parse_program, parse_term_text
 from .terms import Struct, Var, term_vars
 
 
@@ -78,20 +79,29 @@ class ExtractionFailure(ProliteError):
 
 def extract_program(completion):
     """Program source from a completion: the last fenced code block, else
-    the maximal suffix of lines that tokenize cleanly."""
+    the longest suffix of its lines that holds a '.' and tokenizes
+    cleanly, stripped of surrounding whitespace."""
     blocks = _fenced_blocks(completion)
     if blocks:
         return blocks[-1]
     lines = completion.splitlines()
-    for start in range(len(lines)):
-        candidate = "\n".join(lines[start:]).strip()
-        if not candidate or "." not in candidate:
-            continue
-        try:
-            tokenize(candidate)
-        except LexError:
-            continue
-        return candidate
+    text = "\n".join(lines).rstrip()
+    last_dot = text.rfind(".")
+    # where each line's suffix starts once stripped; a blank line's
+    # suffix is the next line's, so it is skipped
+    starts = []
+    offset = 0
+    for line in lines:
+        content = line.lstrip()
+        if content:
+            start = offset + len(line) - len(content)
+            if start > last_dot:
+                break
+            starts.append(start)
+        offset += len(line) + 1
+    for start, ok in zip(starts, lexes_to_end(text, starts)):
+        if ok:
+            return text[start:]
     raise ExtractionFailure("no logic-program source found in completion")
 
 
@@ -140,20 +150,42 @@ def _render_answer(value):
     return None, True
 
 
+# Distinct source texts whose front end is kept.  `evaluate` runs a
+# problem's repeats back to back, so texts recur within one problem: a
+# couple of live texts per worker.  A consulted fixture or generated
+# program takes about 10 KB (tracemalloc, mean over 105 programs).
+FRONT_END_ENTRIES = 32
+
+
+@functools.lru_cache(maxsize=FRONT_END_ENTRIES)
+def _front_end(source):
+    """The consulted Database of source, or the (status, detail) of the
+    error that parsing or consulting it ends in."""
+    try:
+        return consult(parse_program(source))
+    except (LexError, ParseError) as exc:
+        return "parse-error", str(exc)
+    except ProliteError as exc:  # a clause redefines a builtin
+        return "runtime-error", str(exc)
+
+
 def run_candidate(source, entry="problem(Answer)", budget=None):
     """Consult source and run the entry query; never raises, all failure
-    modes are folded into the exec-status taxonomy."""
+    modes are folded into the exec-status taxonomy.
+
+    Each distinct source text is parsed and consulted once per process
+    (a bounded LRU of FRONT_END_ENTRIES texts): its Database is
+    read-only after `consult`, so the queries of every attempt and
+    thread that meet the text share it.  The entry query is parsed and
+    solved afresh on every call, and the verdict is never cached, since
+    it depends on the wall-clock budget."""
+    db = _front_end(source)
+    if isinstance(db, tuple):
+        return ExecResult(db[0], detail=db[1])
     try:
-        program = parse_program(source)
+        query = parse_term_text(entry)
     except (LexError, ParseError) as exc:
         return ExecResult("parse-error", detail=str(exc))
-    try:
-        db = consult(program)
-        query = parse_term_text(entry)
-    except (LexError, ParseError, ProliteError) as exc:
-        kind = "parse-error" if isinstance(exc, (LexError, ParseError)) \
-            else "runtime-error"
-        return ExecResult(kind, detail=str(exc))
     answer_vars = term_vars(query)
     if not answer_vars:
         return ExecResult("runtime-error",

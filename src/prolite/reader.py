@@ -151,39 +151,83 @@ def _lex(source):
         kind = _GROUP[group]
         if kind == "end":
             append(("end", text, None, layout, source, start))
-        elif kind == "int" or kind == "dec":
-            try:
-                value = int(text) if kind == "int" else Fraction(text)
-            except ValueError:  # more digits than int() may convert
-                raise _lex_error("number too long", source, start) from None
-            append((kind, text, value, layout, source, start))
         elif kind == "comment":
             last = -1  # so the next token has layout before it
-        elif kind == "name":
-            c = text[0]  # [^\W\d] also admits non-letters such as '²'
-            if not (c == "_" or c.isalpha()):
-                raise _lex_error(f"illegal character {c!r}", source, start)
-            kind = "var" if (c == "_" or c.isupper()) else "atom"
-            append((kind, text, text, layout, source, start))
-        elif kind == "quoted" or kind == "unclosed":
-            quote = text[0]
-            body = _unescape(text[1:-1] if kind == "quoted" else text[1:],
-                             quote, source, start)
-            if kind == "unclosed":
-                # the body stops short of the end only at a lone backslash
-                raise _lex_error("dangling escape" if m.end() < len(source)
-                                 else "unterminated quoted token",
-                                 source, start)
-            # strings are treated as atoms; generated programs use none
-            append(("str" if quote == '"' else "atom", body, body, layout,
-                    source, start))
         elif kind == "eof":  # always the last match
             append(("eof", "", None, False, source, start))
             return toks
-        elif kind == "open_comment":
-            raise _lex_error("unterminated block comment", source, start)
         else:
-            raise _lex_error(f"illegal character {text!r}", source, start)
+            kind, text, value = _checked(kind, text, m, source, start)
+            append((kind, text, value, layout, source, start))
+
+
+def _checked(kind, text, m, source, start):
+    """(kind, text, value) of a token that needs more than its match to
+    read; raises LexError for one that does not lex."""
+    if kind == "int" or kind == "dec":
+        try:
+            value = int(text) if kind == "int" else Fraction(text)
+        except ValueError:  # more digits than int() may convert
+            raise _lex_error("number too long", source, start) from None
+        return kind, text, value
+    if kind == "name":
+        c = text[0]  # [^\W\d] also admits non-letters such as '²'
+        if not (c == "_" or c.isalpha()):
+            raise _lex_error(f"illegal character {c!r}", source, start)
+        return "var" if (c == "_" or c.isupper()) else "atom", text, text
+    if kind == "quoted" or kind == "unclosed":
+        quote = text[0]
+        body = _unescape(text[1:-1] if kind == "quoted" else text[1:],
+                         quote, source, start)
+        if kind == "unclosed":
+            # the body stops short of the end only at a lone backslash
+            raise _lex_error("dangling escape" if m.end() < len(source)
+                             else "unterminated quoted token",
+                             source, start)
+        # strings are treated as atoms; generated programs use none
+        return "str" if quote == '"' else "atom", body, body
+    if kind == "open_comment":
+        raise _lex_error("unterminated block comment", source, start)
+    raise _lex_error(f"illegal character {text!r}", source, start)
+
+
+def lexes_to_end(source, starts):
+    """For each offset in starts, in order, whether source[start:] lexes
+    without a LexError.
+
+    No alternative of _TOKEN looks behind its start, whether a token
+    lexes depends on its text alone, and every suffix ends where source
+    does, so whether lexing from a token start reaches the end depends
+    on that offset alone: each offset is lexed once, and a walk stops at
+    the first offset an earlier walk passed.
+    """
+    known = {}
+    for start in starts:
+        walked = []
+        ok = None
+        for m in _TOKEN.finditer(source, start):
+            pos = m.start()
+            ok = known.get(pos)
+            if ok is not None:
+                break
+            walked.append(pos)
+            group = m.lastindex
+            if _PLAIN[group] is not None:
+                continue
+            kind = _GROUP[group]
+            if kind == "eof":
+                ok = True
+                break
+            if kind != "end" and kind != "comment":
+                try:
+                    _checked(kind, m.group(group), m, source,
+                             m.start(group))
+                except LexError:
+                    ok = False
+                    break
+        for pos in walked:
+            known[pos] = ok
+        yield ok
 
 
 class OpTable:

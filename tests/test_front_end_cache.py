@@ -1,0 +1,139 @@
+"""The front-end cache of `run_candidate`: a text met again is neither
+parsed nor consulted again, and gives the verdict a cold run gives."""
+
+from __future__ import annotations
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from prolite import orchestrator
+from prolite.harness import FIXTURES, gen_navigate
+from prolite.orchestrator import FRONT_END_ENTRIES, _front_end, run_candidate
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    _front_end.cache_clear()
+    yield
+    _front_end.cache_clear()
+
+
+def cold_and_warm(source, entry="problem(Answer)"):
+    _front_end.cache_clear()
+    cold = run_candidate(source, entry)
+    hits = _front_end.cache_info().hits
+    warm = run_candidate(source, entry)
+    assert _front_end.cache_info().hits == hits + 1
+    return cold, warm
+
+
+PROGRAMS = [(p.reference_program, p.entry) for p in FIXTURES]
+PROGRAMS += [(p.reference_program, p.entry) for p in gen_navigate(7, 12)]
+
+
+@pytest.mark.parametrize("source, entry", PROGRAMS)
+def test_a_hit_on_a_program_gives_the_cold_result(source, entry):
+    cold, warm = cold_and_warm(source, entry)
+    assert cold.status == "ok"
+    assert warm == cold
+
+
+@pytest.mark.parametrize("source, entry, status, detail", [
+    ("problem(A) :- A = 'open.", "problem(A)", "parse-error",
+     "unterminated quoted token"),
+    ("problem(A :- A = 1.", "problem(A)", "parse-error", ""),
+    ("member(X, [X]).\nproblem(1).", "problem(A)", "runtime-error",
+     "cannot redefine member/2"),
+    ("problem(1).", "problem(1)", "runtime-error",
+     "entry query has no answer variable"),
+    ("problem(1).", "problem(", "parse-error", ""),
+    ("I am not sure about this one.", "problem(A)", "parse-error", ""),
+    ("problem(A) :- A #> 0.", "problem(A)", "underdetermined", ""),
+    ("problem(A) :- p(A).", "problem(A)", "runtime-error",
+     "unknown predicate p/1"),
+])
+def test_a_hit_on_a_failing_text_gives_the_cold_result(source, entry,
+                                                        status, detail):
+    cold, warm = cold_and_warm(source, entry)
+    assert cold.status == status and detail in cold.detail
+    assert warm == cold
+
+
+def test_one_database_answers_two_entries_like_fresh_ones():
+    source = ("p(1).\np(2).\np(3).\n"
+              "count(A) :- findall(X, p(X), L), length(L, A).\n"
+              "big(A) :- p(X), X > 1, A is X * 10.\n"
+              "fd(A) :- A #> 2, A #< 4.\n")
+    entries = ["count(A)", "big(A)", "fd(A)", "p(A)"]
+    fresh = {}
+    for entry in entries:
+        _front_end.cache_clear()
+        fresh[entry] = run_candidate(source, entry)
+    assert [fresh[e].answer for e in entries] == [3, 20, 3, 1]
+    _front_end.cache_clear()
+    for entry in entries * 2:
+        assert run_candidate(source, entry) == fresh[entry]
+    assert _front_end.cache_info().misses == 1
+
+
+def counting(monkeypatch):
+    calls = {"parse_program": [], "consult": []}
+    for name in calls:
+        original = getattr(orchestrator, name)
+
+        def counted(arg, _original=original, _name=name):
+            calls[_name].append(arg)
+            return _original(arg)
+
+        monkeypatch.setattr(orchestrator, name, counted)
+    return calls
+
+
+def test_each_distinct_text_is_parsed_and_consulted_once(monkeypatch):
+    calls = counting(monkeypatch)
+    a = "problem(1)."
+    b = "problem(2)."
+    junk = "I am not sure about this one."
+    for source in (a, b, a, junk, a, b, junk, junk):
+        run_candidate(source, "problem(A)")
+    assert calls["parse_program"] == [a, b, junk]
+    assert len(calls["consult"]) == 2
+
+
+def test_the_cache_holds_at_most_its_bound(monkeypatch):
+    calls = counting(monkeypatch)
+    sources = [f"problem({k})." for k in range(FRONT_END_ENTRIES + 5)]
+    for k, source in enumerate(sources):
+        assert run_candidate(source).answer == k
+        assert _front_end.cache_info().currsize <= FRONT_END_ENTRIES
+    assert _front_end.cache_info().maxsize == FRONT_END_ENTRIES
+    # the latest texts are kept, the oldest were evicted
+    run_candidate(sources[-1])
+    assert len(calls["parse_program"]) == len(sources)
+    run_candidate(sources[0])
+    assert len(calls["parse_program"]) == len(sources) + 1
+
+
+def test_threads_sharing_cached_databases_answer_like_cold_runs():
+    # more threads than cores, switching often, on a few texts whose
+    # predicate indexes are built lazily while other threads query them
+    texts = [(p.reference_program, p.entry) for p in FIXTURES[:3]]
+    texts += [(p.reference_program, p.entry) for p in gen_navigate(11, 3)]
+    expected = []
+    for source, entry in texts:
+        _front_end.cache_clear()
+        expected.append(run_candidate(source, entry))
+    _front_end.cache_clear()
+    jobs = [k % len(texts) for k in range(8 * len(texts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run_candidate, *texts[k]) for k in jobs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[k] for k in jobs]
+    assert _front_end.cache_info().currsize == len(texts)

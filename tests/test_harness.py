@@ -18,8 +18,8 @@ from prolite.harness.evaluate import (DEFAULT_SHOTS, EvalReport,
 from prolite.harness.navigate import final_position, render_statement
 from prolite.harness.oracles import (cinema_oracle, csp_brute_oracle,
                                      linear_gold_oracle, sum_it_up_oracle)
-from prolite.orchestrator import RetryPolicy
-from prolite.providers import ScriptedMapProvider
+from prolite.orchestrator import RetryPolicy, _front_end
+from prolite.providers import ReferenceProvider, ScriptedMapProvider
 
 
 # --- oracles ----------------------------------------------------------
@@ -272,6 +272,36 @@ def test_evaluate_workers_deterministic():
                         workers=4)
     assert serial.problems == parallel.problems
     assert serial.categories == parallel.categories
+
+
+def transcript_records(directory):
+    """Every transcript line under directory, without its wall time."""
+    records = {}
+    for path in sorted(directory.iterdir()):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records[path.name] = [
+            {k: v for k, v in json.loads(line).items() if k != "wall_ms"}
+            for line in lines]
+    return records
+
+
+def test_evaluate_workers_deterministic_when_texts_recur(tmp_path):
+    # half the attempts get the same junk text and every repeat the same
+    # program, so most candidates meet the front-end cache; the serial
+    # run starts from a cold cache and the threaded one from a warm one
+    problems = list(FIXTURES) + gen_navigate(3, 10)
+    provider = ReferenceProvider(problems, p=0.5, seed=7)
+    _front_end.cache_clear()
+    serial = evaluate(problems, provider, repeats=3,
+                      transcript_dir=tmp_path / "serial")
+    parallel = evaluate(problems, provider, repeats=3,
+                        transcript_dir=tmp_path / "parallel", workers=4)
+    assert serial.runs == parallel.runs
+    assert any(len(set(r.statuses)) > 1 for r in serial.runs)
+    for fmt in ("json", "csv", "markdown"):
+        assert emit_report(serial, fmt) == emit_report(parallel, fmt)
+    assert transcript_records(tmp_path / "serial") == \
+        transcript_records(tmp_path / "parallel")
 
 
 def test_evaluate_counts_wrong_answers():

@@ -2,7 +2,8 @@
 share subterms, cyclic bindings, long labelings, deeply nested clause
 text and builtin redo loops end in their exec status within the budget,
 and neither the reader nor the walks over those terms raise a Python
-RecursionError."""
+RecursionError.  A long prose completion is searched for a program in
+time linear in its length."""
 
 import time
 
@@ -13,7 +14,8 @@ from prolite import (Budget, consult, engine, parse_program,
                      parse_term_text, solve)
 from prolite.cli import main
 from prolite.errors import BudgetExceeded
-from prolite.orchestrator import run_candidate
+from prolite.orchestrator import (ExtractionFailure, extract_program,
+                                  run_candidate)
 from prolite.terms import Atom, Struct
 from prolite.writer import term_to_text
 
@@ -271,3 +273,14 @@ def test_the_writer_reads_the_memory_budget_when_it_writes(monkeypatch):
         term_to_text(term)
     monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", 15)
     assert term_to_text(term).count("a") == 8
+
+
+def test_long_prose_with_a_last_line_that_does_not_lex_ends_quickly():
+    # no fenced block, and every line suffix ends in an unclosed quote:
+    # tokenizing each suffix in turn took over 20 s at 2,000 lines
+    prose = ["The answer follows from the constraints given here."] * 1999
+    completion = "\n".join(prose + ["I don't know."])
+    started = time.monotonic()
+    with pytest.raises(ExtractionFailure):
+        extract_program(completion)
+    assert time.monotonic() - started < 0.5

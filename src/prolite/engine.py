@@ -23,7 +23,9 @@ Clauses are templates and are never renamed for a call.  A head is
 unified with the goal slot by slot: a clause variable's id is its slot
 in a per-call frame, its first occurrence takes the goal's argument as
 it is, and only the subterms a goal variable gets bound to are built.
-The body is built once per head that unifies.  Each predicate has a
+The body is built once per head that unifies, bar its arithmetic: a goal
+is/2 or a comparison is an _ArithGoal, evaluated from the clause text
+through the frame when it runs.  Each predicate has a
 first-argument index (key -> clauses in source order, clauses with a
 variable first argument merged in), and a call pushes no choice point
 when no later clause can match.
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +59,7 @@ from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
-                    is_number, list_to_python, make_list, normalize_number,
+                    list_to_python, make_list, normalize_number,
                     occurs, rebuild, term_vars)
 
 DEFAULT_MAX_STEPS = 5_000_000
@@ -273,10 +276,7 @@ class SolveState:
                             met = set()
                         met.add((id(a), id(c)))
                         stack.extend(zip(a.args, c.args))
-                elif is_number(a) and is_number(c):
-                    if a != c or isinstance(a, float) != isinstance(c, float):
-                        return False
-                elif a != c:
+                elif a != c or (type(a) is float) != (type(c) is float):
                     return False
             if not stack:
                 return True
@@ -422,6 +422,18 @@ class _VarGoal:
         self.term = term
 
 
+class _ArithGoal:
+    """A body goal is/2 or an arithmetic comparison, run by _arith on the
+    clause text through the frame of its call: only the left side of is/2
+    is built.  The frame is not trailed, so it gains no computed value."""
+
+    __slots__ = ("name", "left", "right", "frame")
+
+    def __init__(self, tpl, frame):
+        (left, self.right), self.name, self.frame = tpl.args, tpl.name, frame
+        self.left = _build(left, frame) if tpl.name == "is" else left
+
+
 def _build_goal(tpl, frame, role=_GOAL):
     """Build a body goal, a clause variable in goal position as a
     _VarGoal.  The walk keeps its own stack of (template, role) entries;
@@ -481,9 +493,10 @@ def _resolve_clause(state, args, cands, i, mark):
 
 def _push_body(body, frame, barrier, cont):
     """cont with the goals of body, built under frame, in front."""
-    goals = [_build_struct(g, frame, 0) if type(g) is Struct
-             and g.name not in _CONTROL_NAMES else _build_goal(g, frame)
-             for g in body]
+    goals = [_build_goal(g, frame) if type(g) is not Struct
+             or g.name in _CONTROL_NAMES else _ArithGoal(g, frame)
+             if g.name in _ARITH_GOALS and len(g.args) == 2
+             else _build_struct(g, frame, 0) for g in body]
     depth = 0 if cont is None else cont[3]
     for goal in reversed(goals):
         depth += 1
@@ -628,6 +641,10 @@ def _run(state, query):
         if kind is Struct:
             args = goal.args
             key = (goal.name, len(args))
+        elif kind is _ArithGoal:
+            cont = nxt if _arith(state, goal.name, goal.left, goal.right,
+                                 goal.frame) else _FAIL
+            continue
         elif kind is Atom:
             args = ()
             key = (goal.name, 0)
@@ -737,146 +754,157 @@ def solve_first(query, db, budget=None):
 
 # --- arithmetic -------------------------------------------------------
 
-def eval_arith(expr, b):
-    """Exact evaluation of a ground arithmetic expression.
+_SMALL_TERM = 64
 
-    Operands are evaluated depth first, left to right, on an explicit
-    stack; an entry (t,) applies t's function to the values its
-    arguments left on `values` and records the value by t's id, so that
-    a compound the term shares is evaluated once.  A number is returned
-    at once.
-    """
+
+class _Large(Exception):
+    """Raised by _values past _SMALL_TERM compounds."""
+
+
+def eval_arith(expr, b, frame=None):
+    """Exact value of the ground arithmetic expression expr read through
+    b; with frame, expr is clause text and frame maps its variables.
+    Up to _SMALL_TERM compounds are evaluated by recursion, a larger term
+    by _eval_shared; both go depth first and left to right, so they meet
+    the same first error."""
+    bmap = b.map
+    try:
+        return _values((expr,), bmap if frame is None else frame, bmap,
+                       [_SMALL_TERM])[0]
+    except _Large:
+        return _eval_shared(expr if frame is None else _build(expr, frame),
+                            b)
+
+
+def _values(args, frame, bmap, budget):
+    """The values of the expressions args, by recursion: each is read
+    through frame, and a variable's value through the binding map bmap.
+    budget[0] counts down the compounds still allowed."""
+    values = []
+    for a in args:
+        f = frame
+        if type(a) is Var:
+            value = frame.get(a.id)
+            while value is not None:
+                a = value
+                if type(a) is not Var:
+                    break
+                value = bmap.get(a.id)
+            f = bmap
+        kind = type(a)
+        if kind is int or kind is Fraction or kind is float:
+            values.append(a)
+        elif kind is Struct:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _Large
+            values.append(_apply(a.name, _values(a.args, f, bmap, budget)))
+        else:
+            values.append(_leaf(a))
+    return values
+
+
+def _eval_shared(t, b):
+    """Value of t on an explicit stack: an entry (t,) applies t's
+    function to the values its arguments left on `values` and records
+    the value by t's id, so that a compound the term shares is evaluated
+    once."""
     deref = b.deref
-    t = deref(expr)
-    kind = type(t)
-    if kind is int or kind is Fraction or kind is float:
-        return t
     values = []
     stack = [t]
     done = {}           # id of a compound -> its value
     while stack:
-        t = stack.pop()
+        t = deref(stack.pop())
         if type(t) is tuple:
             t = t[0]
             n = len(t.args)
-            args = values[-n:]
+            value = done[id(t)] = _apply(t.name, values[-n:])
             del values[-n:]
-            value = done[id(t)] = _apply_checked(t.name, args)
             values.append(value)
-            continue
-        if type(t) is Var:
-            t = deref(t)
-        if type(t) is Struct:
-            value = done.get(id(t))
-            if value is None:
-                stack.append((t,))
-                stack.extend(reversed(t.args))
-            else:
-                values.append(value)
-            continue
-        if isinstance(t, Var):
-            raise InstantiationError(
-                f"unbound variable in arithmetic: {t.name}")
-        if isinstance(t, bool):
-            raise PlTypeError("boolean in arithmetic")
-        if isinstance(t, (int, Fraction, float)):
-            values.append(t)
-        elif isinstance(t, Atom):
-            if t.name == "pi":
-                values.append(math.pi)
-            elif t.name == "e":
-                values.append(math.e)
-            else:
-                raise PlTypeError(
-                    f"non-numeric leaf in arithmetic: {t.name}")
+        elif type(t) is not Struct:
+            values.append(_leaf(t))
+        elif id(t) in done:
+            values.append(done[id(t)])
         else:
-            raise PlTypeError(f"bad arithmetic term: {t!r}")
+            stack.append((t,))
+            stack.extend(reversed(t.args))
     return values[0]
 
 
-def _apply_checked(name, args):
+def _leaf(t):
+    """The value of a term that is not a compound."""
+    kind = type(t)
+    if kind is int or kind is Fraction or kind is float:
+        return t
+    if kind is Var:
+        raise InstantiationError(f"unbound variable in arithmetic: {t.name}")
+    if kind is bool:
+        raise PlTypeError("boolean in arithmetic")
+    if kind is Atom:
+        if t.name == "pi":
+            return math.pi
+        if t.name == "e":
+            return math.e
+        raise PlTypeError(f"non-numeric leaf in arithmetic: {t.name}")
+    raise PlTypeError(f"bad arithmetic term: {t!r}")
+
+
+def _apply(name, args):
+    """name applied to the values args."""
+    function = _FUNCTIONS.get((name, len(args)))
+    if function is None:
+        raise PlTypeError(f"unknown arithmetic function {name}/{len(args)}")
     try:
-        value = _apply_arith(name, args)
+        value = function(*args)
     except (ArithmeticError, ValueError) as exc:
         # float overflow, 0 ^ -1, a math domain error, ...
         raise EvaluationError(
             f"{name}/{len(args)}: {type(exc).__name__}: {exc}") from None
-    if isinstance(value, float) and not math.isfinite(value):
+    if type(value) is float and not math.isfinite(value):
         # float * and / overflow to inf, and inf - inf gives nan, silently
         raise EvaluationError(f"{name}/{len(args)}: float result {value}")
     return value
 
 
-def _apply_arith(name, args):
-    if len(args) == 1:
-        (x,) = args
-        if name == "-":
-            return normalize_number(-x)
-        if name == "+":
-            return x
-        if name == "abs":
-            return normalize_number(abs(x))
-        if name == "sqrt":
-            if x < 0:
-                raise EvaluationError("sqrt of a negative number")
-            root = None if isinstance(x, float) else _exact_root(x, 2)
-            return math.sqrt(x) if root is None else normalize_number(root)
-        if name == "sign":
-            return (x > 0) - (x < 0)
-        if name == "truncate":
-            return math.trunc(x)
-        if name == "float":
-            return float(x)
-        raise PlTypeError(f"unknown arithmetic function {name}/1")
-    if len(args) == 2:
-        x, y = args
-        if name == "+":
-            return normalize_number(x + y)
-        if name == "-":
-            return normalize_number(x - y)
-        if name == "*":
-            return normalize_number(x * y)
-        if name in ("/", "rdiv"):
-            if y == 0:
-                raise ZeroDivisor("division by zero")
-            if isinstance(x, float) or isinstance(y, float):
-                return x / y
-            return normalize_number(Fraction(x) / Fraction(y))
-        if name == "//":
-            if y == 0:
-                raise ZeroDivisor("division by zero")
-            return math.floor(Fraction(x) / Fraction(y)) \
-                if not (isinstance(x, float) or isinstance(y, float)) \
-                else math.floor(x / y)
-        if name == "mod":
-            if y == 0:
-                raise ZeroDivisor("mod by zero")
-            if isinstance(x, int) and isinstance(y, int):
-                return x % y  # result sign follows the divisor
-            raise PlTypeError("mod expects integers")
-        if name == "rem":
-            if y == 0:
-                raise ZeroDivisor("rem by zero")
-            if isinstance(x, int) and isinstance(y, int):
-                return x - y * math.trunc(Fraction(x, y))
-            raise PlTypeError("rem expects integers")
-        if name == "min":
-            return min(x, y)
-        if name == "max":
-            return max(x, y)
-        if name == "^" or name == "**":
-            return _power(x, y)
-        raise PlTypeError(f"unknown arithmetic function {name}/2")
-    raise PlTypeError(f"unknown arithmetic function {name}/{len(args)}")
+def _sqrt(x):
+    if x < 0:
+        raise EvaluationError("sqrt of a negative number")
+    root = None if type(x) is float else _exact_root(x, 2)
+    return math.sqrt(x) if root is None else normalize_number(root)
+
+
+def _divide(x, y):
+    if y == 0:
+        raise ZeroDivisor("division by zero")
+    if type(x) is float or type(y) is float:
+        return x / y
+    return normalize_number(Fraction(x, y))
+
+
+def _on_integers(name, op, zero=None):
+    """The function op of two integers, as the evaluable functor name."""
+    def run(x, y):
+        if y == 0:
+            raise ZeroDivisor(f"{zero or name} by zero")
+        if type(x) is not int or type(y) is not int:
+            raise PlTypeError(f"{name} expects integers")
+        return op(x, y)
+    return run
+
+
+def _truncate_divide(x, y):
+    """x // y rounded toward zero, as ISO's //."""
+    q = x // y
+    return q + 1 if q < 0 and q * y != x else q
 
 
 def _power(x, y):
     """x ^ y, exact whenever the result is rational, else a float."""
-    if isinstance(y, int) and not isinstance(x, float):
+    if type(y) is int and type(x) is not float:
         return normalize_number(x ** y if y >= 0 else Fraction(x) ** y)
     if x < 0 and not float(y).is_integer():
         raise EvaluationError("negative base with a non-integer exponent")
-    if isinstance(y, Fraction) and not isinstance(x, float):
+    if type(y) is Fraction and type(x) is not float:
         root = _exact_root(x, y.denominator)
         if root is not None:
             return normalize_number(root ** y.numerator)
@@ -896,6 +924,8 @@ def _exact_root(x, n):
 def _iroot(a, n):
     """Floor of the n-th root of the integer a >= 0, by Newton's method
     from a power of two above it."""
+    if n == 2:
+        return math.isqrt(a)
     if n >= a.bit_length():
         return min(a, 1)
     x = 1 << -(-a.bit_length() // n)
@@ -904,6 +934,33 @@ def _iroot(a, n):
         if y >= x:
             return x
         x = y
+
+
+_FUNCTIONS = {
+    ("+", 1): lambda x: x,
+    ("-", 1): lambda x: normalize_number(-x),
+    ("abs", 1): lambda x: normalize_number(abs(x)),
+    ("sqrt", 1): _sqrt,
+    ("sign", 1): lambda x: (x > 0) - (x < 0),
+    ("truncate", 1): math.trunc,
+    ("float", 1): float,
+    ("+", 2): lambda x, y: normalize_number(x + y),
+    ("-", 2): lambda x, y: normalize_number(x - y),
+    ("*", 2): lambda x, y: normalize_number(x * y),
+    ("/", 2): _divide,
+    ("rdiv", 2): _divide,
+    ("//", 2): _on_integers("//", _truncate_divide, "division"),
+    ("mod", 2): _on_integers("mod", operator.mod),  # sign of the divisor
+    ("rem", 2): _on_integers(
+        "rem", lambda x, y: x - y * _truncate_divide(x, y)),
+    ("min", 2): min,
+    ("max", 2): max,
+    ("^", 2): _power,
+    ("**", 2): _power,
+}
+
+_COMPARISONS = {"=:=": operator.eq, "=\\=": operator.ne, "<": operator.lt,
+                ">": operator.gt, "=<": operator.le, ">=": operator.ge}
 
 
 # --- standard order of terms ------------------------------------------
@@ -1074,16 +1131,24 @@ def _bi_struct_neq(state, args, barrier):
     return _ONCE if compare_terms(args[0], args[1], state.bindings) else ()
 
 
-def _bi_is(state, args, barrier):
-    value = eval_arith(args[1], state.bindings)
-    return _ONCE if state.unify(args[0], value) else ()
+def _arith(state, name, left, right, frame=None):
+    """Whether name(left, right), is/2 or a comparison, holds; with frame,
+    its arguments are clause text, except the left side of is/2."""
+    b = state.bindings
+    test = _COMPARISONS.get(name)
+    if test is not None:
+        return test(eval_arith(left, b, frame), eval_arith(right, b, frame))
+    value = eval_arith(right, b, frame)
+    left = b.deref(left)
+    if type(left) is Var and left.id not in b.owner:
+        b.bind(left, value)
+        return True
+    return state.unify(left, value)
 
 
-def _arith_compare(op):
+def _bi_arith(name):
     def run(state, args, barrier):
-        x = eval_arith(args[0], state.bindings)
-        y = eval_arith(args[1], state.bindings)
-        return _ONCE if op(x, y) else ()
+        return _ONCE if _arith(state, name, args[0], args[1]) else ()
     return run
 
 
@@ -1138,7 +1203,7 @@ def _rational_route(state, args):
     walked = set()      # ids of compounds, so a shared one is walked once
     while stack:
         t = state.bindings.deref(stack.pop())
-        if isinstance(t, Fraction) or isinstance(t, float):
+        if type(t) is Fraction or type(t) is float:
             return True
         if isinstance(t, Var) and state.bindings.owner_of(t) is state.r:
             return True
@@ -1205,13 +1270,7 @@ BUILTINS = {
     ("\\=", 2): _bi_not_unify,
     ("==", 2): _bi_struct_eq,
     ("\\==", 2): _bi_struct_neq,
-    ("is", 2): _bi_is,
-    ("=:=", 2): _arith_compare(lambda x, y: x == y),
-    ("=\\=", 2): _arith_compare(lambda x, y: x != y),
-    ("<", 2): _arith_compare(lambda x, y: x < y),
-    (">", 2): _arith_compare(lambda x, y: x > y),
-    ("=<", 2): _arith_compare(lambda x, y: x <= y),
-    (">=", 2): _arith_compare(lambda x, y: x >= y),
+    **{(name, 2): _bi_arith(name) for name in ("is", *_COMPARISONS)},
     ("between", 3): _bi_between,
     ("length", 2): _bi_length,
     ("msort", 2): _bi_msort,
@@ -1226,3 +1285,4 @@ BUILTINS = {
 # body goal with one of them through _build_goal
 _CONTROL_NAMES = frozenset(name for (name, _), entry in BUILTINS.items()
                            if type(entry) is _Control and entry.roles)
+_ARITH_GOALS = frozenset(("is", *_COMPARISONS))   # run as _ArithGoal

@@ -78,12 +78,12 @@ NIL = Atom("[]")
 
 
 def is_number(t):
-    return isinstance(t, (int, Fraction, float)) and not isinstance(t, bool)
+    return type(t) in (int, Fraction, float)
 
 
 def normalize_number(value):
     """Collapse integral Fractions to int; leave everything else alone."""
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if type(value) is Fraction and value.denominator == 1:
         return int(value)
     return value
 

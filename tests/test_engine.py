@@ -11,7 +11,7 @@ from helpers import run_query
 from prolite import Budget, consult, engine, parse_program, solve_first
 from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
-                            ZeroDivisor)
+                            PlTypeError, ZeroDivisor)
 from prolite.engine import SolveState
 from prolite.harness import gen_navigate
 from prolite.orchestrator import run_candidate
@@ -119,6 +119,58 @@ def test_integer_arithmetic_functions():
     b = sols[0].bindings
     assert (b["A"], b["B"], b["C"], b["D"], b["E"], b["F"]) == \
         (3, 2, 4, 2, 1024, 7)
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("-7 // 2", -3), ("7 // -2", -3), ("-7 // -2", 3), ("7 // 2", 3),
+    ("-8 // 2", -4), ("1 // -2", 0), ("-7 rem 2", -1), ("7 rem -2", 1),
+    ("-7 mod 2", 1), ("7 mod -2", -1)])
+def test_integer_division_truncates_toward_zero(expr, value):
+    # ISO 9.1.7: // and rem truncate toward zero, mod floors
+    query = run_query("", f"X is {expr}")[0].bindings["X"]
+    body = run_candidate(f"problem(A) :- A is {expr}.").answer
+    assert [(x, type(x)) for x in (query, body)] == [(value, int)] * 2
+
+
+@pytest.mark.parametrize("expr", [
+    "1.5 // 2", "float(7) // 2", "7 // float(2)", "(1 rdiv 2) // 1"])
+def test_integer_division_of_a_non_integer_is_a_type_error(expr):
+    with pytest.raises(PlTypeError, match="^// expects integers$"):
+        run_query("", f"X is {expr}")
+    result = run_candidate(f"problem(A) :- A is {expr}.")
+    assert (result.status, result.detail) == \
+        ("runtime-error", "// expects integers")
+
+
+def test_an_arithmetic_goal_reads_its_clause_frame_after_backtracking():
+    program = "p(1). p(10).\nq(X) :- p(A), X is A + 1, X > 5.\n"
+    assert values(run_query(program, "q(X)"), "X") == [11]
+
+
+@pytest.mark.parametrize("body, answers", [
+    ("X #> 3, X is 5", [5]), ("X #> 5, X is 5", []),
+    ("{X = 5/2}, X is 5 rdiv 2", [Fraction(5, 2)]),
+    ("{X >= 2}, X is 5 rdiv 2", [Fraction(5, 2)]),
+    ("{X >= 3}, X is 5 rdiv 2", [])])
+def test_is_binds_a_constrained_variable_through_its_store(body, answers):
+    assert values(run_query(f"q(X) :- {body}.\n", "q(X)"), "X") == answers
+
+
+@pytest.mark.parametrize("body", [
+    "X is Y + 1", "Y + 1 > X", "X =:= 2 * (Y - 3)",
+    "X is " + " + ".join(["Y"] + ["X"] * 300)])
+def test_an_unbound_first_occurrence_in_arithmetic_is_named(body):
+    with pytest.raises(InstantiationError,
+                       match="^unbound variable in arithmetic: Y$"):
+        run_query(f"q(X) :- {body}.\n", "q(1)")
+
+
+def test_a_300_deep_chain_in_clause_text_runs():
+    # ((N + N) + N) + ... nests 299 deep, past the compounds evaluated by
+    # recursion, so the clause text is built and evaluated as a term
+    chain = " + ".join(["N"] * 300)
+    program = f"q(N, X) :- X is {chain}, X =:= {chain}, {chain} < X + 1.\n"
+    assert values(run_query(program, "q(2, X)"), "X") == [600]
 
 
 def test_sqrt_of_non_square_is_float():

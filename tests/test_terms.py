@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from prolite.terms import (NIL, Atom, Bindings, Clause, Struct, Var,
-                           indicator, list_to_python, make_list,
+                           indicator, is_number, list_to_python, make_list,
                            normalize_number, occurs, term_vars, variant)
 
 
@@ -16,6 +16,12 @@ def test_normalize_number_collapses_unit_denominator():
     assert normalize_number(Fraction(8, 2)) == 4
     assert isinstance(normalize_number(Fraction(8, 2)), int)
     assert normalize_number(Fraction(1, 3)) == Fraction(1, 3)
+    assert type(normalize_number(Fraction(4, 2))) is int
+
+
+def test_a_boolean_is_not_a_number():
+    assert [is_number(x) for x in (1, Fraction(1, 3), 0.5, True, False)] \
+        == [True, True, True, False, False]
 
 
 def test_list_round_trip():

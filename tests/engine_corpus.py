@@ -9,10 +9,10 @@ line may change only when the old line is shown to be a defect.
 The corpus is the 8 fixtures, 200 generated navigate problems, the
 engine-bound programs of the benchmark (nrev, queens, SEND+MORE, count;
 their text is copied here so the benchmark stays independent), a few
-hand-written control-flow cases, and about 300 seeded small programs
-mixing facts, recursion, cut, `;`, `->`, `\\+`, `call/1` and variable
-goals, `findall/3`, `between/3`, `is`, comparisons, FD goals and `{}`
-goals.
+hand-written control-flow and FD-propagation cases, and about 300
+seeded small programs mixing facts, recursion, cut, `;`, `->`, `\\+`,
+`call/1` and variable goals, `findall/3`, `between/3`, `is`,
+comparisons, FD goals and `{}` goals.
 
 Regenerate with `PYTHONPATH=src python tests/engine_corpus.py`.
 """
@@ -151,6 +151,29 @@ HANDWRITTEN = (
      "label([X])), A).\n"),
     ("msort-ground",
      "problem(A) :- msort([c, 2, b, f(a), 1, a, 2], A).\n"),
+    # FD paths the benchmark's queens, SEND+MORE and CSP items do not
+    # reach: aliasing two FD variables after posting (on_alias re-links
+    # and re-runs their propagators), mod and abs woken by a hole, and
+    # holes followed by a bounds change
+    ("fd-alias-after-post",
+     "problem(A) :- X #>= 0, X #=< 5, Y #>= 2, Y #=< 9, Z #= X + Y, "
+     "W #= 2 * Y - X, X = Y, label([X, Z, W]), A = X-Z-W.\n"),
+    ("fd-alias-onto-disequality",
+     "problem(A) :- X #>= 0, X #=< 3, Y #>= 0, Y #=< 3, X #\\= Y, "
+     "( X = Y, A = same ; A = apart ).\n"),
+    ("fd-alias-chain",
+     "problem(A) :- X #>= 1, X #=< 9, Y #= X + 2, Z #>= 4, Z #=< 6, "
+     "X = Z, Y #\\= 7, label([X]), A = X-Y.\n"),
+    ("fd-mod-woken-by-hole",
+     "problem(A) :- X #>= 0, X #=< 8, M #= X mod 3, X #\\= 1, X #\\= 4, "
+     "X #\\= 7, label([X]), A = X-M.\n"),
+    ("fd-abs-woken-by-hole",
+     "problem(A) :- X #>= -4, X #=< 4, Y #= abs(X), X #\\= 2, X #\\= -2, "
+     "Y #\\= 0, label([Y, X]), A = X-Y.\n"),
+    ("fd-holes-then-bounds",
+     "problem(A) :- X #>= 1, X #=< 9, X #\\= 3, X #\\= 5, X #\\= 9, "
+     "X #\\= 1, Y #= X + 1, Y #=< 6, Z #>= 0, Z #=< 9, Z #\\= X, "
+     "label([X, Z]), A = X-Z.\n"),
 )
 
 

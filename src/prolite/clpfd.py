@@ -24,14 +24,19 @@ since its relation reads only that domain and domains only shrink.
 A domain is immutable and keeps its bounds and size, computed once.
 A propagator dereferences each operand once per run, reads an operand
 bound to an integer as that integer, and reads and writes the store's
-domain table directly.  Leftmost labeling starts its scan for the next
-variable at the newest frame's position, so labeling n variables scans
-O(n) list entries, not O(n^2).
+domain table directly; a run allocates only the domains it narrows,
+and removing a value splits only the interval holding it.  A post
+reads its expression once with terms.linearize: by recursion up to 64
++, - and * compounds, else (abs, mod, a longer term) by its walk.
+Leftmost labeling starts its scan for the next variable at the newest
+frame's position, so labeling n variables scans O(n) list entries, not
+O(n^2).
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import deque
 
 from .clpr import RStore
@@ -114,18 +119,27 @@ class FdDomain:
         return FdDomain(tuple(out))
 
     def remove(self, v):
+        """The domain without v: the domain itself when v is outside it,
+        else a copy in which only the interval holding v is split."""
         if not self.lo <= v <= self.hi:
             return self
-        out = []
-        for a, b in self.intervals:
-            if a <= v <= b:
-                if a <= v - 1:
-                    out.append((a, v - 1))
-                if v + 1 <= b:
-                    out.append((v + 1, b))
-            else:
-                out.append((a, b))
-        return FdDomain(tuple(out))
+        ivs = self.intervals
+        # the last interval starting at or below v
+        i = bisect_right(ivs, (v, INF)) - 1
+        a, b = ivs[i]
+        if v > b:
+            return self
+        split = ((a, v - 1),) if a < v else ()
+        if v < b:
+            split += ((v + 1, b),)
+        out = FdDomain.__new__(FdDomain)
+        out.intervals = ivs = ivs[:i] + split + ivs[i + 1:]
+        if ivs:
+            out.lo, out.hi = ivs[0][0], ivs[-1][1]
+        else:
+            out.lo, out.hi = INF, -INF
+        out.card = self.card - 1
+        return out
 
     def intersect(self, other):
         out = []
@@ -175,11 +189,12 @@ class LinearProp:
         return LinearProp(merged.values(), k, self.rel)
 
     def propagate(self, store):
-        if self.rel == "eq":
+        rel = self.rel
+        if rel == "ne":
+            return self._prune_ne(store)
+        if rel == "eq":
             return self._prune_le(store, 1) and self._prune_le(store, -1)
-        if self.rel == "le":
-            return self._prune_le(store, 1)
-        return self._prune_ne(store)
+        return self._prune_le(store, 1)
 
     def _prune_le(self, store, sign):
         """Bounds pruning of sign * sum(c_i * x_i) =< sign * k."""
@@ -232,25 +247,32 @@ class LinearProp:
         return True
 
     def _prune_ne(self, store):
-        deref, domains = store.bindings.deref, store.domains
+        bmap, domains = store.bindings.map, store.domains
         free, total = None, 0
         for c, v in self.coeffs:
-            v = deref(v)
-            if not isinstance(v, Var):
+            # dereference v inline
+            bound = bmap.get(v.id)
+            while bound is not None:
+                v = bound
+                if type(v) is not Var:
+                    break
+                bound = bmap.get(v.id)
+            if type(v) is not Var:
                 total += c * v
-            elif domains[v.id].card == 1:
-                total += c * domains[v.id].lo
+                continue
+            dom = domains[v.id]
+            if dom.card == 1:
+                total += c * dom.lo
             elif free is None:
-                free = (c, v)
+                free, fc = v, c
             else:
                 return True
         if free is None:
             return total != self.k
-        c, v = free
         rest = self.k - total
-        if rest % c:
+        if rest % fc:
             return True
-        return store.set_dom_raw(v.id, domains[v.id].remove(rest // c))
+        return store.set_dom_raw(free.id, domains[free.id].remove(rest // fc))
 
 
 class ModProp:
@@ -383,10 +405,11 @@ class FdStore:
         return newdom.contains(t)
 
     def set_dom_raw(self, vid, newdom):
-        old = self.domains[vid]
-        if newdom == old:
+        domains = self.domains
+        old = domains[vid]
+        if newdom is old or newdom == old:
             return True
-        self.bindings.set(self.domains, vid, newdom)
+        self.bindings.set(domains, vid, newdom)
         lo, hi = newdom.lo, newdom.hi
         if lo > hi:
             return False
@@ -396,9 +419,13 @@ class FdStore:
             event = BOUNDS
         else:
             event = CHANGED
-        for pi in self.watchers.get(vid, ()):
-            if self.props[pi].wake <= event:
-                self._enqueue(pi)
+        watchers = self.watchers.get(vid)
+        if watchers:
+            props, queued = self.props, self._queued
+            for pi in watchers:
+                if props[pi].wake <= event and pi not in queued:
+                    queued.add(pi)
+                    self._queue.append(pi)
         return True
 
     def _enqueue(self, idx):
@@ -428,12 +455,14 @@ class FdStore:
     def propagate_fixpoint(self):
         """Run the queued propagators until no domain narrows; False on
         wipeout or when a long fixpoint fails the relaxation check."""
-        runs, slow = 0, SLOW_FIXPOINT * len(self.props)
-        while self._queue:
-            self.tick()
-            idx = self._queue.popleft()
-            self._queued.discard(idx)
-            prop = self.props[idx]
+        queue, props, tick = self._queue, self.props, self.tick
+        popleft, discard = queue.popleft, self._queued.discard
+        runs, slow = 0, SLOW_FIXPOINT * len(props)
+        while queue:
+            tick()
+            idx = popleft()
+            discard(idx)
+            prop = props[idx]
             ok = prop.propagate(self)
             runs += 1
             if ok and runs == slow:

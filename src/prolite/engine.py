@@ -936,12 +936,18 @@ def _iroot(a, n):
         x = y
 
 
+def _sign(x):
+    """-1, 0 or 1, as a float for a float argument (ISO)."""
+    sign = (x > 0) - (x < 0)
+    return float(sign) if type(x) is float else sign
+
+
 _FUNCTIONS = {
     ("+", 1): lambda x: x,
     ("-", 1): lambda x: normalize_number(-x),
     ("abs", 1): lambda x: normalize_number(abs(x)),
     ("sqrt", 1): _sqrt,
-    ("sign", 1): lambda x: (x > 0) - (x < 0),
+    ("sign", 1): _sign,
     ("truncate", 1): math.trunc,
     ("float", 1): float,
     ("+", 2): lambda x, y: normalize_number(x + y),

@@ -304,19 +304,104 @@ class Clause:
         return f"Clause({self.head!r} :- {list(self.body)!r})"
 
 
+# compounds that linearize reads by recursion before it walks the term
+_SMALL_TERM = 64
+
+
 def linearize(expr, bindings, constant, leaf, special):
     """({key: coeff}, const) of a linear expression built with +, - and *.
 
-    One walk serves both constraint stores through three hooks:
+    One normaliser serves both constraint stores through three hooks:
     constant(t) reads any leaf that is not a variable (constant(1) is the
     unit coefficient) and raises for what the store cannot read;
-    leaf(var) turns an unbound variable into a key; special(t) returns
-    None, or (args, finish) for a compound the store handles itself: the
-    walk reads each of args as a linear expression and then finish(*values)
-    gives the compound's fresh (coeffs, const) pair.  Leaves are visited
-    left to right, and finish runs after its arguments, so the side
-    effects of the hooks happen in source order.  Zero coefficients are
-    dropped from the result.  The walk keeps its own stack: an entry
+    leaf(var) turns an unbound variable into a key, and is called once
+    per variable, in order of first occurrence; special(t) returns None,
+    or (args, finish) for a compound the store handles itself: each of
+    args is read as a linear expression and then finish(*values) gives
+    the compound's fresh (coeffs, const) pair.  Zero coefficients are
+    dropped from the result.
+
+    A term of at most _SMALL_TERM +, - and * compounds over variables
+    and integers is read by recursion in integer arithmetic
+    (_linear_small), which calls no hook; then leaf is called, and
+    constant reads each coefficient and the constant term.  Any other
+    term is read by _linearize_walk, which also meets every error first
+    in its own order.
+    """
+    small = _linear_small(expr, bindings.map, [_SMALL_TERM])
+    if small is None:
+        return _linearize_walk(expr, bindings, constant, leaf, special)
+    coeffs, k = small
+    out = {}
+    for v, c in coeffs.items():
+        key = leaf(v)
+        if c:
+            out[key] = constant(c)
+    return out, constant(k)
+
+
+def _linear_small(t, bmap, budget):
+    """(coeffs, const) of t by recursion over integers, keyed by unbound
+    variable, each compound combined as _combine does; budget[0] counts
+    down the compounds still allowed.  coeffs holds every variable of t,
+    zero coefficients too, in order of first occurrence.  None past the
+    budget, at a leaf that is neither a variable nor an integer, at a
+    compound that is not +, - or *, and at a product of two non-ground
+    sides or one that would drop variables (a ground side such as
+    X - X), since their order would be lost."""
+    if type(t) is Var:
+        bound = bmap.get(t.id)
+        while bound is not None:
+            t = bound
+            if type(t) is not Var:
+                break
+            bound = bmap.get(t.id)
+        else:
+            return {t: 1}, 0
+    if type(t) is int:
+        return {}, t
+    if type(t) is not Struct:
+        return None
+    op = _LINEAR_OPS.get((t.name, len(t.args)))
+    budget[0] -= 1
+    if op is None or budget[0] < 0:
+        return None
+    args = t.args
+    left = _linear_small(args[0], bmap, budget)
+    if left is None:
+        return None
+    coeffs, k = left
+    if op == "neg":
+        return {v: -c for v, c in coeffs.items()}, -k
+    if op == "pos":
+        return coeffs, k
+    right = _linear_small(args[1], bmap, budget)
+    if right is None:
+        return None
+    rcoeffs, rk = right
+    if op == "add":
+        for v, c in rcoeffs.items():
+            coeffs[v] = coeffs.get(v, 0) + c
+        return coeffs, k + rk
+    if op == "sub":
+        for v, c in rcoeffs.items():
+            coeffs[v] = coeffs.get(v, 0) - c
+        return coeffs, k - rk
+    if not coeffs:
+        scale, coeffs, k = k, rcoeffs, rk
+    elif not rcoeffs and any(coeffs.values()):
+        scale = rk
+    else:
+        return None
+    return {v: scale * c for v, c in coeffs.items()}, scale * k
+
+
+def _linearize_walk(expr, bindings, constant, leaf, special):
+    """linearize on an explicit stack, for any term.
+
+    Leaves are visited left to right, and finish runs after its
+    arguments, so the side effects of the hooks happen in source order.
+    The walk keeps its own stack: an entry
     (None, op) combines the values that an operator's arguments left on
     `values`, an entry (n, finish) replaces the top n values by a special
     compound's, and an entry (id, None) records a copy of the value of a
@@ -330,6 +415,7 @@ def linearize(expr, bindings, constant, leaf, special):
     stack = [expr]
     done = {}           # id of a compound -> (coeffs, const)
     seen = set()        # ids of compounds walked once, not recorded
+    keys = {}           # var id -> leaf(var)
     while stack:
         t = stack.pop()
         if type(t) is tuple:
@@ -349,7 +435,10 @@ def linearize(expr, bindings, constant, leaf, special):
         if through_var:
             t = bindings.deref(t)
         if isinstance(t, Var):
-            values.append(({leaf(t): one}, zero))
+            key = keys.get(t.id, _ABSENT)
+            if key is _ABSENT:
+                key = keys[t.id] = leaf(t)
+            values.append(({key: one}, zero))
             continue
         if isinstance(t, Struct):
             found = done.get(id(t))

@@ -144,7 +144,8 @@ def _function(name, *xs):
     if name == "abs":
         return -x if x < 0 else x
     if name == "sign":
-        return 1 if x > 0 else -1 if x < 0 else 0
+        sign = 1 if x > 0 else -1 if x < 0 else 0
+        return float(sign) if type(x) is float else sign
     if name == "float":
         return float(x)
     return _sqrt(x)
@@ -270,6 +271,10 @@ CASES = [
                                        "non-numeric leaf in arithmetic: a")),
     (_op("+", V("U"), ("atom", "a")), ("error", "InstantiationError",
                                        "unbound variable in arithmetic: U")),
+    # sign/1 keeps the type of its argument: a float's sign is inexact
+    (("fn", "sign", ("fn", "float", N(-2))), ("value", -1.0, "float")),
+    (("fn", "sign", ("atom", "pi")), ("value", 1.0, "float")),
+    (("fn", "sign", N(-3)), ("value", -1, "int")),
 ]
 
 

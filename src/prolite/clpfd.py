@@ -7,10 +7,11 @@ auxiliary variables before posting; variable products are rejected.
 On unbounded domains the store also fails when the rational relaxation
 is infeasible in a scratch clpr.RStore, checked after a post or alias
 that leaves a bound infinite and once in a long fixpoint.  Propagator
-runs and the rows the check handles are charged to the query's step
-budget.  A variable belongs to at most one store, so aliasing an FD
-variable with a rational one is a TypeMix error; labeling a variable
-without a finite domain raises UnboundedDomain (underdetermined).
+runs, the rows the check collects or rewrites and its simplex pivots
+are charged to the query's step budget.  A variable belongs to at most
+one store, so aliasing an FD variable with a rational one is a TypeMix
+error; labeling a variable without a finite domain raises
+UnboundedDomain (underdetermined).
 
 Each propagator names in its wake attribute the domain event it reads,
 and a domain change queues only the watchers it can affect: a bounds
@@ -40,8 +41,8 @@ from bisect import bisect_right
 from collections import deque
 
 from .clpr import RStore
-from .errors import (BudgetExceeded, IneqCapExceeded, NonLinearUnsupported,
-                     PlTypeError, UnboundedDomain)
+from .errors import (BudgetExceeded, NonLinearUnsupported, PlTypeError,
+                     UnboundedDomain)
 from .terms import Bindings, Struct, Var, linearize
 
 INF = float("inf")
@@ -521,12 +522,8 @@ class FdStore:
                         lone.append(vid)
                 rows[i] = None
         scratch = RStore(Bindings(), self.tick)
-        try:
-            return scratch.post_linear(sorted(
-                (row for row in rows if row),
-                key=lambda row: row[2] != "eq"))
-        except IneqCapExceeded:
-            return True
+        return scratch.post_linear(sorted((row for row in rows if row),
+                                          key=lambda row: row[2] != "eq"))
 
     def post(self, goal):
         """Post one #-rooted constraint goal; False means inconsistency."""

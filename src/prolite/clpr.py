@@ -2,9 +2,9 @@
 
 Incremental Gaussian elimination: equality rows are kept in reduced
 row-echelon form with a designated pivot per row; newly determined
-variables are bound straight into the engine bindings.  Inequalities are
-checked by Fourier-Motzkin elimination under a small row cap, eliminating
-first the variable whose step adds the fewest rows.  A variable belongs
+variables are bound straight into the engine bindings.  Inequalities,
+freed of pivot variables, are checked exactly by a general simplex with
+Bland's rule, which needs no cap on rows or pivots.  A variable belongs
 to at most one store: an FD variable in a posted relation, or aliased
 with a rational one, is a TypeMix error.
 """
@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (IneqCapExceeded, NonLinearUnsupported, PlTypeError,
-                     ZeroDivisor)
+from .errors import NonLinearUnsupported, PlTypeError, ZeroDivisor
 from .terms import Struct, Var, is_number, linearize, normalize_number
 
 EQ_OPS = {"=", "#="}
 INEQ_OPS = {"<": "lt", ">": "gt", "=<": "le", ">=": "ge", "#<": "lt",
             "#>": "gt", "#=<": "le", "#>=": "ge"}
-
-DEFAULT_INEQ_CAP = 12
-ELIMINATION_CAP = 20_000    # rows Fourier-Motzkin elimination may hold
 
 
 class RStore:
@@ -30,9 +26,9 @@ class RStore:
 
     The two tables are written only through bindings.set, and a stored
     row is never mutated in place, so the query's one trail undoes them
-    together with the bindings.  tick() is called once per row that
-    elimination rewrites or derives, so the work counts toward the
-    query's budget.
+    together with the bindings.  tick() is called once per row that an
+    equality rewrites and once per simplex pivot, so the work counts
+    toward the query's budget.
     """
 
     def __init__(self, bindings, tick):
@@ -126,12 +122,9 @@ class RStore:
                 put(self.ineqs, i,
                     _subst_into(e, k, pivot, pexpr, pconst) + (rel,))
         self._bind_determined()
-        return not _violated(self.ineqs.values())
+        return True
 
     def _insert_ineq(self, expr, const, rel):
-        if len(self.ineqs) >= DEFAULT_INEQ_CAP:
-            raise IneqCapExceeded(
-                f"more than {DEFAULT_INEQ_CAP} inequality rows")
         expr, const = self._substitute(expr, const)
         self.bindings.set(self.ineqs, len(self.ineqs), (expr, const, rel))
 
@@ -157,54 +150,58 @@ class RStore:
     # --- queries ------------------------------------------------------
 
     def check_ineq(self):
-        """Fourier-Motzkin consistency of the inequality rows."""
-        rows = list(self.ineqs.values())
+        """Whether the inequality rows have a rational solution, by the
+        general simplex of Dutertre and de Moura (CAV 2006).
+
+        Row i becomes a basic slack ~i = expr, bounded above by -const,
+        or by -const - delta for a strict row, with delta a small positive
+        number: a bound or value a + b*delta is the pair (a, b).  The
+        rows' variables, which elimination keeps free of equality pivots,
+        are unbounded and start at 0.  While a basic slack exceeds its
+        bound, the least such one pivots with the least nonbasic that can
+        bring it back (Bland's rule, so no basis repeats), one tick per
+        pivot.
+        """
+        tableau, upper, value = {}, {}, {}   # basic -> {nonbasic: coeff}
+        for i, (expr, const, rel) in enumerate(self.ineqs.values()):
+            tableau[~i] = dict(expr)
+            upper[~i] = (-const, -1 if rel == "lt" else 0)
+        zero = (0, 0)
         while True:
-            signs = {}
-            for e, _, _ in rows:
-                for v, c in e.items():
-                    p, n = signs.get(v, (0, 0))
-                    signs[v] = (p + (c > 0), n + (c < 0))
-            if not signs:
-                break
-            # eliminate the variable whose step adds the fewest rows
-            v = min(sorted(signs), key=lambda v: signs[v][0] * signs[v][1]
-                    - signs[v][0] - signs[v][1])
-            pos, neg, rest = [], [], []
-            for e, k, rel in rows:
-                c = e.get(v, Fraction(0))
-                if c > 0:
-                    pos.append((e, k, rel))
-                elif c < 0:
-                    neg.append((e, k, rel))
-                else:
-                    rest.append((e, k, rel))
-            if len(rest) + len(pos) * len(neg) > ELIMINATION_CAP:
-                raise IneqCapExceeded("Fourier-Motzkin elimination too large")
-            combined = []
-            for pe, pk, prel in pos:
-                for ne, nk, nrel in neg:
-                    self.tick()
-                    pc, nc = pe[v], -ne[v]
-                    e = {}
-                    for v2, c2 in pe.items():
-                        if v2 != v:
-                            e[v2] = e.get(v2, Fraction(0)) + nc * c2
-                    for v2, c2 in ne.items():
-                        if v2 != v:
-                            e[v2] = e.get(v2, Fraction(0)) + pc * c2
-                    e = {v2: c2 for v2, c2 in e.items() if c2 != 0}
-                    k = nc * pk + pc * nk
-                    rel = "lt" if "lt" in (prel, nrel) else "le"
-                    combined.append((e, k, rel))
-            rows = rest + combined
-        return not _violated(rows)
-
-
-def _violated(rows):
-    """True when a row without variables is false."""
-    return any(k > 0 if rel == "le" else k >= 0
-               for e, k, rel in rows if not e)
+            bad = [b for b in tableau
+                   if b < 0 and value.get(b, zero) > upper[b]]
+            if not bad:
+                return True
+            b = min(bad)
+            row = tableau.pop(b)
+            # b must fall: lower a nonbasic of positive coefficient (no
+            # variable has a lower bound), or raise one of negative
+            # coefficient that is unbounded or below its bound
+            movable = [n for n, c in row.items()
+                       if c > 0 or n >= 0 or value.get(n, zero) < upper[n]]
+            if not movable:
+                return False
+            self.tick()
+            n = min(movable)
+            c = Fraction(row[n])
+            (u, ud), (v, vd) = upper[b], value.get(b, zero)
+            step, stepd = (u - v) / c, (ud - vd) / c
+            value[b] = upper[b]
+            v, vd = value.get(n, zero)
+            value[n] = (v + step, vd + stepd)
+            # n = (b - the rest of row) / c, substituted into every row
+            pivot = {x: -a / c for x, a in row.items() if x != n}
+            pivot[b] = 1 / c
+            for x, r in tableau.items():
+                a = r.pop(n, 0)
+                if a:
+                    v, vd = value.get(x, zero)
+                    value[x] = (v + a * step, vd + a * stepd)
+                    for y, d in pivot.items():
+                        r[y] = r.get(y, 0) + a * d
+                        if not r[y]:
+                            del r[y]
+            tableau[n] = pivot
 
 
 def _quotient(num, den):

@@ -150,8 +150,9 @@ class Database:
     """Predicate index over a consulted program plus the clause library.
 
     Read-only once `consult` returns: the engine has no assert or
-    retract, and renames a clause's variables at every use, so queries
-    on any thread may share one Database.  `orchestrator.run_candidate`
+    retract, and runs clauses as templates through per-call frames
+    without writing to them, so queries on any thread may share one
+    Database.  `orchestrator.run_candidate`
     does so for each distinct candidate text.  `_indexes` is only a
     memo: threads that race on it store equal values."""
 

@@ -79,10 +79,6 @@ class TypeMix(PrologRuntimeError):
     """A variable was used in both the FD and the rational store."""
 
 
-class IneqCapExceeded(PrologRuntimeError):
-    pass
-
-
 # --- orchestrator / providers ---
 
 class ProviderError(ProliteError):

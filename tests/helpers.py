@@ -16,8 +16,9 @@ def run_query(program_text, query_text, **kwargs):
     return list(solve(parse_term_text(query_text), db, **kwargs))
 
 
-# Ten inequalities over six variables whose Fourier-Motzkin elimination
-# passes clpr.ELIMINATION_CAP rows in whatever order it eliminates.
+# Ten inequalities over six variables, all met by the all-zero point,
+# whose Fourier-Motzkin elimination grows past 20,000 rows in whatever
+# order it eliminates; the simplex decides them in a few pivots.
 EXPLODING = ("-3*A + B + C - 2*D - 3*E =< 6, -3*A - B - 2*C - 3*D - 3*F =< 8, "
              "A + B + 2*C + D - F =< 3, A + 2*D + 3*F =< 4, "
              "-A + D + 3*E - F =< 9, 2*B - 3*C + 3*D + E - F =< 8, "

@@ -268,7 +268,7 @@ CHAIN = ", ".join(f"X{i + 1} #= X{i} + 1" for i in range(400))
     (_ladder(30), STEPS, "underdetermined", None),
     (EXPLODING.replace("=<", "#=<") + ", A = 1", STEPS, "underdetermined",
      None),
-    (EXPLODING.replace("=<", "#=<") + ", A = 1", BUDGET, "budget-exceeded",
+    (EXPLODING.replace("=<", "#=<") + ", A = 1", BUDGET, "underdetermined",
      None),
 ], ids=["chain", "chain-few-steps", "ladder", "ladder-few-steps",
         "ladder-tails-dropped", "elimination-past-the-cap",

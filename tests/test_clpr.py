@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (EXPLODING, random_linear_system, run_query,
                      solve_linear_via_engine)
-from prolite.errors import IneqCapExceeded, NonLinearUnsupported, TypeMix
+from prolite.errors import NonLinearUnsupported, TypeMix
 from prolite.orchestrator import run_candidate
 
 
@@ -119,14 +119,27 @@ def test_mixing_fd_var_into_rational_constraint_rejected():
 
 
 def test_inequality_cap():
+    # no cap on the number of inequality rows: fourteen are decided
     goals = ", ".join(f"{{X + {i} * Y >= {i}}}" for i in range(14))
-    with pytest.raises(IneqCapExceeded):
-        run_query("", goals)
+    assert len(run_query("", goals)) == 1
 
 
 def test_elimination_past_the_row_cap_raises():
-    with pytest.raises(IneqCapExceeded):
-        run_query("", "{" + EXPLODING + "}")
+    # rows whose Fourier-Motzkin elimination grows past 20,000 rows are
+    # decided by the simplex; the all-zero point meets every one
+    zero = ", ".join(f"{v} = 0" for v in "ABCDEF")
+    assert len(run_query("", f"{zero}, {EXPLODING}")) == 1
+    assert len(run_query("", "{" + EXPLODING + "}")) == 1
+
+
+@pytest.mark.parametrize("extra, status", [("", "ok"),
+                                           (", X + Y + Z < 0", "no-solution")])
+def test_thirteen_rows_over_three_variables(extra, status):
+    rows = [f"X + {i}*Y + {12 - i}*Z >= {i}" for i in range(10)]
+    rows += ["X >= 0", "Y >= 0", "Z >= 0"]
+    result = run_candidate(f"problem(A) :- {{{', '.join(rows)}{extra}}}, "
+                           "A = 1.")
+    assert result.status == status, result.detail
 
 
 def test_elimination_order_keeps_rows_few():

@@ -1,10 +1,11 @@
 """Hostile candidate programs: huge answers, deep terms, terms that
 share subterms, cyclic bindings, long labelings, deeply nested clause
-text and builtin redo loops end in their exec status within the budget,
-and neither the reader nor the walks over those terms raise a Python
-RecursionError.  A long prose completion is searched for a program in
-time linear in its length."""
+text, builtin redo loops and many `{}` inequalities end in their exec
+status within the budget, and neither the reader nor the walks over
+those terms raise a Python RecursionError.  A long prose completion is
+searched for a program in time linear in its length."""
 
+import random
 import time
 
 import pytest
@@ -182,6 +183,110 @@ def test_labeling_stops_on_the_wall_clock():
     assert result.status == "budget-exceeded"
     assert "time" in result.detail
     assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
+BAKERY = """\
+% A bakery bakes eight goods each day from limited stock.  It bakes 40
+% loaves of bread, and ten fewer rolls than twice the bread.  How many
+% loaves and rolls does it bake together?
+problem(A) :-
+    % daily minimum and maximum of each good
+    { Bread >= 20, Bread =< 80, Rolls >= 30, Rolls =< 120,
+      Bagels >= 10, Bagels =< 60, Muffins >= 12, Muffins =< 48,
+      Scones >= 8, Scones =< 40, Croissants >= 15, Croissants =< 70,
+      Pies >= 4, Pies =< 20, Cakes >= 2, Cakes =< 12 },
+    % flour, butter, sugar, eggs, milk, yeast, oven, staff, packaging,
+    % shelf, salt, fruit, chocolate, cream, trays, boxes
+    { 5*Bread + 2*Rolls + 3*Bagels + 2*Muffins + 2*Scones
+          + 3*Croissants + 6*Pies + 8*Cakes =< 700,
+      Rolls + 2*Muffins + 3*Scones + 5*Croissants + 4*Pies + 6*Cakes =< 400,
+      Bagels + 3*Muffins + 2*Scones + Croissants + 4*Pies + 9*Cakes =< 240,
+      2*Muffins + Scones + Croissants + 3*Pies + 6*Cakes =< 150,
+      Bread + Rolls + 2*Muffins + 2*Scones + 2*Croissants + Pies
+          + 3*Cakes =< 300,
+      2*Bread + Rolls + 2*Bagels + Croissants =< 220,
+      6*Bread + 2*Rolls + 3*Bagels + 3*Muffins + 3*Scones
+          + 2*Croissants + 9*Pies + 12*Cakes =< 800,
+      4*Bread + 2*Rolls + 3*Bagels + 2*Muffins + 3*Scones
+          + 5*Croissants + 8*Pies + 15*Cakes =< 750,
+      Bread + Rolls + Bagels + Muffins + Scones + Croissants + 2*Pies
+          + 3*Cakes =< 240,
+      Bread + Rolls + Bagels + Muffins + Scones + Croissants + Pies
+          + Cakes =< 240,
+      2*Bread + Rolls + Bagels + Scones + Pies =< 200,
+      3*Muffins + 2*Scones + 5*Pies + 4*Cakes =< 180,
+      2*Muffins + Croissants + 5*Cakes =< 100,
+      Scones + 2*Pies + 6*Cakes =< 60,
+      2*Bread + Rolls + Bagels + Muffins + Scones + Croissants + 2*Pies
+          + 2*Cakes =< 280,
+      Bagels + Muffins + Scones + Croissants + 3*Pies + 4*Cakes =< 150 },
+    % what the owner asks for
+    { Rolls >= Bread, Croissants >= 2*Pies, Muffins >= Scones,
+      Bagels + Scones =< Rolls, Cakes =< Pies, 2*Cakes + Pies =< Scones,
+      Bread + Rolls =< 3*Croissants + 20, Muffins - Bagels =< 5 },
+    SHELF
+    { Bread = 40, Rolls = 2*Bread - 10 },
+    A is Bread + Rolls.
+"""
+# a plan that meets every row of BAKERY
+PLAN = ("Bread = 40, Rolls = 70, Bagels = 20, Muffins = 24, Scones = 16, "
+        "Croissants = 30, Pies = 8, Cakes = 4")
+# more goods than the shelf row (at most 240) lets the bakery put out
+OVERFULL = ("{ Bread + Rolls + Bagels + Muffins + Scones + Croissants + Pies "
+            "+ Cakes >= 241 },")
+
+
+@pytest.mark.parametrize("shelf, status, answer", [
+    ("", "ok", 110),
+    (OVERFULL, "no-solution", None),
+], ids=["feasible", "over-the-shelf"])
+def test_forty_inequality_rows_are_decided(shelf, status, answer):
+    program = BAKERY.replace("SHELF", shelf)
+    # 40 inequality rows (41 over the shelf) over 8 variables
+    assert program.count("=<") + program.count(">=") == 40 + bool(shelf)
+    # as arithmetic comparisons, PLAN meets every row but OVERFULL
+    rows = program.split(":-", 1)[1].rsplit("{ Bread = 40", 1)[0]
+    rows = rows.replace("{", "").replace("}", "").rstrip(", \n")
+    met = run_candidate(f"problem(A) :- {PLAN}, {rows}, A = 1.\n")
+    assert met.status == status
+    budget = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
+    started = time.monotonic()
+    result = run_candidate(program, budget=budget)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.answer) == (status, answer), result.detail
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
+def _seeded_rows(seed, rows=20, n=8):
+    """rows random inequalities over X0..X{n-1}, all met by one point of
+    small positive integers, so the origin is far from feasible."""
+    rng = random.Random(seed)
+    point = [rng.randint(1, 9) for _ in range(n)]
+    out = []
+    for _ in range(rows):
+        coeffs = {i: rng.choice([-3, -2, -1, 1, 2, 3])
+                  for i in rng.sample(range(n), rng.randint(2, 4))}
+        value = sum(c * point[i] for i, c in coeffs.items())
+        lhs = " + ".join(f"{c}*X{i}" for i, c in sorted(coeffs.items()))
+        if rng.random() < 0.5:
+            out.append(f"{lhs} >= {value - rng.randint(0, 3)}")
+        else:
+            out.append(f"{lhs} =< {value + rng.randint(0, 3)}")
+    return ", ".join(out)
+
+
+def test_simplex_pivots_are_charged_to_the_budget():
+    program = f"problem(A) :- {{{_seeded_rows(0)}}}, A = 1.\n"
+    # about 180 steps, nearly all of them simplex pivots
+    few = Budget(max_inference_steps=50, wall_timeout=1.0)
+    result = run_candidate(program, budget=few)
+    assert (result.status, result.detail) == ("budget-exceeded",
+                                              "budget exceeded (steps)")
+    many = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
+    started = time.monotonic()
+    result = run_candidate(program, budget=many)
+    assert (result.status, result.answer) == ("ok", 1), result.detail
+    assert time.monotonic() - started <= 2 * many.wall_timeout + 0.5
 
 
 def test_clause_text_nested_10000_deep_is_a_parse_error():

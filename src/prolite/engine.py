@@ -25,10 +25,11 @@ in a per-call frame, its first occurrence takes the goal's argument as
 it is, and only the subterms a goal variable gets bound to are built.
 The body is built once per head that unifies, bar its arithmetic: a goal
 is/2 or a comparison is an _ArithGoal, evaluated from the clause text
-through the frame when it runs.  Each predicate has a
-first-argument index (key -> clauses in source order, clauses with a
-variable first argument merged in), and a call pushes no choice point
-when no later clause can match.
+through the frame when it runs.  A goal is dispatched by one lookup in
+the Database, which maps each indicator to a builtin or to the
+predicate's first-argument index (key -> clauses in source order,
+clauses with a variable first argument merged in), and a call pushes no
+choice point when no later clause can match.
 
 Solutions stream lazily in standard order: clauses top-down, goals left
 to right.  One step is charged per goal dispatched; a clause the index
@@ -50,7 +51,6 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 
 from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
@@ -102,7 +102,8 @@ pl_neq_all_([Y|T], X) :- X #\\= Y, pl_neq_all_(T, X).
 
 
 class _Predicate:
-    """First-argument index over the clauses of one predicate.
+    """First-argument index over the clauses of one predicate, built by
+    `consult` and never written after.
 
     Each clause is kept as (head arguments, body goals).  by_key maps the
     key of a first argument (terms.arg_key) to the clauses whose first
@@ -113,79 +114,65 @@ class _Predicate:
 
     __slots__ = ("clauses", "by_key", "open")
 
-    def __init__(self, clauses):
+    def __init__(self):
         self.clauses = []
         self.by_key = {}
         self.open = []          # clauses with a variable first argument
-        for clause in clauses:
-            head = clause.head
-            entry = (head.args if isinstance(head, Struct) else (),
-                     clause.body)
-            self.clauses.append(entry)
-            if clause.key is None:
-                self.open.append(entry)
-                for bucket in self.by_key.values():
-                    bucket.append(entry)
-            else:
-                self.by_key.setdefault(clause.key, list(self.open)) \
-                    .append(entry)
+
+    def add(self, clause):
+        head = clause.head
+        if isinstance(head, Struct):
+            entry, key = (head.args, clause.body), arg_key(head.args[0])
+        else:
+            entry, key = ((), clause.body), None
+        self.clauses.append(entry)
+        if key is None:
+            self.open.append(entry)
+            for bucket in self.by_key.values():
+                bucket.append(entry)
+        else:
+            self.by_key.setdefault(key, list(self.open)).append(entry)
 
 
-def _index_library():
-    library = {}
-    for clause in parse_program(_LIBRARY_SOURCE).clauses:
-        library.setdefault(indicator(clause.head), []).append(clause)
-    return MappingProxyType({key: tuple(clauses)
-                             for key, clauses in library.items()})
-
-
-# Parsed once at import and shared read-only by every Database, as
-# clauses and as their first-argument indexes.
-_LIBRARY = _index_library()
-_LIBRARY_INDEX = MappingProxyType(
-    {key: _Predicate(clauses) for key, clauses in _LIBRARY.items()})
+def _predicates(clauses, reserved):
+    """{indicator: _Predicate} of clauses; a clause whose indicator is in
+    reserved raises, the first one in source order."""
+    preds = {}
+    for clause in clauses:
+        key = indicator(clause.head)
+        pred = preds.get(key)
+        if pred is None:
+            if key in reserved:
+                raise BuiltinRedefinition(
+                    f"cannot redefine {key[0]}/{key[1]}")
+            pred = preds[key] = _Predicate()
+        pred.add(clause)
+    return preds
 
 
 class Database:
-    """Predicate index over a consulted program plus the clause library.
+    """The call table of a consulted program: one dict from (name, arity)
+    to a BUILTINS entry, a library _Predicate or a program _Predicate.
 
-    Read-only once `consult` returns: the engine has no assert or
-    retract, and runs clauses as templates through per-call frames
-    without writing to them, so queries on any thread may share one
-    Database.  `orchestrator.run_candidate`
-    does so for each distinct candidate text.  `_indexes` is only a
-    memo: threads that race on it store equal values."""
+    It is a copy of _BASE, which holds BUILTINS and the library, updated
+    with predicates, a dict of the program's own _Predicates.  Nothing
+    writes it, or a _Predicate in it, once built: the engine has no
+    assert or retract, and runs clauses as templates through per-call
+    frames.  So queries on any thread may share one Database;
+    `orchestrator.run_candidate` does so for each distinct candidate
+    text."""
 
-    def __init__(self):
-        self.preds = {}
-        self.library = _LIBRARY
-        self._indexes = {}
+    __slots__ = ("table",)
 
-    def add_clause(self, clause):
-        key = indicator(clause.head)
-        if key in BUILTINS or key in self.library:
-            raise BuiltinRedefinition(f"cannot redefine {key[0]}/{key[1]}")
-        self.preds.setdefault(key, []).append(clause)
-        self._indexes.pop(key, None)
-
-    def index(self, key):
-        """The _Predicate of key, built at its first call; None if no
-        clause defines key."""
-        pred = self._indexes.get(key)
-        if pred is None:
-            clauses = self.preds.get(key)
-            if clauses is None:
-                return _LIBRARY_INDEX.get(key)
-            pred = self._indexes[key] = _Predicate(clauses)
-        return pred
+    def __init__(self, predicates):
+        self.table = {**_BASE, **predicates}
 
 
 def consult(program) -> Database:
-    """Index a parsed Program; directives are ignored."""
-    db = Database()
-    for clause in program.clauses:
-        db.add_clause(clause)
-    return db
+    """The Database of a parsed Program; directives are ignored.  Raises
+    BuiltinRedefinition for the first clause, in source order, that
+    defines a builtin or library predicate."""
+    return Database(_predicates(program.clauses, _BASE))
 
 
 @dataclass
@@ -551,8 +538,7 @@ def _run(state, query):
     bindings = state.bindings
     trail = bindings.trail
     undo_to = bindings.undo_to
-    index = state.db.index
-    builtin_of = BUILTINS.get
+    lookup = state.db.table.get
     max_steps = state.budget.max_inference_steps
     cps = state.choicepoints
     redos = 0
@@ -664,12 +650,27 @@ def _run(state, query):
         else:
             raise PlTypeError(f"goal is not callable: {goal!r}")
 
-        builtin = builtin_of(key)
-        if builtin is not None:
-            if type(builtin) is _Control:
-                cont = builtin.run(state, args, barrier, nxt)
+        entry = lookup(key)
+        if type(entry) is _Predicate:
+            first = arg_key(bindings.deref(args[0])) if args else None
+            cands = entry.clauses if first is None \
+                else entry.by_key.get(first, entry.open)
+            mark = len(trail)
+            found = _resolve_clause(state, args, cands, 0, mark)
+            if found is None:
+                cont = _FAIL
                 continue
-            result = builtin(state, args, barrier)
+            i, frame, body = found
+            barrier = len(cps)
+            if i < len(cands):
+                cps.append([_CLAUSES, mark, args, cands, i, nxt])
+            cont = _push_body(body, frame, barrier, nxt) if body else nxt
+        elif type(entry) is _Control:
+            cont = entry.run(state, args, barrier, nxt)
+        elif entry is None:
+            raise ExistenceError(*key)
+        else:
+            result = entry(state, args, barrier)
             if type(result) is tuple:
                 cont = nxt if result else _FAIL
                 continue
@@ -680,24 +681,6 @@ def _run(state, query):
                 continue
             cps.append([_REDO, result, nxt])
             cont = nxt
-            continue
-
-        pred = index(key)
-        if pred is None:
-            raise ExistenceError(*key)
-        first = arg_key(bindings.deref(args[0])) if args else None
-        cands = pred.clauses if first is None \
-            else pred.by_key.get(first, pred.open)
-        mark = len(trail)
-        found = _resolve_clause(state, args, cands, 0, mark)
-        if found is None:
-            cont = _FAIL
-            continue
-        i, frame, body = found
-        barrier = len(cps)
-        if i < len(cands):
-            cps.append([_CLAUSES, mark, args, cands, i, nxt])
-        cont = _push_body(body, frame, barrier, nxt) if body else nxt
 
 
 def solve(query, db, budget=None):
@@ -1293,3 +1276,8 @@ BUILTINS = {
 _CONTROL_NAMES = frozenset(name for (name, _), entry in BUILTINS.items()
                            if type(entry) is _Control and entry.roles)
 _ARITH_GOALS = frozenset(("is", *_COMPARISONS))   # run as _ArithGoal
+
+# BUILTINS and the library, parsed and indexed once at import; every
+# Database is a copy of this dict, so all share the library _Predicates
+_BASE = {**BUILTINS,
+         **_predicates(parse_program(_LIBRARY_SOURCE).clauses, BUILTINS)}

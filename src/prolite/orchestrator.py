@@ -174,8 +174,8 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
     modes are folded into the exec-status taxonomy.
 
     Each distinct source text is parsed and consulted once per process
-    (a bounded LRU of FRONT_END_ENTRIES texts): its Database is
-    read-only after `consult`, so the queries of every attempt and
+    (a bounded LRU of FRONT_END_ENTRIES texts): nothing writes its
+    Database after `consult`, so the queries of every attempt and
     thread that meet the text share it.  The entry query is parsed and
     solved afresh on every call, and the verdict is never cached, since
     it depends on the wall-clock budget."""

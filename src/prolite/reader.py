@@ -11,6 +11,8 @@ configurable operator table.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,29 +50,39 @@ _DQ, _DQ_OPEN = _quoted('"', "dq_body")
 # comments come before symbol runs (so '/*' opens a comment), the
 # terminator '.' before symbol runs, and a symbol run leaves a final
 # terminating '.' to the next token.
+_HEAD = (r"[ \t\r\n]*(?:"
+         r"(?P<lower>[a-z]\w*)"
+         r"|(?P<punct>[()\[\]{},|])"
+         r"|(?P<upper>[A-Z_]\w*)")
+_NAMES_AND_NUMBERS = (r"|(?P<name>[^\W\d]\w*)"
+                      r"|(?P<dec>\d+\.\d+)"
+                      r"|(?P<int>\d+)")
+_TAIL = (rf"|(?P<end>\.{_TERMINATED})"
+         rf"|(?P<atom>[!;]|{_SYMBOL}+?(?=\.{_TERMINATED})|{_SYMBOL}+)"
+         r"|(?P<eof>\Z)"
+         r"|(?P<illegal>.))")
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:"
-    r"(?P<lower>[a-z]\w*)"
-    r"|(?P<punct>[()\[\]{},|])"
-    r"|(?P<upper>[A-Z_]\w*)"
-    r"|(?P<comment>%[^\n]*|/\*.*?\*/)"
+    _HEAD
+    + r"|(?P<comment>%[^\n]*|/\*.*?\*/)"
     r"|(?P<open_comment>/\*)"
-    r"|(?P<name>[^\W\d]\w*)"
-    r"|(?P<dec>\d+\.\d+)"
-    r"|(?P<int>\d+)"
-    rf"|(?P<quoted>{_SQ}|{_DQ})"
+    + _NAMES_AND_NUMBERS
+    + rf"|(?P<quoted>{_SQ}|{_DQ})"
     rf"|(?P<unclosed>{_SQ_OPEN}|{_DQ_OPEN})"
-    rf"|(?P<end>\.{_TERMINATED})"
-    rf"|(?P<atom>[!;]|{_SYMBOL}+?(?=\.{_TERMINATED})|{_SYMBOL}+)"
-    r"|(?P<eof>\Z)"
-    r"|(?P<illegal>.))",
+    + _TAIL,
     re.DOTALL)
-# name of each group of _TOKEN by index, and the token kind of each
-# alternative whose value is its text
-_GROUP = {index: name for name, index in _TOKEN.groupindex.items()}
-_PLAIN = [{"lower": "atom", "punct": "punct", "upper": "var",
-           "atom": "atom"}.get(_GROUP.get(index))
-          for index in range(_TOKEN.groups + 1)]
+
+
+def _kinds(regex):
+    """The name of each group of a master regex by index, and the token
+    kind of each alternative whose value is its text."""
+    group = {index: name for name, index in regex.groupindex.items()}
+    plain = [{"lower": "atom", "punct": "punct", "upper": "var",
+              "atom": "atom"}.get(group.get(index))
+             for index in range(regex.groups + 1)]
+    return group, plain
+
+
+_GROUP, _PLAIN = _kinds(_TOKEN)
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 _ESCAPE = {q: re.compile(rf"\\(.)|{q}{q}", re.DOTALL) for q in "'\""}
 
@@ -191,6 +203,61 @@ def _checked(kind, text, m, source, start):
     raise _lex_error(f"illegal character {text!r}", source, start)
 
 
+@functools.cache
+def _walk_token():
+    """_TOKEN with each block comment and quoted token cut to its opener
+    (kind `long`), and its kind tables; built at the first walk."""
+    regex = re.compile(_HEAD + r"|(?P<comment>%[^\n]*)|(?P<long>/\*|['\"])"
+                       + _NAMES_AND_NUMBERS + _TAIL, re.DOTALL)
+    return (regex, *_kinds(regex))
+
+
+def _long_token_ends(source):
+    """A function from the offset of the '/*' or quote that opens a token
+    of source to the offset where the token ends, or None where it does
+    not lex: it never closes, or holds an unknown escape.
+
+    A comment ends at the first '*/' after its '/*'.  A quoted body is
+    read as _TOKEN reads it, element by element: a run of other
+    characters, a doubled quote or an escape.  Where a reading goes from
+    an offset depends on that offset alone, so the outcome found is kept
+    for every offset the reading passed, and all the quoted tokens of the
+    text together are read in time linear in its length."""
+    closes = [m.start() for m in re.finditer(r"\*/", source)]
+    stops = {q: re.compile(rf"[{q}\\]") for q in "'\""}
+    outcome = {}    # (quote, offset in a body) -> end of the token, or None
+
+    def end(start):
+        quote = source[start]
+        if quote == "/":
+            i = bisect.bisect_left(closes, start + 2)
+            return closes[i] + 2 if i < len(closes) else None
+        stop = stops[quote]
+        at = (quote, start + 1)
+        passed = []
+        while at not in outcome:
+            passed.append(at)
+            m = stop.search(source, at[1])
+            if m is None:
+                result = None
+                break
+            i = m.start()
+            if source[i] == quote and not source.startswith(quote, i + 1):
+                result = i + 1
+                break
+            if source[i] == "\\" and source[i + 1:i + 2] not in _ESCAPES:
+                result = None
+                break
+            at = (quote, i + 2)     # past a doubled quote or an escape
+        else:
+            result = outcome[at]
+        for at in passed:
+            outcome[at] = result
+        return result
+
+    return end
+
+
 def lexes_to_end(source, starts):
     """For each offset in starts, in order, whether source[start:] lexes
     without a LexError.
@@ -199,32 +266,46 @@ def lexes_to_end(source, starts):
     lexes depends on its text alone, and every suffix ends where source
     does, so whether lexing from a token start reaches the end depends
     on that offset alone: each offset is lexed once, and a walk stops at
-    the first offset an earlier walk passed.
+    the first offset an earlier walk passed.  A block comment or quoted
+    token can reach far, and each line of a text may open one, so the
+    walk matches only its opener and steps over it through
+    _long_token_ends, set up the first time a walk meets one.
     """
+    walk, group_of, plain = _walk_token()
     known = {}
+    ends = None
     for start in starts:
         walked = []
         ok = None
-        for m in _TOKEN.finditer(source, start):
-            pos = m.start()
-            ok = known.get(pos)
-            if ok is not None:
-                break
-            walked.append(pos)
-            group = m.lastindex
-            if _PLAIN[group] is not None:
-                continue
-            kind = _GROUP[group]
-            if kind == "eof":
-                ok = True
-                break
-            if kind != "end" and kind != "comment":
-                try:
-                    _checked(kind, m.group(group), m, source,
-                             m.start(group))
-                except LexError:
-                    ok = False
+        pos = start
+        while ok is None:
+            for m in walk.finditer(source, pos):
+                pos = m.start()
+                ok = known.get(pos)
+                if ok is not None:
                     break
+                walked.append(pos)
+                group = m.lastindex
+                if plain[group] is not None:
+                    continue
+                kind = group_of[group]
+                if kind == "eof":
+                    ok = True
+                    break
+                if kind == "long":
+                    if ends is None:
+                        ends = _long_token_ends(source)
+                    pos = ends(m.start(group))
+                    if pos is None:
+                        ok = False
+                    break   # walk on from the end of the token
+                if kind != "end" and kind != "comment":
+                    try:
+                        _checked(kind, m.group(group), m, source,
+                                 m.start(group))
+                    except LexError:
+                        ok = False
+                        break
         for pos in walked:
             known[pos] = ok
         yield ok
@@ -388,10 +469,11 @@ class _Parser:
         nxt = self.toks[self.pos]
         nkind = nxt[0]
         prefix = self.prefix.get(name)
-        # '-' directly before a number is a negative literal, whatever
-        # priority limit the operator '-' would have to meet
+        # '-' directly before a number, with no layout between, is a
+        # negative literal (ISO 6.3.4.1), whatever priority limit the
+        # operator '-' would have to meet; after layout it is the operator
         if name == "-" and (nkind == "int" or nkind == "dec") \
-                and prefix is not None:
+                and not nxt[3] and prefix is not None:
             self.pos += 1
             return normalize_number(-nxt[2]), 0
         if prefix is not None and prefix[0] > max_prio:

@@ -267,21 +267,15 @@ def arg_key(t):
 
 
 class Clause:
-    """head :- body, with body a flat list of goals (empty list = fact).
+    """head :- body, with body a flat list of goals (empty list = fact)."""
 
-    key is the arg_key of the head's first argument, so resolution can
-    skip a clause without renaming it when the goal's first argument
-    cannot match.
-    """
-
-    __slots__ = ("head", "body", "key")
+    __slots__ = ("head", "body")
 
     def __init__(self, head, body=()):
         if isinstance(head, Var):
             raise ValueError("clause head cannot be a variable")
         self.head = head
         self.body = tuple(body)
-        self.key = arg_key(head.args[0]) if isinstance(head, Struct) else None
 
     def rename(self):
         """Fresh variable copy for one resolution use."""

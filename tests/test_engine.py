@@ -3,6 +3,7 @@ exact arithmetic, and budget enforcement."""
 
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             PlTypeError, ZeroDivisor)
 from prolite.engine import SolveState
-from prolite.harness import gen_navigate
+from prolite.harness import FIXTURES, gen_navigate
 from prolite.orchestrator import run_candidate
 from prolite.reader import Program, parse_term_text
 from prolite.terms import Atom, Clause, Struct, Var, list_to_python
@@ -388,13 +389,21 @@ def test_deep_recursion_reports_depth_budget():
                                 wall_timeout=30.0))
 
 
+def held(pred):
+    """The ids of the clause entries a _Predicate holds, by list."""
+    return ([id(e) for e in pred.clauses], [id(e) for e in pred.open],
+            {key: [id(e) for e in bucket]
+             for key, bucket in pred.by_key.items()})
+
+
 def test_library_is_shared_and_left_unchanged_by_queries():
     keys = [("member", 2), ("append", 3), ("nth1", 3), ("all_different", 1)]
     first = consult(parse_program("p(1).\n"))
     second = consult(parse_program("q(2).\n"))
-    clauses = {key: first.library[key] for key in keys}
-    assert all(second.library[key] is clauses[key] for key in keys)
-    before = {key: [id(c) for c in clauses[key]] for key in keys}
+    preds = {key: first.table[key] for key in keys}
+    assert all(type(pred) is engine._Predicate for pred in preds.values())
+    assert all(second.table[key] is preds[key] for key in keys)
+    before = {key: held(pred) for key, pred in preds.items()}
 
     assert len(run_query("", "member(X, [a, b, c])")) == 3
     assert len(run_query("", "append(X, Y, [1, 2, 3])")) == 4
@@ -404,10 +413,47 @@ def test_library_is_shared_and_left_unchanged_by_queries():
 
     third = consult(parse_program("r(3).\n"))
     for key in keys:
-        assert third.library[key] is clauses[key]
-        assert [id(c) for c in third.library[key]] == before[key]
+        assert third.table[key] is preds[key]
+        assert held(third.table[key]) == before[key]
     with pytest.raises(BuiltinRedefinition):
         consult(parse_program("member(X, [X]).\n"))
+
+
+def test_consult_names_the_first_reserved_indicator_in_source_order():
+    with pytest.raises(BuiltinRedefinition, match="member/2"):
+        consult(parse_program("p. member(X, Y). is(X, Y).\n"))
+
+
+def test_queries_on_shared_databases_leave_every_table_unchanged():
+    # the fixtures' entry queries on four threads, each Database shared
+    # by all of them; no entry of a table, nor what a _Predicate in it
+    # holds, may change
+    dbs = [(consult(parse_program(p.reference_program)),
+            parse_term_text(p.entry)) for p in FIXTURES]
+    snapshots = [{key: (entry, held(entry) if type(entry) is
+                        engine._Predicate else None)
+                  for key, entry in db.table.items()} for db, _ in dbs]
+    expected = [solve_first(query, db)[0].bindings for db, query in dbs]
+
+    def answers(shift):
+        order = dbs[shift:] + dbs[:shift]
+        return [solve_first(query, db)[0].bindings for db, query in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(answers, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    for shift, got in enumerate(results):
+        assert got == expected[shift:] + expected[:shift]
+    for (db, _), before in zip(dbs, snapshots):
+        assert db.table.keys() == before.keys()
+        for key, entry in db.table.items():
+            assert entry is before[key][0], key
+            if type(entry) is engine._Predicate:
+                assert held(entry) == before[key][1], key
 
 
 # --- first-argument filtering -----------------------------------------

@@ -118,7 +118,7 @@ def test_the_cache_holds_at_most_its_bound(monkeypatch):
 
 def test_threads_sharing_cached_databases_answer_like_cold_runs():
     # more threads than cores, switching often, on a few texts whose
-    # predicate indexes are built lazily while other threads query them
+    # cached Databases all the threads query at once
     texts = [(p.reference_program, p.entry) for p in FIXTURES[:3]]
     texts += [(p.reference_program, p.entry) for p in gen_navigate(11, 3)]
     expected = []

@@ -3,7 +3,8 @@ share subterms, cyclic bindings, long labelings, deeply nested clause
 text, builtin redo loops and many `{}` inequalities end in their exec
 status within the budget, and neither the reader nor the walks over
 those terms raise a Python RecursionError.  A long prose completion is
-searched for a program in time linear in its length."""
+searched for a program in time linear in its length, also when every
+line opens a block comment or a quoted token."""
 
 import random
 import time
@@ -385,6 +386,34 @@ def test_long_prose_with_a_last_line_that_does_not_lex_ends_quickly():
     # tokenizing each suffix in turn took over 20 s at 2,000 lines
     prose = ["The answer follows from the constraints given here."] * 1999
     completion = "\n".join(prose + ["I don't know."])
+    started = time.monotonic()
+    with pytest.raises(ExtractionFailure):
+        extract_program(completion)
+    assert time.monotonic() - started < 0.5
+
+
+def _opening_lines(opener, last=None):
+    """4,000 lines of 100 characters that each open a block comment or a
+    quoted token, then last in place of the final one if given."""
+    line = opener + "x" * (98 - len(opener)) + " ."
+    lines = [line] * 4000
+    if last is not None:
+        lines[-1] = last
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("completion", [
+    _opening_lines("/* "),
+    _opening_lines("\\'"),
+    _opening_lines("/* ", "*/ \x01 ."),
+    _opening_lines("\\'", "' \x01 ."),
+], ids=["open-comments", "open-quotes", "comment-closed-then-illegal",
+        "quote-closed-then-illegal"])
+def test_lines_that_each_open_a_long_token_end_quickly(completion):
+    # every line start opens a comment or quoted token that never closes,
+    # or closes on the last line just before a character that does not
+    # lex; matching it from each line start took 0.7-1.7 s at 1,000 lines
+    # and 2.8-7.0 s at 2,000
     started = time.monotonic()
     with pytest.raises(ExtractionFailure):
         extract_program(completion)

@@ -7,12 +7,19 @@ occurrences share it, or the same error: type, message, line, column
 and `expected`.
 
 Three differences are intended.
-- The new reader reads '-' directly before a number as a negative
-  literal wherever it stands at the start of a term, as ISO does; the
-  reference did so only where the prefix operator '-' met the priority
-  limit, so it rejected `2 ** -1`.  Where the two differ, the reference
-  must have stopped at such a number, and putting the literal in
-  parentheses, which both read the same way, must make the reference
+- The new reader reads negative numbers as ISO 6.3.4.1 does: '-'
+  directly before a number is a negative literal wherever it stands at
+  the start of a term, and '-', layout, then a number is the prefix
+  operator '-' applied to a term that starts with the number, so
+  `- 2 ** 2` is `-(2 ** 2)`.  The reference read '-' before a number,
+  with or without layout, as a negative literal, and only where the
+  prefix operator '-' met the priority limit, so it rejected `2 ** -1`.
+  Where the two differ, each number after '-' and layout is put in
+  parentheses, which makes the reference read that '-' as the operator
+  too, bar a number the new reader stopped at: there the operator does
+  not meet the limit, and both readers stop.  Then wherever the
+  reference stops at a number directly after '-', putting the literal
+  in parentheses must make it go on, and the reference must in the end
   give what the new reader gave.
 - `parse_program` rejects a clause whose head is a variable or a number
   with a `ParseError` at the clause's first token.  The reference raised
@@ -301,17 +308,35 @@ def same_outcome(got, expected):
     return got == expected
 
 
+def after_minus(before, tok, layout):
+    """Whether tok is a number that follows the atom '-' with layout
+    between, or with none."""
+    return tok.kind in ("int", "dec") and tok.layout == layout \
+        and before.kind == "atom" and before.text == "-"
+
+
 def negative_literal_at(source, line, col):
-    """Offsets around '-' and the number after it, when the number is
-    the token at line:col, else None."""
+    """Offsets around '-' and the number directly after it, when the
+    number is the token at line:col, else None."""
     toks = tokenize(source)
     for before, tok in zip(toks, toks[1:]):
         if (tok.line, tok.col) == (line, col):
-            if tok.kind in ("int", "dec") and before.kind == "atom" \
-                    and before.text == "-":
+            if after_minus(before, tok, False):
                 return before.offset, tok.offset + len(tok.text)
             return None
     return None
+
+
+def spaced_negatives_as_operators(source, stop):
+    """source with each number that follows '-' and layout put in
+    parentheses, bar the one at line:col stop."""
+    toks = tokenize(source)
+    for before, tok in reversed(list(zip(toks, toks[1:]))):
+        if after_minus(before, tok, True) and (tok.line, tok.col) != stop:
+            end = tok.offset + len(tok.text)
+            source = (source[:tok.offset] + "(" + source[tok.offset:end]
+                      + ")" + source[end:])
+    return source
 
 
 def integral_decimals_as_integers(source):
@@ -354,9 +379,12 @@ def assert_same(source, ops=DEFAULT_OPS):
             assert_rejected_head(source, got[3], got[4], ops)
             continue
         # the intended differences: write integral decimals as integers,
-        # then parenthesise each negative literal the reference stopped
-        # at, until it reads on or stops elsewhere
-        rewritten = integral_decimals_as_integers(source)
+        # read '-', layout, then a number as the operator, then
+        # parenthesise each negative literal the reference stopped at,
+        # until it reads on or stops elsewhere
+        rewritten = spaced_negatives_as_operators(
+            integral_decimals_as_integers(source),
+            got[3:5] if got[0] == "error" else None)
         expected = outcome(reference, rewritten, ops)
         while expected[0] == "error":
             span = negative_literal_at(rewritten, expected[3], expected[4])
@@ -434,7 +462,13 @@ def test_edge_cases_parse_identically(source, ops):
 def test_power_reads_as_an_xfx_operator_and_negative_literals_anywhere():
     assert parse_term_text("2 ** 3") == Struct("**", (2, 3))
     assert parse_term_text("2 ** -1") == Struct("**", (2, -1))
-    assert parse_term_text("2 ** - 1") == Struct("**", (2, -1))
+    # after layout '-' is the prefix operator, of priority 200, which an
+    # argument of ** may not have
+    with pytest.raises(ParseError):
+        parse_term_text("2 ** - 1")
+    assert parse_term_text("- 2 ** 2") == \
+        Struct("-", (Struct("**", (2, 2)),))
+    assert parse_term_text("-2 ** 2") == Struct("**", (-2, 2))
     with pytest.raises(OperatorClash):
         parse_term_text("2 ** 3 ** 4")
     with pytest.raises(ParseError):

@@ -77,8 +77,8 @@ def test_decimal_literals_become_exact_rationals():
 def test_integral_decimal_literals_read_as_integers():
     t = parse_term_text("f(2.0, -3.00, - 4.0, 2.0 rdiv 4, 2.50)")
     assert [(type(a), a) for a in t.args] == [
-        (int, 2), (int, -3), (int, -4), (Fraction, Fraction(1, 2)),
-        (Fraction, Fraction(5, 2))]
+        (int, 2), (int, -3), (Struct, Struct("-", (4,))),
+        (Fraction, Fraction(1, 2)), (Fraction, Fraction(5, 2))]
     assert term_to_text(parse_term_text("2.0")) == "2"
 
 

@@ -58,8 +58,8 @@ from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      ExistenceError, InstantiationError, PlTypeError,
                      TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
-from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key, indicator,
-                    list_to_python, make_list, normalize_number,
+from .terms import (NIL, SMALL_TERM, Atom, Bindings, Struct, Var, arg_key,
+                    indicator, list_to_python, make_list, normalize_number,
                     occurs, rebuild, term_vars)
 
 DEFAULT_MAX_STEPS = 5_000_000
@@ -725,36 +725,22 @@ def solve(query, db, budget=None):
     return answers()
 
 
-def solve_first(query, db, budget=None):
-    """First solution or None; notes whether further solutions exist."""
-    gen = solve(query, db, budget)
-    first = next(gen, None)
-    if first is None:
-        return None, False
-    more = next(gen, None) is not None
-    gen.close()
-    return first, more
-
-
 # --- arithmetic -------------------------------------------------------
 
-_SMALL_TERM = 64
-
-
 class _Large(Exception):
-    """Raised by _values past _SMALL_TERM compounds."""
+    """Raised by _values past SMALL_TERM compounds."""
 
 
 def eval_arith(expr, b, frame=None):
     """Exact value of the ground arithmetic expression expr read through
     b; with frame, expr is clause text and frame maps its variables.
-    Up to _SMALL_TERM compounds are evaluated by recursion, a larger term
+    Up to SMALL_TERM compounds are evaluated by recursion, a larger term
     by _eval_shared; both go depth first and left to right, so they meet
     the same first error."""
     bmap = b.map
     try:
         return _values((expr,), bmap if frame is None else frame, bmap,
-                       [_SMALL_TERM])[0]
+                       [SMALL_TERM])[0]
     except _Large:
         return _eval_shared(expr if frame is None else _build(expr, frame),
                             b)

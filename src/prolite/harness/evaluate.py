@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..errors import DuplicateId
 from ..orchestrator import RetryPolicy, multiple_try, run_candidate
 from ..providers import transcript_filename
 from .problems import FIXTURES
@@ -91,8 +92,18 @@ def evaluate(problems, provider, policy=RetryPolicy(), repeats=1,
     are threads, so more than one helps only providers that wait on
     I/O (the live provider); CPU-bound runs measured no faster with 4
     workers than with 1 (796 ms against 781 ms, 160 runs on 2 cores).
+
+    With a transcript directory, two problems whose ids map to one
+    transcript file raise DuplicateId before any run starts.
     """
     if transcript_dir is not None:
+        owners = {}
+        for problem in problems:
+            name = transcript_filename(problem.id, 0)
+            if name in owners:
+                raise DuplicateId(f"problem ids {owners[name]!r} and "
+                                  f"{problem.id!r} share transcript {name}")
+            owners[name] = problem.id
         Path(transcript_dir).mkdir(parents=True, exist_ok=True)
     jobs = [(problem, repeat) for problem in problems
             for repeat in range(repeats)]

@@ -177,13 +177,13 @@ class NavigateProblem:
             self.entanglement = len(self.instructions)
 
 
-def gen_navigate(seed, count, min_len=2, max_len=8):
-    """Deterministically generate grid-walk problems with oracle-computed
-    answers and a worked reference program each."""
+def gen_navigate(seed, count):
+    """Deterministically generate grid-walk problems, 2 to 8 instructions
+    each, with oracle-computed answers and worked reference programs."""
     rng = random.Random(f"navigate-{seed}")
     problems = []
     for index in range(count):
-        length = rng.randint(min_len, max_len)
+        length = rng.randint(2, 8)
         instructions = [_random_instruction(rng) for _ in range(length)]
         problems.append(NavigateProblem(
             id=f"navigate-{seed}-{index:03d}",

@@ -48,28 +48,25 @@ def temperature_at(k, policy=RetryPolicy()):
     return policy.temp_start + span * k / (policy.max_attempts - 1)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    preamble: str = (
-        "Solve the problem by encoding its constraints and relationships "
-        "as logic-program clauses. Walk through the implicit reasoning in "
-        "% comments, and define a single entry predicate whose last "
-        "argument is the numeric answer.\n")
-    shot_header: str = "Problem: "
-    code_header: str = "Solution:\n"
-    cue: str = "Solution:\n"
+PREAMBLE = (
+    "Solve the problem by encoding its constraints and relationships "
+    "as logic-program clauses. Walk through the implicit reasoning in "
+    "% comments, and define a single entry predicate whose last "
+    "argument is the numeric answer.\n")
+PROBLEM_HEADER = "Problem: "
+SOLUTION_HEADER = "Solution:\n"  # before each shot's program, and last
 
 
-def assemble_prompt(problem_text, shots, template=PromptTemplate()):
+def assemble_prompt(problem_text, shots):
     """Deterministic few-shot prompt; byte-identical for equal inputs."""
     if not shots:
         raise ValueError("at least one few-shot exemplar is required")
-    parts = [template.preamble]
+    parts = [PREAMBLE]
     for shot_problem, shot_program in shots:
-        parts.append(f"{template.shot_header}{shot_problem}\n")
-        parts.append(f"{template.code_header}{shot_program}\n\n")
-    parts.append(f"{template.shot_header}{problem_text}\n")
-    parts.append(template.cue)
+        parts.append(f"{PROBLEM_HEADER}{shot_problem}\n")
+        parts.append(f"{SOLUTION_HEADER}{shot_program}\n\n")
+    parts.append(f"{PROBLEM_HEADER}{problem_text}\n")
+    parts.append(SOLUTION_HEADER)
     return "".join(parts)
 
 
@@ -266,8 +263,7 @@ def _attempt_seed(problem_id, k):
     return int(digest[:8], 16)
 
 
-def multiple_try(problem, provider, policy=RetryPolicy(),
-                 template=PromptTemplate(), shots=(("", ""),),
+def multiple_try(problem, provider, policy=RetryPolicy(), shots=(("", ""),),
                  transcript=None, repeat=0):
     """Run the retry loop for one problem.
 
@@ -275,7 +271,7 @@ def multiple_try(problem, provider, policy=RetryPolicy(),
     given, is a writable text stream receiving one JSON line per attempt
     before the next provider call.
     """
-    prompt = assemble_prompt(problem.statement, shots, template)
+    prompt = assemble_prompt(problem.statement, shots)
     prompt_hash = hashlib.sha256(prompt.encode()).hexdigest()
     session = provider.start_run(problem.id, repeat)
     attempts = []

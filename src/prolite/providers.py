@@ -1,6 +1,6 @@
-"""Completion providers: live HTTP endpoint, transcript replay, scripted.
+"""Completion providers: live HTTP endpoint, transcript replay, two doubles.
 
-Replay and scripted providers are fully deterministic.  The live
+All but the live provider are fully deterministic.  The live
 provider speaks the chat-completions JSON shape against any compatible
 base URL and records every exchange so a run can be replayed.
 """
@@ -22,15 +22,19 @@ def transcript_filename(problem_id, repeat):
 
 
 class ScriptedProvider:
-    """Canned completions; call k past the end repeats the last one."""
+    """Canned completions, from by_problem for the ids it maps and else
+    default; call k past the end of a list repeats its last one."""
 
-    def __init__(self, completions):
-        if not completions:
+    def __init__(self, default, by_problem=()):
+        if not default:
             raise ValueError("scripted provider needs at least one completion")
-        self.completions = list(completions)
+        self.default = list(default)
+        self.by_problem = {str(i): list(completions)
+                           for i, completions in dict(by_problem).items()}
 
     def start_run(self, problem_id, repeat):
-        return _ScriptedSession(self.completions)
+        return _ScriptedSession(
+            self.by_problem.get(str(problem_id), self.default))
 
 
 class _ScriptedSession:
@@ -42,36 +46,10 @@ class _ScriptedSession:
         return self.completions[k]
 
 
-class FlakyProvider:
-    """Emits bad with probability p per attempt, else good; seeded per
-    (problem, repeat) so every run is reproducible."""
-
-    def __init__(self, good, bad, p, seed=0):
-        self.good = good
-        self.bad = bad
-        self.p = p
-        self.seed = seed
-
-    def start_run(self, problem_id, repeat):
-        rng = random.Random(f"{self.seed}|{problem_id}|{repeat}")
-        return _FlakySession(self, rng)
-
-
-class _FlakySession:
-    def __init__(self, provider, rng):
-        self.provider = provider
-        self.rng = rng
-
-    def complete(self, prompt, temperature, seed, attempt_index):
-        if self.rng.random() < self.provider.p:
-            return self.provider.bad
-        return self.provider.good
-
-
 class ReferenceProvider:
-    """Per-attempt coin flip between junk and each problem's own
-    reference program, fenced; deterministic per (seed, problem,
-    repeat).  With p=0 every attempt gets the reference program."""
+    """Per-attempt coin flip between junk, with probability p, and each
+    problem's own reference program, fenced; one draw per attempt, seeded
+    per (seed, problem, repeat).  With p=0 every attempt gets the program."""
 
     JUNK = "I am not sure about this one."
 
@@ -85,22 +63,19 @@ class ReferenceProvider:
         program = self.programs.get(str(problem_id))
         if program is None:
             raise ProliteError(f"no reference program for {problem_id}")
-        flaky = FlakyProvider(f"```\n{program}\n```", self.JUNK, self.p,
-                              self.seed)
-        return flaky.start_run(problem_id, repeat)
+        rng = random.Random(f"{self.seed}|{problem_id}|{repeat}")
+        return _CoinSession(f"```\n{program}\n```", self.JUNK, self.p, rng)
 
 
-class ScriptedMapProvider:
-    """Per-problem completion lists (e.g. each fixture's reference
-    program); unknown problems fall back to a default list."""
+class _CoinSession:
+    def __init__(self, good, bad, p, rng):
+        self.good = good
+        self.bad = bad
+        self.p = p
+        self.rng = rng
 
-    def __init__(self, by_problem, default=("no code here",)):
-        self.by_problem = {str(k): list(v) for k, v in by_problem.items()}
-        self.default = list(default)
-
-    def start_run(self, problem_id, repeat):
-        return _ScriptedSession(
-            self.by_problem.get(str(problem_id), self.default))
+    def complete(self, prompt, temperature, seed, attempt_index):
+        return self.bad if self.rng.random() < self.p else self.good
 
 
 class ReplayProvider:

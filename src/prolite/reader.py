@@ -5,8 +5,8 @@ token class, each preceded by the layout it skips; `finditer` walks the
 source.  A token keeps its offset, and its line and column are worked
 out from the source only when read, mostly to build an error.  Comments
 are skipped.  The parser is a Pratt-style loop over an index into the
-token list, on the classical 1..1200 priority scale, driven by a
-configurable operator table.
+token list, on the classical 1..1200 priority scale, driven by one
+fixed operator table, PREFIX and INFIX, that the writer shares.
 """
 
 from __future__ import annotations
@@ -311,42 +311,26 @@ def lexes_to_end(source, starts):
         yield ok
 
 
-class OpTable:
-    """(name, fixity) -> (priority, type) with standard Prolog defaults."""
-
-    DEFAULTS = [
-        (":-", 1200, "xfx"), (":-", 1200, "fx"), ("?-", 1200, "fx"),
-        (";", 1100, "xfy"), ("->", 1050, "xfy"), (",", 1000, "xfy"),
-        ("\\+", 900, "fy"),
-        ("=", 700, "xfx"), ("\\=", 700, "xfx"), ("==", 700, "xfx"),
-        ("\\==", 700, "xfx"), ("<", 700, "xfx"), (">", 700, "xfx"),
-        ("=<", 700, "xfx"), (">=", 700, "xfx"), ("=:=", 700, "xfx"),
-        ("=\\=", 700, "xfx"), ("is", 700, "xfx"),
-        ("#=", 700, "xfx"), ("#\\=", 700, "xfx"), ("#<", 700, "xfx"),
-        ("#>", 700, "xfx"), ("#=<", 700, "xfx"), ("#>=", 700, "xfx"),
-        ("+", 500, "yfx"), ("-", 500, "yfx"),
-        ("*", 400, "yfx"), ("/", 400, "yfx"), ("//", 400, "yfx"),
-        ("mod", 400, "yfx"), ("rem", 400, "yfx"), ("rdiv", 400, "yfx"),
-        ("**", 200, "xfx"), ("^", 200, "xfy"),
-        ("-", 200, "fy"), ("+", 200, "fy"),
-    ]
-
-    def __init__(self, entries=None):
-        self.prefix = {}
-        self.infix = {}
-        for name, prio, typ in entries if entries is not None else self.DEFAULTS:
-            self.add(name, prio, typ)
-
-    def add(self, name, prio, typ):
-        if typ in ("fy", "fx"):
-            self.prefix[name] = (prio, typ)
-        elif typ in ("xfx", "xfy", "yfx"):
-            self.infix[name] = (prio, typ)
-        else:
-            raise ValueError(f"bad operator type {typ}")
-
-
-DEFAULT_OPS = OpTable()
+# The one operator table, shared with the writer: name -> (priority,
+# type), one dict for prefix operators and one for infix operators.
+_OPS = [
+    (":-", 1200, "xfx"), (":-", 1200, "fx"), ("?-", 1200, "fx"),
+    (";", 1100, "xfy"), ("->", 1050, "xfy"), (",", 1000, "xfy"),
+    ("\\+", 900, "fy"),
+    ("=", 700, "xfx"), ("\\=", 700, "xfx"), ("==", 700, "xfx"),
+    ("\\==", 700, "xfx"), ("<", 700, "xfx"), (">", 700, "xfx"),
+    ("=<", 700, "xfx"), (">=", 700, "xfx"), ("=:=", 700, "xfx"),
+    ("=\\=", 700, "xfx"), ("is", 700, "xfx"),
+    ("#=", 700, "xfx"), ("#\\=", 700, "xfx"), ("#<", 700, "xfx"),
+    ("#>", 700, "xfx"), ("#=<", 700, "xfx"), ("#>=", 700, "xfx"),
+    ("+", 500, "yfx"), ("-", 500, "yfx"),
+    ("*", 400, "yfx"), ("/", 400, "yfx"), ("//", 400, "yfx"),
+    ("mod", 400, "yfx"), ("rem", 400, "yfx"), ("rdiv", 400, "yfx"),
+    ("**", 200, "xfx"), ("^", 200, "xfy"),
+    ("-", 200, "fy"), ("+", 200, "fy"),
+]
+PREFIX = {name: (prio, typ) for name, prio, typ in _OPS if len(typ) == 2}
+INFIX = {name: (prio, typ) for name, prio, typ in _OPS if len(typ) == 3}
 
 
 @dataclass
@@ -380,14 +364,12 @@ class _Parser:
     offset).
     """
 
-    __slots__ = ("toks", "pos", "varmap", "prefix", "infix", "depth")
+    __slots__ = ("toks", "pos", "varmap", "depth")
 
-    def __init__(self, tokens, ops):
+    def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
         self.varmap = {}
-        self.prefix = ops.prefix
-        self.infix = ops.infix
         self.depth = 0
 
     def fail(self, message, tok, expected=None):
@@ -399,7 +381,7 @@ class _Parser:
         if depth > MAX_NESTING:
             self.fail(f"term nested deeper than {MAX_NESTING} levels",
                       toks[self.pos])
-        infix = self.infix
+        infix = INFIX
         pending = None
         while True:
             pos = self.pos
@@ -438,7 +420,7 @@ class _Parser:
                 tok = toks[self.pos]
                 kind, name = tok[0], tok[1]
                 entry = infix.get(name) if kind == "atom" or kind == "punct" \
-                    and (name == "," or name == "|") else None
+                    and name == "," else None
                 if entry is None or entry[0] > max_prio:
                     if pending is None:
                         self.depth = depth - 1
@@ -457,8 +439,6 @@ class _Parser:
                     raise OperatorClash(f"operator priority clash at {name!r}",
                                         *_line_col(tok[4], tok[5]))
                 self.pos += 1
-                if name == "|":
-                    name = ";"  # '|' as infix is another spelling of ';'
                 pending = (left, name, op_prio, max_prio, pending)
                 max_prio = op_prio if typ == "xfy" else op_prio - 1
                 break
@@ -468,7 +448,7 @@ class _Parser:
         name = tok[1]
         nxt = self.toks[self.pos]
         nkind = nxt[0]
-        prefix = self.prefix.get(name)
+        prefix = PREFIX.get(name)
         # '-' directly before a number, with no layout between, is a
         # negative literal (ISO 6.3.4.1), whatever priority limit the
         # operator '-' would have to meet; after layout it is the operator
@@ -483,8 +463,8 @@ class _Parser:
         if nkind == "punct" and nxt[1] == "(" and not (nxt[3] and prefix):
             self.pos += 1
             return Struct(name, self.arguments()), 0
-        if name.startswith("#") and name not in self.infix \
-                and name not in self.prefix:
+        if name.startswith("#") and name not in INFIX \
+                and name not in PREFIX:
             self.fail(f"unknown constraint operator {name!r}", tok)
         if prefix is not None and (
                 nkind in _STARTS_TERM
@@ -553,18 +533,18 @@ class _Parser:
                       expected=text)
 
 
-def parse_term(tokens, ops=DEFAULT_OPS, max_priority=1200):
+def parse_term(tokens):
     """Parse one term from a token list (eof or end terminated)."""
-    p = _Parser(tokens, ops)
-    term = p.parse(max_priority)
+    p = _Parser(tokens)
+    term = p.parse(1200)
     tok = tokens[p.pos]
     if tok[0] != "end" and tok[0] != "eof":
         p.fail(f"trailing input {tok[1]!r}", tok)
     return term
 
 
-def parse_term_text(source, ops=DEFAULT_OPS):
-    return parse_term(_lex(source), ops)
+def parse_term_text(source):
+    return parse_term(_lex(source))
 
 
 def comma_flatten(t):
@@ -576,7 +556,7 @@ def comma_flatten(t):
     return goals
 
 
-def parse_program(source, ops=DEFAULT_OPS):
+def parse_program(source):
     """All clauses of a source text, in order; directives split out."""
     tokens = _lex(source)
     last_end = len(tokens) - 1
@@ -584,7 +564,7 @@ def parse_program(source, ops=DEFAULT_OPS):
         last_end -= 1
     clauses = []
     directives = []
-    p = _Parser(tokens, ops)
+    p = _Parser(tokens)
     while True:
         first = tokens[p.pos]
         if first[0] == "eof":

@@ -298,8 +298,8 @@ class Clause:
         return f"Clause({self.head!r} :- {list(self.body)!r})"
 
 
-# compounds that linearize reads by recursion before it walks the term
-_SMALL_TERM = 64
+# compounds that linearize and the engine's arithmetic read by recursion
+SMALL_TERM = 64
 
 
 def linearize(expr, bindings, constant, leaf, special):
@@ -315,14 +315,14 @@ def linearize(expr, bindings, constant, leaf, special):
     the compound's fresh (coeffs, const) pair.  Zero coefficients are
     dropped from the result.
 
-    A term of at most _SMALL_TERM +, - and * compounds over variables
+    A term of at most SMALL_TERM +, - and * compounds over variables
     and integers is read by recursion in integer arithmetic
     (_linear_small), which calls no hook; then leaf is called, and
     constant reads each coefficient and the constant term.  Any other
     term is read by _linearize_walk, which also meets every error first
     in its own order.
     """
-    small = _linear_small(expr, bindings.map, [_SMALL_TERM])
+    small = _linear_small(expr, bindings.map, [SMALL_TERM])
     if small is None:
         return _linearize_walk(expr, bindings, constant, leaf, special)
     coeffs, k = small

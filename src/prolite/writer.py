@@ -1,7 +1,7 @@
 """Canonical term printing: the bit-exact format used in transcripts.
 
 Operators render with the reader's table, lists as [a,b|T], rationals as
-N rdiv D.  parse(print(t)) is a variant of t for default-table terms.
+N rdiv D.  parse(print(t)) is a variant of t.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import engine
 from .errors import BudgetExceeded
-from .reader import DEFAULT_OPS
+from .reader import INFIX, PREFIX
 from .terms import Atom, Struct, Var, is_number
 
 _UNQUOTED_SYMBOLIC = set("#$&*+-./:<=>?@^~\\")
@@ -32,13 +32,13 @@ def _atom_text(name):
     return f"'{escaped}'"
 
 
-def term_to_text(t, ops=DEFAULT_OPS, deadline=None):
+def term_to_text(t, deadline=None):
     """Text of t; past deadline, a time.monotonic() value, the write is
     refused with BudgetExceeded("time")."""
-    return _write(t, 1200, ops, deadline)
+    return _write(t, 1200, deadline)
 
 
-def _write(t, max_prio, ops, deadline):
+def _write(t, max_prio, deadline):
     """Text of t where a term of priority above max_prio needs brackets.
 
     Subterms are written on an explicit stack, so the depth of t costs
@@ -65,7 +65,7 @@ def _write(t, max_prio, ops, deadline):
             raise BudgetExceeded("time")
         t, max_prio = item
         if isinstance(t, Struct):
-            _write_struct(t, max_prio, ops, work)
+            _write_struct(t, max_prio, work)
         else:
             out.append(_atomic_text(t, max_prio))
     return out[0]
@@ -94,7 +94,7 @@ def _pop(out, n):
     return texts
 
 
-def _write_struct(t, max_prio, ops, work):
+def _write_struct(t, max_prio, work):
     """Push onto work the entries that write the compound t."""
     if t.name == "." and len(t.args) == 2:
         _write_list(t, work)
@@ -104,9 +104,9 @@ def _write_struct(t, max_prio, ops, work):
         work.append((t.args[0], 1200))
         return
     # 'N rdiv D' of two integers reads back as a rational
-    if len(t.args) == 2 and t.name in ops.infix and not (
+    if len(t.args) == 2 and t.name in INFIX and not (
             t.name == "rdiv" and all(isinstance(a, int) for a in t.args)):
-        prio, typ = ops.infix[t.name]
+        prio, typ = INFIX[t.name]
         lmax = prio if typ == "yfx" else prio - 1
         rmax = prio if typ == "xfy" else prio - 1
         sep = f" {t.name} " if t.name != "," else ", "
@@ -119,8 +119,8 @@ def _write_struct(t, max_prio, ops, work):
         work.append((t.args[1], rmax))
         work.append((t.args[0], lmax))
         return
-    if len(t.args) == 1 and t.name in ops.prefix:
-        prio, typ = ops.prefix[t.name]
+    if len(t.args) == 1 and t.name in PREFIX:
+        prio, typ = PREFIX[t.name]
         amax = prio if typ == "fy" else prio - 1
 
         def prefix(out, work):

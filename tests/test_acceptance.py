@@ -20,8 +20,8 @@ from prolite.harness.navigate import render_program
 from prolite.harness.oracles import linear_gold_oracle, sum_it_up_oracle
 from prolite.orchestrator import (RetryPolicy, multiple_try, run_candidate,
                                   temperature_at)
-from prolite.providers import (FlakyProvider, ReplayProvider,
-                               ScriptedProvider, transcript_filename)
+from prolite.providers import (ReplayProvider, ScriptedProvider,
+                               transcript_filename)
 
 # The digit-puzzle program reproduced character-for-character from the
 # published worked example.
@@ -181,6 +181,17 @@ def test_criterion_7_truncated_geometric_attempts():
     totals = {problem.id: 0.0 for problem in problems}
     runs = {problem.id: 0 for problem in problems}
 
+    class FlakySession:
+        """Junk with probability p per attempt, else the program; one
+        seeded coin per attempt."""
+
+        def __init__(self, program, rng):
+            self.good = f"```\n{program}\n```"
+            self.rng = rng
+
+        def complete(self, prompt, temperature, seed, attempt_index):
+            return "cannot say" if self.rng.random() < p else self.good
+
     class PerProblemFlaky:
         def __init__(self, seed):
             self.seed = seed
@@ -188,9 +199,8 @@ def test_criterion_7_truncated_geometric_attempts():
         def start_run(self, problem_id, repeat):
             program = next(q.reference_program for q in problems
                            if q.id == problem_id)
-            inner = FlakyProvider(f"```\n{program}\n```",
-                                  "cannot say", p, self.seed)
-            return inner.start_run(problem_id, repeat)
+            return FlakySession(program, random.Random(
+                f"{self.seed}|{problem_id}|{repeat}"))
 
     started = time.monotonic()
     for seed in range(20):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import run_query
-from prolite import Budget, consult, engine, parse_program, solve_first
+from prolite import Budget, consult, engine, parse_program, solve
 from prolite.errors import (BudgetExceeded, BuiltinRedefinition,
                             ExistenceError, InstantiationError,
                             PlTypeError, ZeroDivisor)
@@ -108,10 +108,10 @@ def test_disjunction_order():
 
 
 def test_exact_rational_arithmetic():
-    sol, more = solve_first(parse_term_text("X is 1 / 3 + 1 / 6"),
-                            consult(parse_program("")))
-    assert sol.bindings["X"] == Fraction(1, 2)
-    assert not more
+    sols = list(solve(parse_term_text("X is 1 / 3 + 1 / 6"),
+                      consult(parse_program(""))))
+    assert len(sols) == 1
+    assert sols[0].bindings["X"] == Fraction(1, 2)
 
 
 def test_integer_arithmetic_functions():
@@ -433,11 +433,11 @@ def test_queries_on_shared_databases_leave_every_table_unchanged():
     snapshots = [{key: (entry, held(entry) if type(entry) is
                         engine._Predicate else None)
                   for key, entry in db.table.items()} for db, _ in dbs]
-    expected = [solve_first(query, db)[0].bindings for db, query in dbs]
+    expected = [next(solve(query, db)).bindings for db, query in dbs]
 
     def answers(shift):
         order = dbs[shift:] + dbs[:shift]
-        return [solve_first(query, db)[0].bindings for db, query in order]
+        return [next(solve(query, db)).bindings for db, query in order]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

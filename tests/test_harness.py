@@ -1,6 +1,7 @@
 """Harness: oracle values, fixture certification, problem loading,
 navigate generation, evaluation math, and report rendering."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from prolite.harness.navigate import final_position, render_statement
 from prolite.harness.oracles import (cinema_oracle, csp_brute_oracle,
                                      linear_gold_oracle, sum_it_up_oracle)
 from prolite.orchestrator import RetryPolicy, _front_end
-from prolite.providers import ReferenceProvider, ScriptedMapProvider
+from prolite.providers import ReferenceProvider, ScriptedProvider
 
 
 # --- oracles ----------------------------------------------------------
@@ -233,7 +234,7 @@ def test_statement_rendering_grammar():
 # --- evaluation + reports --------------------------------------------
 
 def reference_provider(problems=FIXTURES):
-    return ScriptedMapProvider({
+    return ScriptedProvider(["no code here"], {
         p.id: ["thinking aloud first", f"```\n{p.reference_program}\n```"]
         for p in problems})
 
@@ -304,9 +305,31 @@ def test_evaluate_workers_deterministic_when_texts_recur(tmp_path):
         transcript_records(tmp_path / "parallel")
 
 
+def test_ids_that_share_a_transcript_file_are_rejected_before_any_run(
+        tmp_path):
+    # 'q/1' and 'q_1' both map to q_1__r0.jsonl: the second run would
+    # overwrite the first's transcript, and a replay would then hand
+    # 'q/1' the completions of 'q_1'
+    problems = [dataclasses.replace(FIXTURES[0], id=i)
+                for i in ("q/1", "q_1")]
+    started = []
+
+    class Recording(ReferenceProvider):
+        def start_run(self, problem_id, repeat):
+            started.append(problem_id)
+            return super().start_run(problem_id, repeat)
+
+    with pytest.raises(DuplicateId, match="'q/1' and 'q_1'"):
+        evaluate(problems, Recording(problems), transcript_dir=tmp_path / "t")
+    assert started == []
+    assert not (tmp_path / "t").exists()
+    # without transcripts the two runs do not meet
+    report = evaluate(problems, Recording(problems))
+    assert [row["accuracy"] for row in report.problems] == [1.0, 1.0]
+
+
 def test_evaluate_counts_wrong_answers():
-    wrong = ScriptedMapProvider(
-        {p.id: ["```\nproblem(X) :- X = 999999.\n```"] for p in FIXTURES})
+    wrong = ScriptedProvider(["```\nproblem(X) :- X = 999999.\n```"])
     report = evaluate(FIXTURES, wrong, RetryPolicy(max_attempts=1))
     assert all(row["accuracy"] == 0.0 for row in report.problems)
 

@@ -10,13 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from prolite.errors import ProliteError, ProviderError, TranscriptExhausted
-from prolite.orchestrator import (Attempt, ExtractionFailure, PromptTemplate,
-                                  RetryPolicy, assemble_prompt,
-                                  extract_program, multiple_try,
-                                  run_candidate, temperature_at)
-from prolite.providers import (FlakyProvider, LiveProvider,
-                               ReferenceProvider, ReplayProvider,
-                               ScriptedProvider, transcript_filename)
+from prolite.orchestrator import (Attempt, ExtractionFailure, RetryPolicy,
+                                  assemble_prompt, extract_program,
+                                  multiple_try, run_candidate,
+                                  temperature_at)
+from prolite.providers import (LiveProvider, ReferenceProvider,
+                               ReplayProvider, ScriptedProvider,
+                               transcript_filename)
 
 GOOD_PROGRAM = """\
 problem(Answer) :-
@@ -170,13 +170,14 @@ def test_provider_error_counts_as_attempt():
 
 
 def test_flaky_provider_is_reproducible():
-    provider = FlakyProvider("good", "bad", 0.5, seed=5)
+    problems = [SimpleNamespace(id="p", reference_program="good.")]
+    provider = ReferenceProvider(problems, 0.5, seed=5)
     runs1 = [provider.start_run("p", r).complete("", 0, 0, 0)
              for r in range(10)]
     runs2 = [provider.start_run("p", r).complete("", 0, 0, 0)
              for r in range(10)]
     assert runs1 == runs2
-    assert set(runs1) == {"good", "bad"}
+    assert set(runs1) == {"```\ngood.\n```", ReferenceProvider.JUNK}
 
 
 def test_reference_provider_replays_the_seeded_coin_flips():

@@ -37,7 +37,11 @@ Three differences are intended.
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,12 +50,15 @@ from prolite.engine import _LIBRARY_SOURCE
 from prolite.errors import LexError, OperatorClash, ParseError
 from prolite.harness import FIXTURES, gen_navigate
 from prolite.orchestrator import ExtractionFailure, extract_program
-from prolite.reader import (DEFAULT_OPS, OpTable, Program, comma_flatten,
+from prolite.reader import (INFIX, PREFIX, Program, comma_flatten,
                             parse_program, parse_term, parse_term_text,
                             tokenize)
 from prolite.terms import Atom, Clause, Struct, Var, make_list
 
 from test_tokenizer_diff import completion_texts
+
+# The reader's table, in the shape the reference parser reads.
+DEFAULT_OPS = SimpleNamespace(prefix=PREFIX, infix=INFIX)
 
 
 class _ReferenceParser:
@@ -246,15 +253,36 @@ def reference_parse_term_text(source, ops=DEFAULT_OPS):
     return reference_parse_term(tokenize(source), ops)
 
 
-# A table beside the default one: '|' as an infix operator, a prefix
-# operator and an infix operator that bind tighter than prefix '-'.
-CUSTOM_OPS = OpTable(OpTable.DEFAULTS + [
-    ("|", 1100, "xfy"), ("dot", 100, "fx"), ("~~", 150, "xfx")])
+# A table beside the reader's: a prefix operator and an infix operator
+# that bind tighter than prefix '-', which reach parser paths that no
+# operator of the reader's table does.
+CUSTOM_OPS = SimpleNamespace(prefix={**PREFIX, "dot": (100, "fx")},
+                             infix={**INFIX, "~~": (150, "xfx")})
 TABLES = pytest.mark.parametrize("ops", [DEFAULT_OPS, CUSTOM_OPS],
                                  ids=["default-ops", "custom-ops"])
 
-READERS = [(parse_program, reference_parse_program),
-           (parse_term_text, reference_parse_term_text)]
+
+@contextmanager
+def reader_table(ops):
+    """The reader's one operator table holding the entries of ops until
+    the block ends; the reference parser is handed ops instead."""
+    with mock.patch.dict(PREFIX, ops.prefix), \
+            mock.patch.dict(INFIX, ops.infix):
+        yield
+
+
+def with_table(read):
+    """read(source), which reads with the reader's table, as a reader of
+    (source, ops) like the reference ones."""
+    @functools.wraps(read)
+    def read_with(source, ops):
+        with reader_table(ops):
+            return read(source)
+    return read_with
+
+
+READERS = [(with_table(parse_program), reference_parse_program),
+           (with_table(parse_term_text), reference_parse_term_text)]
 
 
 def outcome(read, source, ops):
@@ -361,7 +389,8 @@ def assert_rejected_head(source, line, col, ops):
     toks = tokenize(source)
     start = next(i for i, t in enumerate(toks)
                  if (t.line, t.col) == (line, col))
-    term = parse_term(toks[start:], ops)
+    with reader_table(ops):
+        term = parse_term(toks[start:])
     if isinstance(term, Struct) and term.name == ":-" and len(term.args) == 2:
         term = term.args[0]
     assert isinstance(term, (Var, int, Fraction)), (source, term)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prolite.errors import LexError, OperatorClash, ParseError
-from prolite.reader import (DEFAULT_OPS, comma_flatten, parse_program,
+from prolite.reader import (INFIX, PREFIX, comma_flatten, parse_program,
                             parse_term_text, tokenize)
 from prolite.terms import Atom, Struct, Var, list_to_python, make_list, variant
 from prolite.writer import term_to_text
@@ -218,9 +218,9 @@ _leaves = st.one_of(
 def _compounds(sub):
     return st.one_of(
         st.builds(lambda op, a: Struct(op, (a,)),
-                  st.sampled_from(sorted(DEFAULT_OPS.prefix)), sub),
+                  st.sampled_from(sorted(PREFIX)), sub),
         st.builds(lambda op, a, b: Struct(op, (a, b)),
-                  st.sampled_from(sorted(DEFAULT_OPS.infix)), sub, sub),
+                  st.sampled_from(sorted(INFIX)), sub, sub),
         st.builds(lambda f, xs: Struct(f, tuple(xs)), st.sampled_from("fg"),
                   st.lists(sub, min_size=1, max_size=3)),
         st.lists(sub, max_size=3).map(make_list),

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import engine
 from .engine import Budget, consult, solve
 from .errors import (BudgetExceeded, LexError, ParseError, ProliteError,
                      ProviderError, TranscriptExhausted, UnboundedDomain)
@@ -121,7 +122,7 @@ def _fenced_blocks(text):
     return blocks
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecResult:
     status: str                 # exec_status taxonomy
     answer: object = None       # int or float when status == "ok"
@@ -147,23 +148,28 @@ def _render_answer(value):
     return None, True
 
 
-# Distinct source texts whose front end is kept.  `evaluate` runs a
-# problem's repeats back to back, so texts recur within one problem: a
-# couple of live texts per worker.  A consulted fixture or generated
-# program takes about 10 KB (tracemalloc, mean over 105 programs).
+# Distinct source texts whose front end, and the verdicts met on it, are
+# kept.  `evaluate` runs a problem's repeats back to back, so texts recur
+# within one problem: a couple of live texts per worker.  A consulted
+# fixture or generated program takes about 10 KB (tracemalloc, mean over
+# 105 programs); its verdicts are evicted with it, so this is the one
+# bound on both.
 FRONT_END_ENTRIES = 32
 
 
 @functools.lru_cache(maxsize=FRONT_END_ENTRIES)
 def _front_end(source):
-    """The consulted Database of source, or the (status, detail) of the
-    error that parsing or consulting it ends in."""
+    """(db, verdicts) of source: db is its consulted Database, or the
+    ExecResult of the error that parsing or consulting it ends in, and
+    verdicts maps (entry, budget, engine.DEFAULT_MAX_MEMORY) to the
+    ExecResult that `run_candidate` gave for it."""
     try:
-        return consult(parse_program(source))
+        db = consult(parse_program(source))
     except (LexError, ParseError) as exc:
-        return "parse-error", str(exc)
+        db = ExecResult("parse-error", detail=str(exc))
     except ProliteError as exc:  # a clause redefines a builtin
-        return "runtime-error", str(exc)
+        db = ExecResult("runtime-error", detail=str(exc))
+    return db, {}
 
 
 def run_candidate(source, entry="problem(Answer)", budget=None):
@@ -173,12 +179,31 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
     Each distinct source text is parsed and consulted once per process
     (a bounded LRU of FRONT_END_ENTRIES texts): nothing writes its
     Database after `consult`, so the queries of every attempt and
-    thread that meet the text share it.  The entry query is parsed and
-    solved afresh on every call, and the verdict is never cached, since
-    it depends on the wall-clock budget."""
-    db = _front_end(source)
-    if isinstance(db, tuple):
-        return ExecResult(db[0], detail=db[1])
+    thread that meet the text share it.  Beside it each verdict is kept,
+    keyed by the entry, the budget (None is Budget()) and the engine's
+    memory bound, and a call that meets the key again returns the kept
+    ExecResult without parsing the entry or solving.  Steps and memory
+    are counted the same on every run and the wall clock is not, so a
+    run that ended on the clock is never kept and runs again."""
+    db, verdicts = _front_end(source)
+    if isinstance(db, ExecResult):
+        return db
+    budget = budget or Budget()
+    key = (entry, budget, engine.DEFAULT_MAX_MEMORY)
+    result = verdicts.get(key)
+    if result is None:
+        try:
+            result = _verdict(db, entry, budget)
+        except BudgetExceeded as exc:  # ended on the clock
+            return ExecResult("budget-exceeded", detail=str(exc))
+        # threads that race here store equal verdicts
+        verdicts[key] = result
+    return result
+
+
+def _verdict(db, entry, budget):
+    """The ExecResult of the entry query on db; a run that ends on the
+    wall clock raises BudgetExceeded("time")."""
     try:
         query = parse_term_text(entry)
     except (LexError, ParseError) as exc:
@@ -196,6 +221,8 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
         more = next(gen, None) is not None
         gen.close()
     except BudgetExceeded as exc:
+        if exc.kind == "time":
+            raise
         return ExecResult("budget-exceeded", detail=str(exc))
     except UnboundedDomain as exc:
         return ExecResult("underdetermined", detail=str(exc))

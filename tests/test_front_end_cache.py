@@ -1,5 +1,7 @@
 """The front-end cache of `run_candidate`: a text met again is neither
-parsed nor consulted again, and gives the verdict a cold run gives."""
+parsed nor consulted again, and gives the verdict a cold run gives; a
+verdict met again under the same entry, budget and memory bound is not
+solved again, unless the wall clock ended it."""
 
 from __future__ import annotations
 
@@ -8,9 +10,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from prolite import orchestrator
-from prolite.harness import FIXTURES, gen_navigate
+from prolite import engine, orchestrator
+from prolite.engine import Budget
+from prolite.harness import FIXTURES, emit_report, evaluate, gen_navigate
 from prolite.orchestrator import FRONT_END_ENTRIES, _front_end, run_candidate
+from prolite.providers import ReferenceProvider
+from test_harness import transcript_records
 
 
 @pytest.fixture(autouse=True)
@@ -137,3 +142,112 @@ def test_threads_sharing_cached_databases_answer_like_cold_runs():
         sys.setswitchinterval(interval)
     assert results == [expected[k] for k in jobs]
     assert _front_end.cache_info().currsize == len(texts)
+
+
+# --- verdicts kept beside the front end ----------------------------------
+
+def counting_solves(monkeypatch):
+    calls = []
+    original = orchestrator.solve
+
+    def counted(query, db, budget=None):
+        calls.append(budget)
+        return original(query, db, budget)
+
+    monkeypatch.setattr(orchestrator, "solve", counted)
+    return calls
+
+
+LOOP = "loop :- loop.\nproblem(A) :- loop, A = 1.\n"
+DOWN = ("down(0).\ndown(N) :- N > 0, M is N - 1, down(M).\n"
+        "problem(A) :- down(500), A = 500.\n")
+FINDALL = ("problem(A) :- findall(X, between(1, 2000, X), L), "
+           "length(L, A).\n")
+
+
+@pytest.mark.parametrize("source, budget, memory, status, detail", [
+    ("problem(1).", None, None, "ok", ""),
+    ("problem(A) :- A = 1, A > 2.", None, None, "no-solution", ""),
+    ("problem(A) :- A #> 0.", None, None, "underdetermined", ""),
+    ("problem(A) :- {A + B = 3}.", None, None, "underdetermined",
+     "not determined"),
+    ("problem(a).", None, None, "non-numeric", ""),
+    ("problem(A) :- p(A).", None, None, "runtime-error",
+     "unknown predicate p/1"),
+    (LOOP, Budget(1000, 60.0), None, "budget-exceeded", "steps"),
+    (FINDALL, None, 1000, "budget-exceeded", "memory"),
+])
+def test_a_hit_on_a_kept_verdict_solves_nothing(source, budget, memory,
+                                               status, detail,
+                                               monkeypatch):
+    if memory is not None:
+        monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", memory)
+    calls = counting_solves(monkeypatch)
+    cold = run_candidate(source, budget=budget)
+    assert cold.status == status and detail in cold.detail
+    assert len(calls) == 1
+    for _ in range(3):
+        assert run_candidate(source, budget=budget) is cold
+    assert len(calls) == 1
+
+
+def test_a_run_that_ended_on_the_clock_is_run_again(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    budget = Budget(10**9, 0.05)
+    for k in range(3):
+        result = run_candidate(LOOP, budget=budget)
+        assert result.status == "budget-exceeded"
+        assert "time" in result.detail
+        assert len(calls) == k + 1
+
+
+def test_another_entry_gets_its_own_verdict(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    source = "p(1).\nq(2).\n"
+    assert run_candidate(source, "p(A)").answer == 1
+    assert run_candidate(source, "q(A)").answer == 2
+    assert run_candidate(source, "p(A)").answer == 1
+    assert len(calls) == 2
+
+
+def test_another_budget_gets_its_own_verdict(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    few = Budget(100, 60.0)
+    assert run_candidate(DOWN, budget=few).status == "budget-exceeded"
+    assert run_candidate(DOWN).answer == 500
+    assert "steps" in run_candidate(DOWN, budget=few).detail
+    assert run_candidate(DOWN, budget=Budget(10**6, 60.0)).answer == 500
+    assert len(calls) == 3
+
+
+def test_another_memory_bound_gets_its_own_verdict(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    bound = engine.DEFAULT_MAX_MEMORY
+    assert run_candidate(FINDALL).answer == 2000
+    monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", 1000)
+    assert "memory" in run_candidate(FINDALL).detail
+    monkeypatch.setattr(engine, "DEFAULT_MAX_MEMORY", bound)
+    assert run_candidate(FINDALL).answer == 2000
+    assert len(calls) == 2
+
+
+def test_no_budget_and_the_default_budget_share_a_verdict(monkeypatch):
+    calls = counting_solves(monkeypatch)
+    first = run_candidate("problem(1).")
+    assert run_candidate("problem(1).", budget=Budget()) is first
+    assert calls == [Budget()]
+
+
+def test_evaluate_reports_the_same_from_a_cold_and_a_warm_cache(tmp_path):
+    problems = list(FIXTURES) + gen_navigate(5, 8)
+    provider = ReferenceProvider(problems, p=0.5, seed=3)
+    runs = {}
+    for name in ("cold", "warm"):
+        runs[name] = evaluate(problems, provider, repeats=3,
+                              transcript_dir=tmp_path / name)
+    cold, warm = runs["cold"], runs["warm"]
+    assert cold.runs == warm.runs
+    for fmt in ("json", "csv", "markdown"):
+        assert emit_report(cold, fmt) == emit_report(warm, fmt)
+    assert transcript_records(tmp_path / "cold") == \
+        transcript_records(tmp_path / "warm")

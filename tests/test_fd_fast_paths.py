@@ -1,17 +1,19 @@
 """The fast paths of FD posting and propagation against plain references:
 `FdDomain.remove`, which splits only the interval holding the value,
-against a set of values, and `linearize`, which reads a small `+ - *`
-term by recursion, against the walk it falls back to."""
+against a set of values, and `linearize` against a plain recursive
+reference; and the first error that a malformed constraint goal
+reports."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prolite import terms
 from prolite.clpfd import FdDomain
-from prolite.errors import PlTypeError
+from prolite.errors import NonLinearUnsupported, PlTypeError
+from prolite.orchestrator import run_candidate
 from prolite.terms import Atom, Bindings, Struct, Var, linearize
 
 INF = float("inf")
@@ -74,7 +76,7 @@ def test_remove_on_infinite_and_singleton_domains(intervals, v, expected):
     assert (out.lo, out.hi, out.card) == (fresh.lo, fresh.hi, fresh.card)
 
 
-# --- linearize: the small-term path against the walk ---------------------
+# --- linearize against a recursive reference -----------------------------
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 UNBOUND = (X, Y, Z)
@@ -131,7 +133,9 @@ def _integer(t):
 
 
 def _rational(t):
-    return Fraction(_integer(t))
+    if type(t) in (int, Fraction):
+        return Fraction(t)
+    raise PlTypeError(f"unsupported rational expression: {t!r}")
 
 
 def _run(normalise, expr, constant=_integer):
@@ -149,9 +153,12 @@ def _run(normalise, expr, constant=_integer):
         calls.append(("special", t.name))
 
         def finish(value):
-            calls.append(("finish", t.name, list(value[0].items()),
-                          value[1]))
-            return {("aux", len(calls)): 1}, 0
+            coeffs, k = value
+            calls.append(("finish", t.name,
+                          [(key, c, type(c)) for key, c in coeffs.items()],
+                          k, type(k)))
+            # in the store's numbers, as the stores' own hooks return
+            return {("aux", len(calls)): constant(1)}, constant(0)
         return t.args[:1], finish
 
     try:
@@ -162,38 +169,77 @@ def _run(normalise, expr, constant=_integer):
             k, type(k), calls)
 
 
+
+
+def _reference(expr, bindings, constant, leaf, special):
+    """linearize by plain recursion: every compound read where it is met,
+    each number read by constant when it is met, so the arithmetic is in
+    the store's own numbers; a special compound's value is kept, so its
+    hooks run once however often it is met."""
+    keys, specials = {}, {}
+
+    def read(t):
+        t = bindings.deref(t)
+        if isinstance(t, Var):
+            if t.id not in keys:
+                keys[t.id] = leaf(t)
+            return {keys[t.id]: constant(1)}, constant(0)
+        if not isinstance(t, Struct):
+            return {}, constant(t)
+        if id(t) in specials:
+            return specials[id(t)]
+        op, args = (t.name, len(t.args)), t.args
+        if op == ("+", 1):
+            return read(args[0])
+        if op == ("-", 1):
+            coeffs, k = read(args[0])
+            return {v: -c for v, c in coeffs.items()}, -k
+        if op in (("+", 2), ("-", 2), ("*", 2)):
+            (lc, lk), (rc, rk) = read(args[0]), read(args[1])
+            if op == ("*", 2):
+                # a ground side, one with no non-zero coefficient, scales
+                # the other; the left one is tried first
+                if not any(lc.values()):
+                    scale, coeffs, k = lk, rc, rk
+                elif not any(rc.values()):
+                    scale, coeffs, k = rk, lc, lk
+                else:
+                    raise NonLinearUnsupported(
+                        "product of two non-ground expressions")
+                return {v: scale * c for v, c in coeffs.items()}, scale * k
+            sign = 1 if t.name == "+" else -1
+            coeffs = dict(lc)
+            for v, c in rc.items():
+                coeffs[v] = coeffs.get(v, 0) + sign * c
+            return coeffs, lk + sign * rk
+        found = special(t)
+        if found is None:
+            return {}, constant(t)
+        args, finish = found
+        specials[id(t)] = finish(*[read(a) for a in args])
+        return specials[id(t)]
+
+    coeffs, k = read(expr)
+    return {v: c for v, c in coeffs.items() if c != 0}, k
+
+
 def _agree(expr):
     # the FD store reads integers, the rational store Fractions
     for constant in (_integer, _rational):
         assert _run(linearize, expr, constant) \
-            == _run(terms._linearize_walk, expr, constant), expr
+            == _run(_reference, expr, constant), expr
 
 
 @settings(max_examples=400, deadline=None)
 @given(SMALL)
-def test_linearize_agrees_with_the_walk(expr):
+def test_linearize_agrees_with_the_reference(expr):
     _agree(expr)
 
 
 @settings(max_examples=60, deadline=None)
 @given(long_sums())
-def test_linearize_agrees_with_the_walk_past_the_budget(expr):
+def test_linearize_agrees_with_the_reference_on_long_sums(expr):
     _agree(expr)
-
-
-def _walks(expr, monkeypatch):
-    """Whether linearize fell back to the walk on expr."""
-    called = []
-    walk = terms._linearize_walk
-
-    def counted(*args):
-        called.append(True)
-        return walk(*args)
-    monkeypatch.setattr(terms, "_linearize_walk", counted)
-    _run(linearize, expr)
-    monkeypatch.setattr(terms, "_linearize_walk", walk)
-    _agree(expr)
-    return bool(called)
 
 
 def _sum(n):
@@ -203,18 +249,97 @@ def _sum(n):
     return t
 
 
-def test_small_terms_are_read_without_the_walk(monkeypatch):
-    s, w = BOUND[2], BOUND[1]
-    for expr in (Struct("-", (X, Struct("+", (Y, BOUND[0])))),
-                 Struct("*", (3, Struct("-", (s, w)))),
-                 _sum(64)):
-        assert not _walks(expr, monkeypatch), expr
+def _doubled(n):
+    """A built term whose compounds share without a variable between
+    them, as in a findall/3 copy: t(i) = t(i-1) - 2 * t(i-1)."""
+    t = Struct("+", (X, Y))
+    for _ in range(n):
+        t = Struct("-", (t, Struct("*", (2, t))))
+    return t
 
 
-def test_specials_and_large_terms_fall_back_to_the_walk(monkeypatch):
-    for expr in (Struct("+", (X, Struct("abs", (Y,)))),
-                 Struct("-", (Struct("mod", (X, 3)), Z)),
-                 _sum(65),
-                 # a product whose ground side holds a variable
-                 Struct("+", (Struct("*", (Struct("-", (X, X)), 2)), Y))):
-        assert _walks(expr, monkeypatch), expr
+def _nested_again():
+    """A compound met twice, then compounds inside it met again."""
+    e1 = Struct("+", (X, Y))
+    e2 = Struct("+", (e1, Z))
+    e3 = Struct("-", (e2, X))
+    return Struct("+", (Struct("+", (Struct("+", (e3, e3)), e2)), e1))
+
+
+A, W, S = BOUND
+V = Var("V")        # bound to abs(X), so that a term holding V shares it
+B.bind(V, Struct("abs", (X,)))
+GROUND_ZERO = Struct("-", (X, X))
+
+
+@pytest.mark.parametrize("expr", [
+    Struct("-", (X, Struct("+", (Y, A)))),
+    Struct("*", (3, Struct("-", (S, W)))),
+    _sum(64),
+    Struct("+", (X, Struct("abs", (Y,)))),
+    Struct("-", (Struct("mod", (X, 3)), Z)),
+    _sum(65),
+    # a product whose ground side holds a variable: the variable is no
+    # key of the product, so it is placed where it is next met
+    Struct("+", (Struct("*", (GROUND_ZERO, 2)), Y)),
+    Struct("+", (Struct("+", (Struct("*", (GROUND_ZERO, 2)), Y)), X)),
+    Struct("*", (GROUND_ZERO, Struct("-", (Y, X)))),
+    Struct("+", (S, Struct("*", (S, 2)))),
+    Struct("*", (X, Struct("+", (Y, Atom("a"))))),
+    Struct("*", (Struct("+", (X, Y)), Z)),
+    Struct("+", (V, Struct("*", (2, Struct("-", (V, Y)))))),
+    Struct("*", (V, Struct("mod", (V, 2)))),
+    Struct("+", (Struct("*", (Fraction(1, 2), X)), Fraction(3, 4))),
+    Struct("*", (Struct("-", (Y, Fraction(1, 3))), Fraction(3, 2))),
+    _doubled(6),
+    _nested_again(),
+])
+def test_linearize_agrees_with_the_reference_on_chosen_terms(expr):
+    _agree(expr)
+
+
+# --- the first error of a malformed constraint goal ----------------------
+
+@pytest.mark.parametrize("goal, status, answer, detail", [
+    ("X #= foo", "runtime-error", None,
+     "unsupported constraint expression: Atom(foo)"),
+    ("X #= Y * Z", "runtime-error", None,
+     "product of two non-ground expressions"),
+    ("X #= f(Y)", "runtime-error", None,
+     "unsupported constraint expression: Struct(f, [Var(Y#_)])"),
+    ("X #= Y mod Z", "runtime-error", None,
+     "mod requires a ground positive modulus"),
+    ("X #= Y mod 0", "runtime-error", None,
+     "mod requires a ground positive modulus"),
+    ("X #= abs(Y, Z)", "runtime-error", None,
+     "unsupported constraint expression: Struct(abs, [Var(Y#_), Var(Z#_)])"),
+    ("X #= a + Y", "runtime-error", None,
+     "unsupported constraint expression: Atom(a)"),
+    ("X #= - (Y * Z)", "runtime-error", None,
+     "product of two non-ground expressions"),
+    # which variable labeling meets first follows the order in which the
+    # variable hook gave the variables domains
+    ("X #= Y + (Z - Z) * W", "underdetermined", None,
+     "X has no finite domain"),
+    ("X #= 2 * (Y - Y) * W", "underdetermined", None,
+     "Y has no finite domain"),
+    ("{X = a}", "runtime-error", None,
+     "unsupported rational expression: Atom(a)"),
+    ("{X = Y / Z}", "runtime-error", None, "division by a variable"),
+    ("{X = 1 / 0}", "runtime-error", None, "division by zero in constraint"),
+    ("{X = 1 / (Y - Y)}", "runtime-error", None,
+     "division by zero in constraint"),
+    ("{X = Y * Y}", "runtime-error", None,
+     "product of two non-ground expressions"),
+    ("{X = abs(Y)}", "runtime-error", None,
+     "unsupported rational expression: Struct(abs, [Var(Y#_)])"),
+    ("{X = (Y - Y) * W + 1}", "ok", 1, ""),
+    ("X #= Y, {Y = 2}", "runtime-error", None,
+     "Y is constrained by another store"),
+])
+def test_a_malformed_constraint_reports_its_first_error(goal, status, answer,
+                                                        detail):
+    result = run_candidate(f"problem(A) :- {goal}, A = X.\n")
+    # a variable's id depends on how many the process made before
+    masked = re.sub(r"#\d+", "#_", result.detail)
+    assert (result.status, result.answer, masked) == (status, answer, detail)

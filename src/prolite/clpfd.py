@@ -27,8 +27,8 @@ A propagator dereferences each operand once per run, reads an operand
 bound to an integer as that integer, and reads and writes the store's
 domain table directly; a run allocates only the domains it narrows,
 and removing a value splits only the interval holding it.  A post
-reads its expression once with terms.linearize: by recursion up to 64
-+, - and * compounds, else (abs, mod, a longer term) by its walk.
+reads its expression in one pass of terms.linearize, in time linear in
+its size; a compound met again is read once more, then its form reused.
 Leftmost labeling starts its scan for the next variable at the newest
 frame's position, so labeling n variables scans O(n) list entries, not
 O(n^2).

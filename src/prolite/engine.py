@@ -58,7 +58,7 @@ from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      ExistenceError, InstantiationError, PlTypeError,
                      TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
-from .terms import (NIL, SMALL_TERM, Atom, Bindings, Struct, Var, arg_key,
+from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key,
                     indicator, list_to_python, make_list, normalize_number,
                     occurs, rebuild, term_vars)
 
@@ -726,6 +726,10 @@ def solve(query, db, budget=None):
 
 
 # --- arithmetic -------------------------------------------------------
+
+# compounds that eval_arith reads by recursion
+SMALL_TERM = 64
+
 
 class _Large(Exception):
     """Raised by _values past SMALL_TERM compounds."""

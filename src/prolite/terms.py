@@ -298,197 +298,142 @@ class Clause:
         return f"Clause({self.head!r} :- {list(self.body)!r})"
 
 
-# compounds that linearize and the engine's arithmetic read by recursion
-SMALL_TERM = 64
-
-
 def linearize(expr, bindings, constant, leaf, special):
     """({key: coeff}, const) of a linear expression built with +, - and *.
 
     One normaliser serves both constraint stores through three hooks:
-    constant(t) reads any leaf that is not a variable (constant(1) is the
-    unit coefficient) and raises for what the store cannot read;
-    leaf(var) turns an unbound variable into a key, and is called once
-    per variable, in order of first occurrence; special(t) returns None,
-    or (args, finish) for a compound the store handles itself: each of
-    args is read as a linear expression and then finish(*values) gives
-    the compound's fresh (coeffs, const) pair.  Zero coefficients are
-    dropped from the result.
+    constant(t) reads a leaf that is neither a variable nor an integer,
+    and at the end each coefficient and the constant term, and raises
+    for what the store cannot read; leaf(var) turns an unbound variable
+    into a key, and is called once per variable, in order of first
+    occurrence; special(t) returns None, or (args, finish) for a
+    compound the store handles itself: each of args is read, its numbers
+    passed through constant, and finish(*values) gives the compound's
+    (coeffs, const) pair.  Zero coefficients are dropped from the result.
 
-    A term of at most SMALL_TERM +, - and * compounds over variables
-    and integers is read by recursion in integer arithmetic
-    (_linear_small), which calls no hook; then leaf is called, and
-    constant reads each coefficient and the constant term.  Any other
-    term is read by _linearize_walk, which also meets every error first
-    in its own order.
+    One pass on an explicit stack reads every term, left to right, so the
+    hooks run and the first error is met in that order.  Each entry holds
+    the multiplier of its subterm, and a variable adds it to one map, in
+    integers until constant reads the sums.  A product not led by a
+    number reads its left side on its own: a ground one scales the right
+    side, else the right side, read on its own, must be ground and scales
+    a copy of the left one.  A special compound's value is kept; another
+    compound met again is read once more on its own and its form kept
+    for each later meeting.  So, but for those copies, a read costs time
+    linear in the term as a tree, and a term such as X1 = X0 + X0,
+    X2 = X1 + X1, ... costs its size as a DAG.
     """
-    small = _linear_small(expr, bindings.map, [SMALL_TERM])
-    if small is None:
-        return _linearize_walk(expr, bindings, constant, leaf, special)
-    coeffs, k = small
-    out = {}
-    for v, c in coeffs.items():
-        key = leaf(v)
-        if c:
-            out[key] = constant(c)
-    return out, constant(k)
-
-
-def _linear_small(t, bmap, budget):
-    """(coeffs, const) of t by recursion over integers, keyed by unbound
-    variable, each compound combined as _combine does; budget[0] counts
-    down the compounds still allowed.  coeffs holds every variable of t,
-    zero coefficients too, in order of first occurrence.  None past the
-    budget, at a leaf that is neither a variable nor an integer, at a
-    compound that is not +, - or *, and at a product of two non-ground
-    sides or one that would drop variables (a ground side such as
-    X - X), since their order would be lost."""
-    if type(t) is Var:
-        bound = bmap.get(t.id)
-        while bound is not None:
-            t = bound
-            if type(t) is not Var:
-                break
-            bound = bmap.get(t.id)
-        else:
-            return {t: 1}, 0
-    if type(t) is int:
-        return {}, t
-    if type(t) is not Struct:
-        return None
-    op = _LINEAR_OPS.get((t.name, len(t.args)))
-    budget[0] -= 1
-    if op is None or budget[0] < 0:
-        return None
-    args = t.args
-    left = _linear_small(args[0], bmap, budget)
-    if left is None:
-        return None
-    coeffs, k = left
-    if op == "neg":
-        return {v: -c for v, c in coeffs.items()}, -k
-    if op == "pos":
-        return coeffs, k
-    right = _linear_small(args[1], bmap, budget)
-    if right is None:
-        return None
-    rcoeffs, rk = right
-    if op == "add":
-        for v, c in rcoeffs.items():
-            coeffs[v] = coeffs.get(v, 0) + c
-        return coeffs, k + rk
-    if op == "sub":
-        for v, c in rcoeffs.items():
-            coeffs[v] = coeffs.get(v, 0) - c
-        return coeffs, k - rk
-    if not coeffs:
-        scale, coeffs, k = k, rcoeffs, rk
-    elif not rcoeffs and any(coeffs.values()):
-        scale = rk
-    else:
-        return None
-    return {v: scale * c for v, c in coeffs.items()}, scale * k
-
-
-def _linearize_walk(expr, bindings, constant, leaf, special):
-    """linearize on an explicit stack, for any term.
-
-    Leaves are visited left to right, and finish runs after its
-    arguments, so the side effects of the hooks happen in source order.
-    The walk keeps its own stack: an entry
-    (None, op) combines the values that an operator's arguments left on
-    `values`, an entry (n, finish) replaces the top n values by a special
-    compound's, and an entry (id, None) records a copy of the value of a
-    compound.  A compound reached through a variable, and a special one,
-    is recorded when it is first met; any other is recorded only when it
-    is met a second time, so an unshared term pays no copy per compound,
-    and a shared one is walked at most twice.
-    """
-    one, zero = constant(1), constant(0)
-    values = []
-    stack = [expr]
-    done = {}           # id of a compound -> (coeffs, const)
-    seen = set()        # ids of compounds walked once, not recorded
+    bmap = bindings.map
+    coeffs, k = {}, 0   # the form being read
+    outer = []          # the forms it is read inside, innermost last
+    closed = []         # forms read on their own, waiting for their use
     keys = {}           # var id -> leaf(var)
+    met = {}            # id of a compound -> None once met, then its form
+    again = 0           # compounds being read again on their own
+    stack = [(expr, 1)]
+    push, pop = stack.append, stack.pop
     while stack:
-        t = stack.pop()
-        if type(t) is tuple:
-            n, step = t
-            if step is None:
-                # _combine updates a left operand's coefficients in place
-                coeffs, k = values[-1]
-                done[n] = (dict(coeffs), k)
-            elif n is None:
-                _combine(values, step, zero)
-            else:
-                found = step(*values[len(values) - n:])
-                del values[len(values) - n:]
-                values.append(found)
-            continue
-        through_var = type(t) is Var
-        if through_var:
-            t = bindings.deref(t)
-        if isinstance(t, Var):
+        t, m = pop()
+        while type(t) is Var and t.id in bmap:
+            t = bmap[t.id]
+        if type(t) is Var:
             key = keys.get(t.id, _ABSENT)
             if key is _ABSENT:
                 key = keys[t.id] = leaf(t)
-            values.append(({key: one}, zero))
-            continue
-        if isinstance(t, Struct):
-            found = done.get(id(t))
-            if found is not None:
-                values.append((dict(found[0]), found[1]))
+            coeffs[key] = coeffs.get(key, 0) + m
+        elif type(t) is int:
+            k += m * t
+        elif type(t) is Struct:
+            i = id(t)
+            state = met.get(i, _ABSENT)
+            if state is _ABSENT:
+                met[i] = None
+            elif state is not None:
+                push((None, ("add", state, m)))
+                continue
+            elif not again:
+                again += 1
+                push((None, ("memo", t, m)))
+                _read_alone(push, t)
                 continue
             op = _LINEAR_OPS.get((t.name, len(t.args)))
-            if op is not None:
-                if through_var or id(t) in seen:
-                    stack.append((id(t), None))
+            args = t.args
+            if op == "add" or op == "sub":
+                push((args[1], m if op == "add" else -m))
+                push((args[0], m))
+            elif op == "mul":
+                a = bindings.deref(args[0])
+                if type(a) is Var or type(a) is Struct:
+                    push((None, ("mul", args[1], m)))
+                    _read_alone(push, a)
                 else:
-                    seen.add(id(t))
-                stack.append((None, op))
-                stack.extend(reversed(t.args))
-                continue
-            found = special(t)
-            if found is not None:
+                    push((args[1], m * (a if type(a) is int else constant(a))))
+            elif op is not None:
+                push((args[0], m if op == "pos" else -m))
+            else:
+                found = special(t)
+                if found is None:
+                    k += m * constant(t)
+                    continue
                 args, finish = found
-                stack.append((id(t), None))
-                stack.append((len(args), finish))
-                stack.extend(reversed(args))
+                push((None, ("finish", (t, finish, len(args)), m)))
+                for a in reversed(args):
+                    _read_alone(push, a)
+        elif t is not None:
+            k += m * constant(t)
+        else:
+            # a step: open or close a form read on its own, or use one
+            step, a, m = m
+            if step == "open":
+                outer.append((coeffs, k))
+                coeffs, k = {}, 0
                 continue
-        values.append(({}, constant(t)))
-    coeffs, k = values[0]
-    return {v: c for v, c in coeffs.items() if c != 0}, k
+            if step == "close":
+                closed.append((coeffs, k))
+                coeffs, k = outer.pop()
+                continue
+            if step == "mul":
+                # the left side of a product is read, a is its right one
+                form = closed.pop()
+                if any(form[0].values()):
+                    push((None, ("scale", form, m)))
+                    _read_alone(push, a)
+                else:
+                    push((a, m * form[1]))
+                continue
+            if step == "scale":
+                # a, the left side of a product, times the right one
+                rcoeffs, rk = closed.pop()
+                if any(rcoeffs.values()):
+                    raise NonLinearUnsupported(
+                        "product of two non-ground expressions")
+                form, m = a, m * rk
+            elif step == "finish":
+                t, finish, n = a
+                values = [({v: constant(c) for v, c in fc.items()},
+                           constant(fk)) for fc, fk in closed[-n:]]
+                del closed[-n:]
+                form = met[id(t)] = finish(*values)
+            elif step == "memo":
+                form = met[id(a)] = closed.pop()
+                again -= 1
+            else:   # "add"
+                form = a
+            for v, c in form[0].items():
+                coeffs[v] = coeffs.get(v, 0) + m * c
+            k += m * form[1]
+    return {v: constant(c) for v, c in coeffs.items() if c}, constant(k)
 
 
 _LINEAR_OPS = {("+", 1): "pos", ("-", 1): "neg", ("+", 2): "add",
                ("-", 2): "sub", ("*", 2): "mul"}
 
 
-def _combine(values, op, zero):
-    """Replace the operand values of op on top of values by its result."""
-    if op == "pos":
-        return
-    if op == "neg":
-        coeffs, k = values.pop()
-        values.append(({v: -c for v, c in coeffs.items()}, -k))
-        return
-    (rcoeffs, rk) = values.pop()
-    left = values.pop()
-    if op == "mul":
-        right = (rcoeffs, rk)
-        if not any(left[0].values()):
-            scale, (coeffs, k) = left[1], right
-        elif not any(rcoeffs.values()):
-            scale, (coeffs, k) = rk, left
-        else:
-            raise NonLinearUnsupported("product of two non-ground expressions")
-        values.append(({v: scale * c for v, c in coeffs.items()}, scale * k))
-        return
-    coeffs, k = left
-    sign = 1 if op == "add" else -1
-    for v, c in rcoeffs.items():
-        coeffs[v] = coeffs.get(v, zero) + sign * c
-    values.append((coeffs, k + sign * rk))
+def _read_alone(push, t):
+    """Push the steps that read t into a form of its own."""
+    push((None, ("close", None, None)))
+    push((t, 1))
+    push((None, ("open", None, None)))
 
 
 def indicator(t):

@@ -1,7 +1,7 @@
 """Hostile candidate programs: huge answers, deep terms, terms that
-share subterms, cyclic bindings, long labelings, deeply nested clause
-text, builtin redo loops and many `{}` inequalities end in their exec
-status within the budget, and neither the reader nor the walks over
+share subterms, cyclic bindings, long labelings, long sums posted as
+constraints, deeply nested clause text, builtin redo loops and many
+`{}` inequalities end in their exec status within the budget, and neither the reader nor the walks over
 those terms raise a Python RecursionError.  A long prose completion is
 searched for a program in time linear in its length, also when every
 line opens a block comment or a quoted token."""
@@ -330,6 +330,35 @@ def test_constraint_specials_nested_deep_post(depth, wrap, post, answer):
                f"problem(A) :- d({depth}, E), {post}.\n")
     result = run_candidate(program)
     assert (result.status, result.answer) == ("ok", answer), result.detail
+
+
+SUMS = """\
+l(0, 0).
+l(N, E + _) :- N > 0, M is N - 1, l(M, E).
+r(0, 0).
+r(N, _ + E) :- N > 0, M is N - 1, r(M, E).
+rd(0, 0).
+rd(N, _ - E) :- N > 0, M is N - 1, rd(M, E).
+"""
+
+
+@pytest.mark.parametrize("post", ["S #= E", "{S = E}"], ids=["fd", "braces"])
+@pytest.mark.parametrize("clause, n", [("l", 5000), ("r", 5000), ("rd", 5000),
+                                       ("l", 20000)])
+def test_a_post_costs_time_linear_in_its_expression(clause, n, post):
+    # a sum of n fresh variables, nested to the left, to the right or as
+    # right-nested differences, each compound reached through a
+    # variable: a post reads no clock, so merging each operand into the
+    # other or copying each compound's coefficients, O(n^2) either way,
+    # would run far past the budget
+    budget = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
+    program = SUMS + (f"problem(A) :- {clause}({n}, E), \\+ \\+ {post}, "
+                      "A = 1.\n")
+    started = time.monotonic()
+    result = run_candidate(program, budget=budget)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.answer) == ("ok", 1), result.detail
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
 
 
 SHARED_ANSWER = "c(0, a).\nc(N, f(Y, Y)) :- N > 0, M is N - 1, c(M, Y).\n"

@@ -115,7 +115,7 @@ SMALL = st.recursive(LEAVES, _extend, max_leaves=12)
 
 @st.composite
 def long_sums(draw):
-    """Sums of 60 to 80 terms, on both sides of the 64-compound budget."""
+    """Sums of 60 to 80 terms, left-nested."""
     n = draw(st.integers(60, 80))
     leaves = draw(st.lists(st.one_of(st.integers(-3, 3),
                                      st.sampled_from(UNBOUND + BOUND)),
@@ -167,8 +167,6 @@ def _run(normalise, expr, constant=_integer):
         return ("error", type(exc).__name__, str(exc), calls)
     return ("value", [(key, c, type(c)) for key, c in coeffs.items()],
             k, type(k), calls)
-
-
 
 
 def _reference(expr, bindings, constant, leaf, special):

@@ -29,6 +29,11 @@ domain table directly; a run allocates only the domains it narrows,
 and removing a value splits only the interval holding it.  A post
 reads its expression in one pass of terms.linearize, in time linear in
 its size; a compound met again is read once more, then its form reused.
+That read also picks the store: at the first Fraction or float, variable
+of the rational store, or / or rdiv, the post rewinds the trail to its
+mark and raises RationalGoal, and the engine posts the goal to the
+rational store.  The read's form gives the propagator and its watcher
+links directly.
 Leftmost labeling starts its scan for the next variable at the newest
 frame's position, so labeling n variables scans O(n) list entries, not
 O(n^2).
@@ -39,6 +44,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from collections import deque
+from fractions import Fraction
 
 from .clpr import RStore
 from .errors import (BudgetExceeded, NonLinearUnsupported, PlTypeError,
@@ -47,7 +53,13 @@ from .terms import Bindings, Struct, Var, linearize
 
 INF = float("inf")
 
-REL_OPS = {"#=", "#\\=", "#<", "#>", "#=<", "#>="}
+# lhs rel rhs reads as lhs - rhs = sum + const, and posts as the
+# propagator sign * sum rel' shift - sign * const: relation -> (sign,
+# shift, rel')
+_RELATIONS = {"#=": (1, 0, "eq"), "#\\=": (1, 0, "ne"),
+              "#=<": (1, 0, "le"), "#<": (1, -1, "le"),
+              "#>=": (-1, 0, "le"), "#>": (-1, -1, "le")}
+REL_OPS = set(_RELATIONS)
 
 # value-level pruning is attempted only below this domain size
 ENUM_CAP = 4096
@@ -58,6 +70,12 @@ SLOW_FIXPOINT = 16
 
 # Domain events, each implying the ones below it.
 CHANGED, BOUNDS, FIXED = 0, 1, 2
+
+
+class RationalGoal(Exception):
+    """Raised by FdStore.post for a goal that belongs to the rational
+    store, with nothing written: the read met a Fraction or a float, a
+    variable the rational store owns, or a / or rdiv."""
 
 
 class FdDomain:
@@ -159,6 +177,9 @@ class FdDomain:
         return f"FdDomain({list(self.intervals)})"
 
 
+_FULL_DOMAIN = FdDomain()
+
+
 class LinearProp:
     """sum(c_i * x_i) rel k with rel in eq | le | ne (le means <= k).
 
@@ -169,7 +190,7 @@ class LinearProp:
     __slots__ = ("coeffs", "k", "rel", "wake")
 
     def __init__(self, coeffs, k, rel):
-        self.coeffs = [(c, v) for c, v in coeffs if c != 0]
+        self.coeffs = coeffs    # [(c, operand)], each c non-zero
         self.k = k
         self.rel = rel
         self.wake = FIXED if rel == "ne" else BOUNDS
@@ -187,7 +208,8 @@ class LinearProp:
                 merged[v.id] = (merged.get(v.id, (0,))[0] + c, v)
             else:
                 k -= c * v
-        return LinearProp(merged.values(), k, self.rel)
+        return LinearProp([(c, v) for c, v in merged.values() if c], k,
+                          self.rel)
 
     def propagate(self, store):
         rel = self.rel
@@ -377,17 +399,6 @@ class FdStore:
 
     # --- variables ----------------------------------------------------
 
-    def ensure_var(self, var):
-        v = self.bindings.deref(var)
-        if isinstance(v, int):
-            return v
-        if not isinstance(v, Var):
-            raise PlTypeError(f"finite-domain variable expected, got {v!r}")
-        if v.id not in self.domains:
-            self.bindings.claim(v, self)
-            self.bindings.set(self.domains, v.id, FdDomain())
-        return v
-
     def dom(self, var):
         return self.dom_of(self.bindings.deref(var))
 
@@ -526,46 +537,66 @@ class FdStore:
                                           key=lambda row: row[2] != "eq"))
 
     def post(self, goal):
-        """Post one #-rooted constraint goal; False means inconsistency."""
-        if not (isinstance(goal, Struct) and goal.name in REL_OPS
-                and len(goal.args) == 2):
+        """Post one #-rooted constraint goal; False means inconsistency.
+
+        One read of lhs - rhs gives the linear form and links the
+        propagator.  A goal that belongs to the rational store raises
+        RationalGoal, and a read that raises leaves nothing behind: the
+        trail is rewound past the claims, domains and auxiliary
+        propagators it wrote."""
+        relation = (_RELATIONS.get(goal.name) if isinstance(goal, Struct)
+                    and len(goal.args) == 2 else None)
+        if relation is None:
             raise PlTypeError(f"not a finite-domain constraint: {goal!r}")
         self._clear_queue()
-        # lhs rel rhs  ->  sum(c * v) rel k, from lhs - rhs = sum + const
-        coeffs, const = self._linearize(Struct("-", goal.args))
-        coeffs, k = [(c, v) for v, c in coeffs.items()], -const
-        rel = goal.name
-        if rel == "#=":
-            prop = LinearProp(coeffs, k, "eq")
-        elif rel == "#\\=":
-            prop = LinearProp(coeffs, k, "ne")
-        elif rel == "#=<":
-            prop = LinearProp(coeffs, k, "le")
-        elif rel == "#<":
-            prop = LinearProp(coeffs, k - 1, "le")
-        elif rel == "#>=":
-            prop = LinearProp([(-c, v) for c, v in coeffs], -k, "le")
-        else:  # "#>"
-            prop = LinearProp([(-c, v) for c, v in coeffs], -k - 1, "le")
-        if len(prop.coeffs) <= 1:
+        bindings = self.bindings
+        mark = len(bindings.trail)
+        try:
+            form, const = linearize(Struct("-", goal.args), bindings,
+                                    _integer, self._claim, self._special)
+        except Exception:
+            bindings.undo_to(mark)
+            self._clear_queue()
+            raise
+        sign, shift, rel = relation
+        prop = LinearProp([(sign * c, v) for v, c in form.items()],
+                          shift - sign * const, rel)
+        if len(form) <= 1:
             self.tick()
             return prop.propagate(self) and self.propagate_fixpoint()
-        self.add_prop(prop)
+        # the form's keys are the unbound variables the read met
+        props, watchers, put = self.props, self.watchers, bindings.set
+        idx = len(props)
+        put(props, idx, prop)
+        for v in form:
+            put(watchers, v.id, watchers.get(v.id, ()) + (idx,))
+        self._enqueue(idx)
+        if rel == "ne":
+            return self.propagate_fixpoint()
         # a variable that only prop watches and that is still unbounded
         # can always meet prop, so the relaxation check could not fail
-        idx = len(self.props) - 1
-        decide = prop.wake == BOUNDS and not any(
-            self.watchers[v.id] == (idx,) and self.domains[v.id] == FdDomain()
-            for v in prop.vars())
-        return self._settle(prop.vars() if decide else ())
+        domains, full = self.domains, _FULL_DOMAIN.intervals
+        if any(watchers[v.id] == (idx,) and domains[v.id].intervals == full
+               for v in form):
+            return self.propagate_fixpoint()
+        return self._settle(form)
 
-    def _linearize(self, expr):
-        """({var: coeff}, const) of an integer expression."""
-        return linearize(expr, self.bindings, _integer, self.ensure_var,
-                         self._flatten_special)
+    def _claim(self, var):
+        """The read's variable hook: an unbound variable new to the store
+        gets the full domain; one the rational store owns reroutes the
+        goal."""
+        if var.id not in self.domains:
+            if var.id in self.bindings.owner:
+                raise RationalGoal
+            self.bindings.claim(var, self)
+            self.bindings.set(self.domains, var.id, _FULL_DOMAIN)
+        return var
 
-    def _flatten_special(self, expr):
-        """abs and mod, flattened onto fresh auxiliary variables."""
+    def _special(self, expr):
+        """abs and mod, flattened onto fresh auxiliary variables; / and
+        rdiv reroute the goal."""
+        if expr.name in ("/", "rdiv") and len(expr.args) == 2:
+            raise RationalGoal
         if expr.name == "abs" and len(expr.args) == 1:
             return expr.args, lambda x: self._onto_aux(x, AbsProp)
         if expr.name == "mod" and len(expr.args) == 2:
@@ -598,9 +629,7 @@ class FdStore:
         return y
 
     def _aux(self):
-        v = Var("_fd")
-        self.ensure_var(v)
-        return v
+        return self._claim(Var("_fd"))
 
     # --- aliasing and grounding hooks from unification ---------------
 
@@ -648,8 +677,11 @@ class FdStore:
 
 
 def _integer(t):
-    if isinstance(t, int) and not isinstance(t, bool):
+    """The read's number hook: a Fraction or float reroutes the goal."""
+    if type(t) is int:
         return t
+    if type(t) is Fraction or type(t) is float:
+        raise RationalGoal
     raise PlTypeError(f"unsupported constraint expression: {t!r}")
 
 

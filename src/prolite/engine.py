@@ -41,6 +41,13 @@ or a goal's effects are thrown away.  The budget bounds steps, wall time
 memory: the trail entries, choice points and pending goals a query holds
 at once, so proof depth is an explicit budget; each continuation entry
 carries its depth, so the pending goals are counted without a walk.
+
+A `#` goal is posted to the FD store, whose one read of it raises
+RationalGoal, having undone its writes, when the goal belongs to the
+rational store; only a goal whose FD read raises an error is walked
+again (`_rational_route`), to tell which store's first error it reports.
+An answer is rebuilt in one walk per query variable, which also finds
+the variables the rational store owns in it.
 """
 
 from __future__ import annotations
@@ -52,11 +59,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clpfd import REL_OPS, FdStore, fd_label
+from .clpfd import REL_OPS, FdStore, RationalGoal, fd_label
 from .clpr import RStore
 from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
-                     ExistenceError, InstantiationError, PlTypeError,
-                     TypeMix, ZeroDivisor)
+                     ExistenceError, InstantiationError,
+                     NonLinearUnsupported, PlTypeError, TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key,
                     indicator, list_to_python, make_list, normalize_number,
@@ -692,14 +699,24 @@ def solve(query, db, budget=None):
     state = SolveState(db, budget)
     state.deadline = time.monotonic() + state.budget.wall_timeout
     query_vars = term_vars(query)
+    owner_of = state.bindings.owner_of
 
     def snapshot(notes=()):
-        resolved = {v.name: rebuild(v, state.bindings) for v in query_vars}
-        loose = frozenset(
-            name for name, t in resolved.items()
-            if any(state.bindings.owner_of(v) is state.r
-                   for v in term_vars(t)))
-        return Solution(resolved, notes, loose, state.steps)
+        # one walk per answer variable rebuilds it and finds the variables
+        # the rational store owns in it; a name kept by several variables
+        # (_) answers for the last of them
+        resolved, loose = {}, set()
+
+        def leaf(var):
+            if owner_of(var) is state.r:
+                loose.add(name)
+            return var
+
+        for v in query_vars:
+            name = v.name
+            loose.discard(name)
+            resolved[name] = rebuild(v, state.bindings, leaf)
+        return Solution(resolved, notes, frozenset(loose), state.steps)
 
     def answers():
         try:
@@ -1178,7 +1195,9 @@ def _bi_msort(state, args, barrier):
 # --- constraint goals -----------------------------------------------
 
 def _rational_route(state, args):
-    """True when a #-constraint belongs to the rational solver."""
+    """True when a #-constraint belongs to the rational solver: it holds a
+    Fraction or float, a variable the rational store owns, or a / or
+    rdiv anywhere."""
     stack = list(args)
     walked = set()      # ids of compounds, so a shared one is walked once
     while stack:
@@ -1198,8 +1217,18 @@ def _rational_route(state, args):
 def _fd_relation(op):
     def post(state, args, barrier):
         goal = Struct(op, args)
-        store = state.r if _rational_route(state, args) else state.fd
-        return _ONCE if store.post(goal) else ()
+        try:
+            ok = state.fd.post(goal)
+        except RationalGoal:
+            ok = state.r.post(goal)
+        except (PlTypeError, NonLinearUnsupported):
+            # the FD read stopped at an error before a rational mark it
+            # would have met later: the goal is the rational store's, and
+            # so is its first error
+            if not _rational_route(state, args):
+                raise
+            ok = state.r.post(goal)
+        return _ONCE if ok else ()
     return post
 
 

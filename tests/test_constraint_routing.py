@@ -13,12 +13,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prolite import consult, solve
-from prolite.engine import Budget
-from prolite.errors import PrologRuntimeError
+from engine_corpus import QUEENS_PROGRAM, SEND_MORE_PROGRAM
+from helpers import run_query
+from prolite import consult, engine, solve
+from prolite.engine import BUILTINS, Budget, SolveState
+from prolite.errors import PlTypeError, PrologRuntimeError
 from prolite.orchestrator import run_candidate
 from prolite.reader import parse_program, parse_term_text
-from prolite.terms import Struct, Var
+from prolite.terms import Struct, Var, list_to_python
 from prolite.writer import term_to_text
 
 REL_OPS = ("#=", "#\\=", "#<", "#>", "#=<", "#>=")
@@ -51,6 +53,59 @@ def test_a_constraint_goal_is_routed_by_its_rational_marks(goal, status,
     result = run_candidate(f"problem(A) :- {goal}, A = X.\n")
     assert (result.status, result.answer, _masked(result.detail)) == (
         status, answer, detail)
+
+
+# --- a rerouted post, and the walk it no longer needs --------------------
+
+def _post(state, text):
+    """Run the # builtin of the goal text on state, as the engine does."""
+    goal = parse_term_text(text)
+    return BUILTINS[(goal.name, 2)](state, goal.args, None)
+
+
+def _fd_tables(state):
+    fd = state.fd
+    return (fd.domains, fd.props, fd.watchers, list(fd._queue),
+            fd._queued)
+
+
+def test_a_rerouted_post_leaves_nothing_in_the_fd_store():
+    state = SolveState(consult(parse_program("")))
+    # the FD read claims X, Y and Z, then meets 1/2
+    assert _post(state, "X #= Y + 2 * Z + 1/2")
+    assert _fd_tables(state) == ({}, {}, {}, [], set())
+    assert [store is state.r
+            for store, _ in state.bindings.owner.values()] == [True] * 3
+    # here it also flattens abs and mod onto auxiliary variables and
+    # propagators before it meets the mark, and the rational store then
+    # reports the first term it cannot read
+    for text in ("X #= abs(Y) + Y mod 3 + 1 rdiv 2",
+                 "X #= abs(Y) + Y mod 3 + foo + 0.5"):
+        state = SolveState(consult(parse_program("")))
+        with pytest.raises(PlTypeError,
+                           match="unsupported rational expression"):
+            _post(state, text)
+        assert _fd_tables(state) == ({}, {}, {}, [], set())
+        assert all(store is state.r
+                   for store, _ in state.bindings.owner.values())
+
+
+def test_a_rerouted_post_answers_from_the_rational_store():
+    sol, = run_query("", "A #= Z + 1 rdiv 2, Z = 1")
+    assert term_to_text(sol.bindings["A"]) == "3 rdiv 2"
+
+
+def test_an_fd_post_that_meets_no_error_walks_its_goal_once(monkeypatch):
+    def second_walk(state, args):
+        raise AssertionError("the goal was walked a second time")
+
+    monkeypatch.setattr(engine, "_rational_route", second_walk)
+    for program, query, answer in [
+            (QUEENS_PROGRAM, "queens(8, A)", [1, 5, 8, 6, 3, 7, 2, 4]),
+            (SEND_MORE_PROGRAM, "puzzle(A)", [9, 5, 6, 7, 1, 0, 8, 2])]:
+        sol = next(solve(parse_term_text(query),
+                         consult(parse_program(program))))
+        assert list_to_python(sol.bindings["A"]) == answer
 
 
 # --- random goals against the reference route-then-post ------------------

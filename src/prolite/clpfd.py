@@ -544,9 +544,8 @@ class FdStore:
         RationalGoal, and a read that raises leaves nothing behind: the
         trail is rewound past the claims, domains and auxiliary
         propagators it wrote."""
-        relation = (_RELATIONS.get(goal.name) if isinstance(goal, Struct)
-                    and len(goal.args) == 2 else None)
-        if relation is None:
+        if not (isinstance(goal, Struct) and goal.name in _RELATIONS
+                and len(goal.args) == 2):
             raise PlTypeError(f"not a finite-domain constraint: {goal!r}")
         self._clear_queue()
         bindings = self.bindings
@@ -558,7 +557,7 @@ class FdStore:
             bindings.undo_to(mark)
             self._clear_queue()
             raise
-        sign, shift, rel = relation
+        sign, shift, rel = _RELATIONS[goal.name]
         prop = LinearProp([(sign * c, v) for v, c in form.items()],
                           shift - sign * const, rel)
         if len(form) <= 1:

@@ -32,8 +32,10 @@ its size; a compound met again is read once more, then its form reused.
 That read also picks the store: at the first Fraction or float, variable
 of the rational store, or / or rdiv, the post rewinds the trail to its
 mark and raises RationalGoal, and the engine posts the goal to the
-rational store.  The read's form gives the propagator and its watcher
-links directly.
+rational store.  A read that stops at an error first also raises
+RationalGoal when a walk of the goal (`_rational_mark`) finds such a
+mark further on, so the rational store reports the first error.  The
+read's form gives the propagator and its watcher links directly.
 Leftmost labeling starts its scan for the next variable at the newest
 frame's position, so labeling n variables scans O(n) list entries, not
 O(n^2).
@@ -75,7 +77,8 @@ CHANGED, BOUNDS, FIXED = 0, 1, 2
 class RationalGoal(Exception):
     """Raised by FdStore.post for a goal that belongs to the rational
     store, with nothing written: the read met a Fraction or a float, a
-    variable the rational store owns, or a / or rdiv."""
+    variable the rational store owns, or a / or rdiv, or it stopped at
+    an error before such a mark further on."""
 
 
 class FdDomain:
@@ -543,7 +546,10 @@ class FdStore:
         propagator.  A goal that belongs to the rational store raises
         RationalGoal, and a read that raises leaves nothing behind: the
         trail is rewound past the claims, domains and auxiliary
-        propagators it wrote."""
+        propagators it wrote.  A read that stops at a PlTypeError or
+        NonLinearUnsupported before a rational mark it would have met
+        later raises RationalGoal too, so the rational store reports the
+        goal's first error."""
         if not (isinstance(goal, Struct) and goal.name in _RELATIONS
                 and len(goal.args) == 2):
             raise PlTypeError(f"not a finite-domain constraint: {goal!r}")
@@ -553,9 +559,12 @@ class FdStore:
         try:
             form, const = linearize(Struct("-", goal.args), bindings,
                                     _integer, self._claim, self._special)
-        except Exception:
+        except Exception as exc:
             bindings.undo_to(mark)
             self._clear_queue()
+            if isinstance(exc, (PlTypeError, NonLinearUnsupported)) \
+                    and self._rational_mark(goal.args):
+                raise RationalGoal from exc
             raise
         sign, shift, rel = _RELATIONS[goal.name]
         prop = LinearProp([(sign * c, v) for v, c in form.items()],
@@ -579,6 +588,25 @@ class FdStore:
                for v in form):
             return self.propagate_fixpoint()
         return self._settle(form)
+
+    def _rational_mark(self, args):
+        """True when the terms args hold a Fraction or float, a variable
+        another store owns, or a / or rdiv anywhere."""
+        bindings = self.bindings
+        stack = list(args)
+        walked = set()      # ids of compounds, so a shared one is walked once
+        while stack:
+            t = bindings.deref(stack.pop())
+            if type(t) is Fraction or type(t) is float:
+                return True
+            if type(t) is Var and bindings.owner_of(t) not in (None, self):
+                return True
+            if type(t) is Struct and id(t) not in walked:
+                if t.name in ("/", "rdiv") and len(t.args) == 2:
+                    return True
+                walked.add(id(t))
+                stack.extend(t.args)
+        return False
 
     def _claim(self, var):
         """The read's variable hook: an unbound variable new to the store

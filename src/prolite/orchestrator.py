@@ -148,62 +148,42 @@ def _render_answer(value):
     return None, True
 
 
-# Distinct source texts whose front end, and the verdicts met on it, are
-# kept.  `evaluate` runs a problem's repeats back to back, so texts recur
-# within one problem: a couple of live texts per worker.  A consulted
-# fixture or generated program takes about 10 KB (tracemalloc, mean over
-# 105 programs); its verdicts are evicted with it, so this is the one
-# bound on both.
+# Distinct judgments kept: (source, entry, budget, memory bound) ->
+# ExecResult.  `evaluate` runs a problem's repeats back to back, so texts
+# recur within one problem: a couple of live texts per worker.  Only the
+# verdict is kept, not the consulted Database.
 FRONT_END_ENTRIES = 32
-
-
-@functools.lru_cache(maxsize=FRONT_END_ENTRIES)
-def _front_end(source):
-    """(db, verdicts) of source: db is its consulted Database, or the
-    ExecResult of the error that parsing or consulting it ends in, and
-    verdicts maps (entry, budget, engine.DEFAULT_MAX_MEMORY) to the
-    ExecResult that `run_candidate` gave for it."""
-    try:
-        db = consult(parse_program(source))
-    except (LexError, ParseError) as exc:
-        db = ExecResult("parse-error", detail=str(exc))
-    except ProliteError as exc:  # a clause redefines a builtin
-        db = ExecResult("runtime-error", detail=str(exc))
-    return db, {}
 
 
 def run_candidate(source, entry="problem(Answer)", budget=None):
     """Consult source and run the entry query; never raises, all failure
     modes are folded into the exec-status taxonomy.
 
-    Each distinct source text is parsed and consulted once per process
-    (a bounded LRU of FRONT_END_ENTRIES texts): nothing writes its
-    Database after `consult`, so the queries of every attempt and
-    thread that meet the text share it.  Beside it each verdict is kept,
-    keyed by the entry, the budget (None is Budget()) and the engine's
-    memory bound, and a call that meets the key again returns the kept
-    ExecResult without parsing the entry or solving.  Steps and memory
-    are counted the same on every run and the wall clock is not, so a
-    run that ended on the clock is never kept and runs again."""
-    db, verdicts = _front_end(source)
-    if isinstance(db, ExecResult):
-        return db
-    budget = budget or Budget()
-    key = (entry, budget, engine.DEFAULT_MAX_MEMORY)
-    result = verdicts.get(key)
-    if result is None:
-        try:
-            result = _verdict(db, entry, budget)
-        except BudgetExceeded as exc:  # ended on the clock
-            return ExecResult("budget-exceeded", detail=str(exc))
-        # threads that race here store equal verdicts
-        verdicts[key] = result
-    return result
+    Each verdict is kept in a bounded LRU of FRONT_END_ENTRIES
+    judgments, keyed by the source text, the entry, the budget (None is
+    Budget()) and the engine's memory bound: a call that meets the key
+    again returns the kept ExecResult without parsing, consulting or
+    solving.  Steps and memory are counted the same on every run and
+    the wall clock is not, so a run that ended on the clock is never
+    kept and runs again."""
+    try:
+        return _judge(source, entry, budget or Budget(),
+                      engine.DEFAULT_MAX_MEMORY)
+    except BudgetExceeded as exc:  # ended on the clock
+        return ExecResult("budget-exceeded", detail=str(exc))
 
 
-def _verdict(db, entry, budget):
-    """The ExecResult of the entry query on db; a run that ends on the
-    wall clock raises BudgetExceeded("time")."""
+@functools.lru_cache(maxsize=FRONT_END_ENTRIES)
+def _judge(source, entry, budget, memory):
+    """The ExecResult of the entry query on the program source under
+    budget; memory, the engine's memory bound, is only a key.  A run
+    that ends on the wall clock raises BudgetExceeded("time")."""
+    try:
+        db = consult(parse_program(source))
+    except (LexError, ParseError) as exc:
+        return ExecResult("parse-error", detail=str(exc))
+    except ProliteError as exc:  # a clause redefines a builtin
+        return ExecResult("runtime-error", detail=str(exc))
     try:
         query = parse_term_text(entry)
     except (LexError, ParseError) as exc:
@@ -252,7 +232,6 @@ class Attempt:
     temperature: float
     prompt_sha256: str
     completion: str
-    extracted: str | None
     exec_status: str
     answer: object = None
     wall_ms: float = 0.0
@@ -279,10 +258,6 @@ class Outcome:
     final_answer: object
     attempts: list
     attempts_used: int
-
-    @property
-    def succeeded(self):
-        return self.final_answer is not None
 
 
 def _attempt_seed(problem_id, k):
@@ -325,8 +300,8 @@ def multiple_try(problem, provider, policy=RetryPolicy(), shots=(("", ""),),
                                    policy.per_attempt_budget)
             status, answer, detail = result.status, result.answer, result.detail
         wall_ms = (time.monotonic() - started) * 1000.0
-        attempt = Attempt(k, temp, prompt_hash, completion, extracted,
-                          status, answer, wall_ms, detail)
+        attempt = Attempt(k, temp, prompt_hash, completion, status, answer,
+                          wall_ms, detail)
         attempts.append(attempt)
         if transcript is not None:
             transcript.write(json.dumps(attempt.record(problem.id),

@@ -21,7 +21,7 @@ CLOCK_EVERY = 4096
 
 
 def _atom_text(name):
-    if name == "" or name in ("[]", "{}", "!", ";", ","):
+    if name == "" or name in ("[]", "{}", "!", ";"):
         return name if name else "''"
     if name[0].islower() and all(c == "_" or c.isalnum() for c in name):
         return name
@@ -110,9 +110,15 @@ def _write_struct(t, max_prio, work):
         lmax = prio if typ == "yfx" else prio - 1
         rmax = prio if typ == "xfy" else prio - 1
         sep = f" {t.name} " if t.name != "," else ", "
+        # '- + 1' would read back as -(+(1)): an operator atom on the
+        # left is bracketed, as ISO writeq does
+        left_op = isinstance(t.args[0], Atom) and (
+            t.args[0].name in INFIX or t.args[0].name in PREFIX)
 
         def infix(out, work):
             left, right = _pop(out, 2)
+            if left_op:
+                left = f"({left})"
             out.append(_maybe_paren(left + sep + right, prio, max_prio))
 
         work.append(infix)

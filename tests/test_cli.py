@@ -155,6 +155,15 @@ def test_eval_scripted_reference_accuracy_one(tmp_path, capsys):
     assert list((out / "transcripts").iterdir())
 
 
+def test_eval_check_refs_marks_every_fixture_reference(tmp_path):
+    out = tmp_path / "out"
+    assert main(["eval", "--provider", "scripted:reference", "--check-refs",
+                 "--out", str(out), "--formats", "json"]) == 0
+    rows = json.loads((out / "report.json").read_text())["problems"]
+    assert len(rows) == 8
+    assert [row["reference_ok"] for row in rows] == [True] * 8
+
+
 def test_eval_flaky_reports_identically_across_runs(tmp_path):
     outs = []
     for name in ("e1", "e2"):

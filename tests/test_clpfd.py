@@ -306,6 +306,15 @@ def test_each_variable_has_one_store(body, status, answer):
     assert (result.status, result.answer) == (status, answer), result.detail
 
 
+def test_an_alias_relinks_a_propagator_over_a_bound_operand():
+    # Y = 4 grounds an operand of the sum; X = Z then relinks the sum,
+    # which folds 4 into its constant and merges X and Z: 2 * X #= 6
+    result = run_candidate(
+        "problem(A) :- X #>= 0, X #=< 9, Z #>= 0, Z #=< 9, Y #>= 0, "
+        "X + Y + Z #= 10, Y = 4, X = Z, A = X.")
+    assert (result.status, result.answer) == ("ok", 3), result.detail
+
+
 @st.composite
 def _mixed_conjunctions(draw):
     """(goal text, {name: (lo, hi)}): X and Y get finite bounds first;

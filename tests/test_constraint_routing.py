@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from engine_corpus import QUEENS_PROGRAM, SEND_MORE_PROGRAM
 from helpers import run_query
-from prolite import consult, engine, solve
+from prolite import consult, solve
+from prolite.clpfd import FdStore
 from prolite.engine import BUILTINS, Budget, SolveState
 from prolite.errors import PlTypeError, PrologRuntimeError
 from prolite.orchestrator import run_candidate
@@ -96,10 +97,10 @@ def test_a_rerouted_post_answers_from_the_rational_store():
 
 
 def test_an_fd_post_that_meets_no_error_walks_its_goal_once(monkeypatch):
-    def second_walk(state, args):
+    def second_walk(store, args):
         raise AssertionError("the goal was walked a second time")
 
-    monkeypatch.setattr(engine, "_rational_route", second_walk)
+    monkeypatch.setattr(FdStore, "_rational_mark", second_walk)
     for program, query, answer in [
             (QUEENS_PROGRAM, "queens(8, A)", [1, 5, 8, 6, 3, 7, 2, 4]),
             (SEND_MORE_PROGRAM, "puzzle(A)", [9, 5, 6, 7, 1, 0, 8, 2])]:

@@ -1,7 +1,7 @@
-"""The front-end cache of `run_candidate`: a text met again is neither
-parsed nor consulted again, and gives the verdict a cold run gives; a
-verdict met again under the same entry, budget and memory bound is not
-solved again, unless the wall clock ended it."""
+"""The verdict cache of `run_candidate`: a text met again under the same
+entry, budget and memory bound is neither parsed, consulted nor solved
+again, and gives the verdict a cold run gives, unless the wall clock
+ended it."""
 
 from __future__ import annotations
 
@@ -13,24 +13,24 @@ import pytest
 from prolite import engine, orchestrator
 from prolite.engine import Budget
 from prolite.harness import FIXTURES, emit_report, evaluate, gen_navigate
-from prolite.orchestrator import FRONT_END_ENTRIES, _front_end, run_candidate
+from prolite.orchestrator import FRONT_END_ENTRIES, _judge, run_candidate
 from prolite.providers import ReferenceProvider
 from test_harness import transcript_records
 
 
 @pytest.fixture(autouse=True)
 def cold_cache():
-    _front_end.cache_clear()
+    _judge.cache_clear()
     yield
-    _front_end.cache_clear()
+    _judge.cache_clear()
 
 
 def cold_and_warm(source, entry="problem(Answer)"):
-    _front_end.cache_clear()
+    _judge.cache_clear()
     cold = run_candidate(source, entry)
-    hits = _front_end.cache_info().hits
+    hits = _judge.cache_info().hits
     warm = run_candidate(source, entry)
-    assert _front_end.cache_info().hits == hits + 1
+    assert _judge.cache_info().hits == hits + 1
     return cold, warm
 
 
@@ -74,13 +74,13 @@ def test_one_database_answers_two_entries_like_fresh_ones():
     entries = ["count(A)", "big(A)", "fd(A)", "p(A)"]
     fresh = {}
     for entry in entries:
-        _front_end.cache_clear()
+        _judge.cache_clear()
         fresh[entry] = run_candidate(source, entry)
     assert [fresh[e].answer for e in entries] == [3, 20, 3, 1]
-    _front_end.cache_clear()
+    _judge.cache_clear()
     for entry in entries * 2:
         assert run_candidate(source, entry) == fresh[entry]
-    assert _front_end.cache_info().misses == 1
+    assert _judge.cache_info().misses == len(entries)
 
 
 def counting(monkeypatch):
@@ -112,8 +112,8 @@ def test_the_cache_holds_at_most_its_bound(monkeypatch):
     sources = [f"problem({k})." for k in range(FRONT_END_ENTRIES + 5)]
     for k, source in enumerate(sources):
         assert run_candidate(source).answer == k
-        assert _front_end.cache_info().currsize <= FRONT_END_ENTRIES
-    assert _front_end.cache_info().maxsize == FRONT_END_ENTRIES
+        assert _judge.cache_info().currsize <= FRONT_END_ENTRIES
+    assert _judge.cache_info().maxsize == FRONT_END_ENTRIES
     # the latest texts are kept, the oldest were evicted
     run_candidate(sources[-1])
     assert len(calls["parse_program"]) == len(sources)
@@ -122,15 +122,15 @@ def test_the_cache_holds_at_most_its_bound(monkeypatch):
 
 
 def test_threads_sharing_cached_databases_answer_like_cold_runs():
-    # more threads than cores, switching often, on a few texts whose
-    # cached Databases all the threads query at once
+    # more threads than cores, switching often, on a few texts that all
+    # the threads judge at once
     texts = [(p.reference_program, p.entry) for p in FIXTURES[:3]]
     texts += [(p.reference_program, p.entry) for p in gen_navigate(11, 3)]
     expected = []
     for source, entry in texts:
-        _front_end.cache_clear()
+        _judge.cache_clear()
         expected.append(run_candidate(source, entry))
-    _front_end.cache_clear()
+    _judge.cache_clear()
     jobs = [k % len(texts) for k in range(8 * len(texts))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -141,10 +141,10 @@ def test_threads_sharing_cached_databases_answer_like_cold_runs():
     finally:
         sys.setswitchinterval(interval)
     assert results == [expected[k] for k in jobs]
-    assert _front_end.cache_info().currsize == len(texts)
+    assert _judge.cache_info().currsize == len(texts)
 
 
-# --- verdicts kept beside the front end ----------------------------------
+# --- verdicts kept per entry, budget and memory bound -------------------
 
 def counting_solves(monkeypatch):
     calls = []

@@ -19,7 +19,7 @@ from prolite.harness.evaluate import (DEFAULT_SHOTS, EvalReport,
 from prolite.harness.navigate import final_position, render_statement
 from prolite.harness.oracles import (cinema_oracle, csp_brute_oracle,
                                      linear_gold_oracle, sum_it_up_oracle)
-from prolite.orchestrator import RetryPolicy, _front_end
+from prolite.orchestrator import RetryPolicy, _judge
 from prolite.providers import ReferenceProvider, ScriptedProvider
 
 
@@ -292,7 +292,7 @@ def test_evaluate_workers_deterministic_when_texts_recur(tmp_path):
     # run starts from a cold cache and the threaded one from a warm one
     problems = list(FIXTURES) + gen_navigate(3, 10)
     provider = ReferenceProvider(problems, p=0.5, seed=7)
-    _front_end.cache_clear()
+    _judge.cache_clear()
     serial = evaluate(problems, provider, repeats=3,
                       transcript_dir=tmp_path / "serial")
     parallel = evaluate(problems, provider, repeats=3,

@@ -165,7 +165,7 @@ def test_round_trip_examples():
                  "{X = 1 rdiv 3}", "a :- b, (c ; d), \\+ e",
                  "abs(X - Y) #= 3", "'quoted atom'(1)", "-(1)",
                  "\\+((a, b))", "rdiv(1, 3)", "-(1 ^ 2)", "-(0 ** 0)",
-                 "-(2 * X)", "+(1 ^ 2)"]:
+                 "-(2 * X)", "+(1 ^ 2)", "X = f(',')", "+(-, 1)"]:
         rt(text)
 
 

@@ -18,9 +18,12 @@ and a domain change queues only the watchers it can affect: a bounds
 propagator (linear eq/le) wakes when a min or max moves, a disequality
 when a variable becomes a singleton, mod and abs on any change.  The
 events nest (a singleton is also a bounds change, which is also a
-change), so their levels compare as integers.  A linear post over at
-most one variable narrows that domain once and adds no propagator,
-since its relation reads only that domain and domains only shrink.
+change), so their levels compare as integers.  A disequality that has
+acted is entailed, as no value left can break it, so propagate_fixpoint
+puts RETIRED, whose wake no event reaches, in its place through the
+trail, and backtracking restores it.  A linear post over at most one
+variable narrows that domain once and adds no propagator, since its
+relation reads only that domain and domains only shrink.
 
 A domain is immutable and keeps its bounds and size, computed once.
 A propagator dereferences each operand once per run, reads an operand
@@ -183,11 +186,29 @@ class FdDomain:
 _FULL_DOMAIN = FdDomain()
 
 
+class _Retired:
+    """An entailed propagator's place in FdStore.props: no domain event
+    reaches its wake, and a run that an alias queues does nothing."""
+
+    __slots__ = ()
+    wake = FIXED + 1
+
+    def vars(self):
+        return ()
+
+    def propagate(self, store):
+        return True
+
+
+RETIRED = _Retired()
+
+
 class LinearProp:
     """sum(c_i * x_i) rel k with rel in eq | le | ne (le means <= k).
 
     eq and le read only bounds; ne acts once at most one operand is
-    unfixed, so it waits for a variable to become a singleton.
+    unfixed, so it waits for a variable to become a singleton, and after
+    acting it is entailed: propagate returns RETIRED.
     """
 
     __slots__ = ("coeffs", "k", "rel", "wake")
@@ -293,12 +314,14 @@ class LinearProp:
                 free, fc = v, c
             else:
                 return True
+        # entailed once the one value that breaks it is gone or fractional
         if free is None:
-            return total != self.k
+            return total != self.k and RETIRED
         rest = self.k - total
         if rest % fc:
-            return True
-        return store.set_dom_raw(free.id, domains[free.id].remove(rest // fc))
+            return RETIRED
+        return store.set_dom_raw(
+            free.id, domains[free.id].remove(rest // fc)) and RETIRED
 
 
 class ModProp:
@@ -479,6 +502,8 @@ class FdStore:
             discard(idx)
             prop = props[idx]
             ok = prop.propagate(self)
+            if ok is RETIRED:
+                self.bindings.set(props, idx, ok)
             runs += 1
             if ok and runs == slow:
                 ok = self._relaxation_feasible(prop.vars())

@@ -13,6 +13,7 @@ from helpers import (EXPLODING, brute_solution_set, fd_solution_set,
 from prolite import Budget, consult, solve
 from prolite.clpfd import FdDomain, FdStore
 from prolite.errors import PrologRuntimeError, UnboundedDomain
+from prolite.harness.oracles import csp_brute_oracle
 from prolite.orchestrator import run_candidate
 from prolite.reader import parse_program, parse_term_text
 from prolite.terms import Bindings, Struct, Var, list_to_python
@@ -446,12 +447,75 @@ def test_queens_solution_counts(n, count):
 
 
 def test_eight_queens_first_answer_within_its_step_budget():
-    # 1,719 steps when propagators wake only on the events they read,
-    # 3,322 when every domain change wakes every watcher: the budget
+    # 987 steps when propagators wake only on the events they read,
+    # 2,968 when every domain change wakes every watcher: the budget
     # lies between, so losing the event filter fails this test
     db = consult(parse_program(QUEENS))
     sol = next(solve(parse_term_text("queens(8, A)"), db,
                      budget=Budget(max_inference_steps=2500,
+                                   wall_timeout=10.0)))
+    assert list_to_python(sol.bindings["A"]) == [1, 5, 8, 6, 3, 7, 2, 4]
+
+
+def _disequality_network(rng):
+    """(goal text, variable names, domains, python predicate) of 3 to 5
+    variables over small ranges tied by X #\\= Y + c and all_different/1,
+    then maybe one variable labeled, then up to two aliases X = Y, then
+    every variable labeled.  The early label fixes a variable, so
+    disequalities are entailed and retired before an alias relinks
+    their operands, and backtracking over it must bring them back."""
+    n = rng.randint(3, 5)
+    domains = []
+    for _ in range(n):
+        lo = rng.randint(0, 3)
+        domains.append(range(lo, lo + rng.randint(1, 3) + 1))
+    goals = [f"V{i} #>= {d.start}, V{i} #=< {d.stop - 1}"
+             for i, d in enumerate(domains)]
+    preds = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.3:
+            idxs = rng.sample(range(n), rng.randint(2, n))
+            goals.append(f"all_different([{', '.join(f'V{i}' for i in idxs)}])")
+            preds.append(lambda vals, idxs=idxs:
+                         len({vals[i] for i in idxs}) == len(idxs))
+        else:
+            i, j = rng.sample(range(n), 2)
+            c = rng.randint(-2, 2)
+            goals.append(f"V{i} #\\= V{j} + {c}")
+            preds.append(lambda vals, i=i, j=j, c=c: vals[i] != vals[j] + c)
+    if rng.random() < 0.5:
+        goals.append(f"label([V{rng.randrange(n)}])")
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.sample(range(n), 2)
+        goals.append(f"V{i} = V{j}")
+        preds.append(lambda vals, i=i, j=j: vals[i] == vals[j])
+    names = [f"V{i}" for i in range(n)]
+    goals.append(f"label([{', '.join(names)}])")
+
+    def predicate(*vals):
+        return all(p(vals) for p in preds)
+
+    return ", ".join(goals), names, domains, predicate
+
+
+def test_retired_disequalities_return_on_backtracking_and_aliasing():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        goal, names, domains, predicate = _disequality_network(rng)
+        vs = ", ".join(names)
+        sols = run_query("", f"findall([{vs}], ({goal}), L)")
+        got = [tuple(list_to_python(s))
+               for s in list_to_python(sols[0].bindings["L"])]
+        assert sorted(got) == csp_brute_oracle(domains, predicate), goal
+
+
+def test_eight_queens_first_answer_retires_entailed_disequalities():
+    # 987 steps when a disequality that has acted is retired, 1,719
+    # when it wakes at every later fixed operand: the budget lies
+    # between, so losing retirement fails this test
+    db = consult(parse_program(QUEENS))
+    sol = next(solve(parse_term_text("queens(8, A)"), db,
+                     budget=Budget(max_inference_steps=1300,
                                    wall_timeout=10.0)))
     assert list_to_python(sol.bindings["A"]) == [1, 5, 8, 6, 3, 7, 2, 4]
 

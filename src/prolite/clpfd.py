@@ -769,9 +769,9 @@ def _label(variables, store, state, strategy):
     scan starts at the newest frame's position; backtracking to a frame
     restores that start, and labeling n variables scans O(n) entries.
     First-fail scans from the start and takes the first of the smallest
-    domains.  The wall clock is read at every value tried, which charges
-    no step."""
-    deref, domains = store.bindings.deref, store.domains
+    domains.  Each value tried charges one step and reads the wall
+    clock."""
+    deref, domains, tick = store.bindings.deref, store.domains, store.tick
     leftmost = strategy != "first_fail"
     frames = []
     while True:
@@ -803,6 +803,7 @@ def _label(variables, store, state, strategy):
             if m is not None:
                 state.undo_to(m)
             for value in values:
+                tick()
                 if time.monotonic() > state.deadline:
                     raise BudgetExceeded("time")
                 m = state.mark()

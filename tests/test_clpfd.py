@@ -447,8 +447,8 @@ def test_queens_solution_counts(n, count):
 
 
 def test_eight_queens_first_answer_within_its_step_budget():
-    # 987 steps when propagators wake only on the events they read,
-    # 2,968 when every domain change wakes every watcher: the budget
+    # 1,028 steps when propagators wake only on the events they read,
+    # 3,009 when every domain change wakes every watcher: the budget
     # lies between, so losing the event filter fails this test
     db = consult(parse_program(QUEENS))
     sol = next(solve(parse_term_text("queens(8, A)"), db,
@@ -510,7 +510,7 @@ def test_retired_disequalities_return_on_backtracking_and_aliasing():
 
 
 def test_eight_queens_first_answer_retires_entailed_disequalities():
-    # 987 steps when a disequality that has acted is retired, 1,719
+    # 1,028 steps when a disequality that has acted is retired, 1,760
     # when it wakes at every later fixed operand: the budget lies
     # between, so losing retirement fails this test
     db = consult(parse_program(QUEENS))

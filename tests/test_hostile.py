@@ -186,6 +186,21 @@ def test_labeling_stops_on_the_wall_clock():
     assert elapsed <= 2 * budget.wall_timeout + 0.5
 
 
+def test_labeling_charges_a_step_per_value():
+    # findall/3 over one label/1 of a huge domain collects an answer per
+    # value tried, and each value is charged a step, so the step budget
+    # ends it long before the answer list reaches the memory bound
+    budget = Budget(max_inference_steps=1000, wall_timeout=2.0)
+    program = ("problem(A) :- findall(X, (X #>= 0, X #=< 1000000000, "
+               "label([X])), L), length(L, A).\n")
+    started = time.monotonic()
+    result = run_candidate(program, budget=budget)
+    elapsed = time.monotonic() - started
+    assert result.status == "budget-exceeded"
+    assert "steps" in result.detail
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
 BAKERY = """\
 % A bakery bakes eight goods each day from limited stock.  It bakes 40
 % loaves of bread, and ten fewer rolls than twice the bread.  How many

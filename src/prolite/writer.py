@@ -112,8 +112,7 @@ def _write_struct(t, max_prio, work):
         sep = f" {t.name} " if t.name != "," else ", "
         # '- + 1' would read back as -(+(1)): an operator atom on the
         # left is bracketed, as ISO writeq does
-        left_op = isinstance(t.args[0], Atom) and (
-            t.args[0].name in INFIX or t.args[0].name in PREFIX)
+        left_op = _operator_atom(t.args[0])
 
         def infix(out, work):
             left, right = _pop(out, 2)
@@ -132,9 +131,10 @@ def _write_struct(t, max_prio, work):
         def prefix(out, work):
             arg = out.pop()
             # '- 1' and '- 1 ^ 2' would read back with the number -1,
-            # and '\+ (a, b)' as '\+'/2, so such operands take
-            # functional notation
-            if is_number(t.args[0]) or arg[0] == "(" or arg[0].isdigit():
+            # '\+ (a, b)' as '\+'/2 and '- - = 1' not at all, so such
+            # operands, and operator atoms, take functional notation
+            if is_number(t.args[0]) or arg[0] == "(" or arg[0].isdigit() \
+                    or _operator_atom(t.args[0]):
                 _write_canonical(t, work)
                 return
             space = " " if (arg[0].isalnum() or arg[0] in "_-" or
@@ -150,10 +150,16 @@ def _write_struct(t, max_prio, work):
     _write_canonical(t, work)
 
 
+def _operator_atom(t):
+    return isinstance(t, Atom) and (t.name in INFIX or t.name in PREFIX)
+
+
 def _write_canonical(t, work):
     n = len(t.args)
+    # '[]' and '{}' are atoms only when bare: as a functor, quoted
+    name = f"'{t.name}'" if t.name in ("[]", "{}") else _atom_text(t.name)
     work.append(lambda out, work: out.append(
-        f"{_atom_text(t.name)}({', '.join(_pop(out, n))})"))
+        f"{name}({', '.join(_pop(out, n))})"))
     work.extend((a, 999) for a in reversed(t.args))
 
 

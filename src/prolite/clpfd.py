@@ -7,11 +7,11 @@ auxiliary variables before posting; variable products are rejected.
 On unbounded domains the store also fails when the rational relaxation
 is infeasible in a scratch clpr.RStore, checked after a post or alias
 that leaves a bound infinite and once in a long fixpoint.  Propagator
-runs, the rows the check collects or rewrites and its simplex pivots
-are charged to the query's step budget.  A variable belongs to at most
-one store, so aliasing an FD variable with a rational one is a TypeMix
-error; labeling a variable without a finite domain raises
-UnboundedDomain (underdetermined).
+runs, the rows the check collects or rewrites, its simplex pivots and
+each value labeling tries are charged to the query's step budget.  A
+variable belongs to at most one store, so aliasing an FD variable with
+a rational one is a TypeMix error; labeling a variable without a finite
+domain raises UnboundedDomain (underdetermined).
 
 Each propagator names in its wake attribute the domain event it reads,
 and a domain change queues only the watchers it can affect: a bounds
@@ -190,7 +190,6 @@ class _Retired:
     """An entailed propagator's place in FdStore.props: no domain event
     reaches its wake, and a run that an alias queues does nothing."""
 
-    __slots__ = ()
     wake = FIXED + 1
 
     def vars(self):

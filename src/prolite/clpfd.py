@@ -21,9 +21,10 @@ events nest (a singleton is also a bounds change, which is also a
 change), so their levels compare as integers.  A disequality that has
 acted is entailed, as no value left can break it, so propagate_fixpoint
 puts RETIRED, whose wake no event reaches, in its place through the
-trail, and backtracking restores it.  A linear post over at most one
-variable narrows that domain once and adds no propagator, since its
-relation reads only that domain and domains only shrink.
+trail, and backtracking restores it; a queued RETIRED is popped
+without a run or a step.  A linear post over at most one variable
+narrows that domain once and adds no propagator, since its relation
+reads only that domain and domains only shrink.
 
 A domain is immutable and keeps its bounds and size, computed once.
 A propagator dereferences each operand once per run, reads an operand
@@ -32,13 +33,11 @@ domain table directly; a run allocates only the domains it narrows,
 and removing a value splits only the interval holding it.  A post
 reads its expression in one pass of terms.linearize, in time linear in
 its size; a compound met again is read once more, then its form reused.
-That read also picks the store: at the first Fraction or float, variable
-of the rational store, or / or rdiv, the post rewinds the trail to its
-mark and raises RationalGoal, and the engine posts the goal to the
-rational store.  A read that stops at an error first also raises
-RationalGoal when a walk of the goal (`_rational_mark`) finds such a
-mark further on, so the rational store reports the first error.  The
-read's form gives the propagator and its watcher links directly.
+The FD store reads integers only: a Fraction or float, a / or rdiv, or
+any other term it cannot read is a PlTypeError, and a variable the
+rational store owns is a TypeMix error; a read that raises rewinds the
+trail to its mark, so it leaves nothing behind.  The read's form gives
+the propagator and its watcher links directly.
 Leftmost labeling starts its scan for the next variable at the newest
 frame's position, so labeling n variables scans O(n) list entries, not
 O(n^2).
@@ -49,12 +48,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from collections import deque
-from fractions import Fraction
 
 from .clpr import RStore
 from .errors import (BudgetExceeded, NonLinearUnsupported, PlTypeError,
                      UnboundedDomain)
 from .terms import Bindings, Struct, Var, linearize
+from .writer import term_to_text
 
 INF = float("inf")
 
@@ -75,13 +74,6 @@ SLOW_FIXPOINT = 16
 
 # Domain events, each implying the ones below it.
 CHANGED, BOUNDS, FIXED = 0, 1, 2
-
-
-class RationalGoal(Exception):
-    """Raised by FdStore.post for a goal that belongs to the rational
-    store, with nothing written: the read met a Fraction or a float, a
-    variable the rational store owns, or a / or rdiv, or it stopped at
-    an error before such a mark further on."""
 
 
 class FdDomain:
@@ -188,15 +180,10 @@ _FULL_DOMAIN = FdDomain()
 
 class _Retired:
     """An entailed propagator's place in FdStore.props: no domain event
-    reaches its wake, and a run that an alias queues does nothing."""
+    reaches its wake, and propagate_fixpoint skips it when an alias
+    queues it."""
 
     wake = FIXED + 1
-
-    def vars(self):
-        return ()
-
-    def propagate(self, store):
-        return True
 
 
 RETIRED = _Retired()
@@ -496,10 +483,12 @@ class FdStore:
         popleft, discard = queue.popleft, self._queued.discard
         runs, slow = 0, SLOW_FIXPOINT * len(props)
         while queue:
-            tick()
             idx = popleft()
             discard(idx)
             prop = props[idx]
+            if prop is RETIRED:
+                continue
+            tick()
             ok = prop.propagate(self)
             if ok is RETIRED:
                 self.bindings.set(props, idx, ok)
@@ -567,28 +556,22 @@ class FdStore:
         """Post one #-rooted constraint goal; False means inconsistency.
 
         One read of lhs - rhs gives the linear form and links the
-        propagator.  A goal that belongs to the rational store raises
-        RationalGoal, and a read that raises leaves nothing behind: the
-        trail is rewound past the claims, domains and auxiliary
-        propagators it wrote.  A read that stops at a PlTypeError or
-        NonLinearUnsupported before a rational mark it would have met
-        later raises RationalGoal too, so the rational store reports the
-        goal's first error."""
+        propagator.  A read that raises leaves nothing behind: the trail
+        is rewound past the claims, domains and auxiliary propagators it
+        wrote."""
         if not (isinstance(goal, Struct) and goal.name in _RELATIONS
                 and len(goal.args) == 2):
-            raise PlTypeError(f"not a finite-domain constraint: {goal!r}")
+            raise PlTypeError(
+                f"not a finite-domain constraint: {term_to_text(goal)}")
         self._clear_queue()
         bindings = self.bindings
         mark = len(bindings.trail)
         try:
             form, const = linearize(Struct("-", goal.args), bindings,
                                     _integer, self._claim, self._special)
-        except Exception as exc:
+        except Exception:
             bindings.undo_to(mark)
             self._clear_queue()
-            if isinstance(exc, (PlTypeError, NonLinearUnsupported)) \
-                    and self._rational_mark(goal.args):
-                raise RationalGoal from exc
             raise
         sign, shift, rel = _RELATIONS[goal.name]
         prop = LinearProp([(sign * c, v) for v, c in form.items()],
@@ -613,41 +596,17 @@ class FdStore:
             return self.propagate_fixpoint()
         return self._settle(form)
 
-    def _rational_mark(self, args):
-        """True when the terms args hold a Fraction or float, a variable
-        another store owns, or a / or rdiv anywhere."""
-        bindings = self.bindings
-        stack = list(args)
-        walked = set()      # ids of compounds, so a shared one is walked once
-        while stack:
-            t = bindings.deref(stack.pop())
-            if type(t) is Fraction or type(t) is float:
-                return True
-            if type(t) is Var and bindings.owner_of(t) not in (None, self):
-                return True
-            if type(t) is Struct and id(t) not in walked:
-                if t.name in ("/", "rdiv") and len(t.args) == 2:
-                    return True
-                walked.add(id(t))
-                stack.extend(t.args)
-        return False
-
     def _claim(self, var):
         """The read's variable hook: an unbound variable new to the store
-        gets the full domain; one the rational store owns reroutes the
-        goal."""
+        gets the full domain; one the rational store owns is a TypeMix
+        error."""
         if var.id not in self.domains:
-            if var.id in self.bindings.owner:
-                raise RationalGoal
             self.bindings.claim(var, self)
             self.bindings.set(self.domains, var.id, _FULL_DOMAIN)
         return var
 
     def _special(self, expr):
-        """abs and mod, flattened onto fresh auxiliary variables; / and
-        rdiv reroute the goal."""
-        if expr.name in ("/", "rdiv") and len(expr.args) == 2:
-            raise RationalGoal
+        """abs and mod, flattened onto fresh auxiliary variables."""
         if expr.name == "abs" and len(expr.args) == 1:
             return expr.args, lambda x: self._onto_aux(x, AbsProp)
         if expr.name == "mod" and len(expr.args) == 2:
@@ -728,12 +687,10 @@ class FdStore:
 
 
 def _integer(t):
-    """The read's number hook: a Fraction or float reroutes the goal."""
+    """The read's number hook: only an integer is read."""
     if type(t) is int:
         return t
-    if type(t) is Fraction or type(t) is float:
-        raise RationalGoal
-    raise PlTypeError(f"unsupported constraint expression: {t!r}")
+    raise PlTypeError(f"unsupported constraint expression: {term_to_text(t)}")
 
 
 def fd_label(variables, store, state, strategy="leftmost"):

@@ -42,10 +42,8 @@ memory: the trail entries, choice points and pending goals a query holds
 at once, so proof depth is an explicit budget; each continuation entry
 carries its depth, so the pending goals are counted without a walk.
 
-A `#` goal is posted to the FD store, which raises RationalGoal,
-having undone its writes, when the goal belongs to the rational store;
-the engine then posts it there.  The FD store alone decides, also for a
-goal whose read stops at an error before a rational mark.
+A `#` goal is posted to the FD store only, which reads integers, and a
+`{}` goal to the rational store only; neither hands a goal to the other.
 An answer is rebuilt in one walk per query variable, which also finds
 the variables the rational store owns in it.
 """
@@ -59,7 +57,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clpfd import REL_OPS, FdStore, RationalGoal, fd_label
+from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
 from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
                      ExistenceError, InstantiationError, PlTypeError,
@@ -1189,12 +1187,7 @@ def _bi_msort(state, args, barrier):
 
 def _fd_relation(op):
     def post(state, args, barrier):
-        goal = Struct(op, args)
-        try:
-            ok = state.fd.post(goal)
-        except RationalGoal:
-            ok = state.r.post(goal)
-        return _ONCE if ok else ()
+        return _ONCE if state.fd.post(Struct(op, args)) else ()
     return post
 
 

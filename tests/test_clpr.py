@@ -156,7 +156,7 @@ def test_backtracking_discards_posted_rows():
     assert [s.bindings["X"] for s in sols] == [2]
 
 
-def test_rational_route_chosen_for_decimals():
+def test_braces_read_decimals_as_exact_rationals():
     sols = run_query("", "{X = 0.5 + 0.25}")
     assert sols[0].bindings["X"] == Fraction(3, 4)
 

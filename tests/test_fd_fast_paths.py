@@ -300,19 +300,19 @@ def test_linearize_agrees_with_the_reference_on_chosen_terms(expr):
 
 @pytest.mark.parametrize("goal, status, answer, detail", [
     ("X #= foo", "runtime-error", None,
-     "unsupported constraint expression: Atom(foo)"),
+     "unsupported constraint expression: foo"),
     ("X #= Y * Z", "runtime-error", None,
      "product of two non-ground expressions"),
     ("X #= f(Y)", "runtime-error", None,
-     "unsupported constraint expression: Struct(f, [Var(Y#_)])"),
+     "unsupported constraint expression: f(_G_)"),
     ("X #= Y mod Z", "runtime-error", None,
      "mod requires a ground positive modulus"),
     ("X #= Y mod 0", "runtime-error", None,
      "mod requires a ground positive modulus"),
     ("X #= abs(Y, Z)", "runtime-error", None,
-     "unsupported constraint expression: Struct(abs, [Var(Y#_), Var(Z#_)])"),
+     "unsupported constraint expression: abs(_G_, _G_)"),
     ("X #= a + Y", "runtime-error", None,
-     "unsupported constraint expression: Atom(a)"),
+     "unsupported constraint expression: a"),
     ("X #= - (Y * Z)", "runtime-error", None,
      "product of two non-ground expressions"),
     # which variable labeling meets first follows the order in which the
@@ -339,5 +339,5 @@ def test_a_malformed_constraint_reports_its_first_error(goal, status, answer,
                                                         detail):
     result = run_candidate(f"problem(A) :- {goal}, A = X.\n")
     # a variable's id depends on how many the process made before
-    masked = re.sub(r"#\d+", "#_", result.detail)
+    masked = re.sub(r"_G\d+", "_G_", re.sub(r"#\d+", "#_", result.detail))
     assert (result.status, result.answer, masked) == (status, answer, detail)

@@ -1,9 +1,10 @@
 """Finite-domain integer constraint store.
 
 Interval-set domains, bounds-consistency propagation to fixpoint for
-linear constraints, value-level pruning for mod/disequality, and
-depth-first labeling.  Nonlinear terms (abs, mod) are flattened onto
-auxiliary variables before posting; variable products are rejected.
+linear constraints, value-level pruning for mod/disequality, and the
+values of a labeled variable.  Nonlinear terms (abs, mod) are
+flattened onto auxiliary variables before posting; variable products
+are rejected.
 On unbounded domains the store also fails when the rational relaxation
 is infeasible in a scratch clpr.RStore, checked after a post or alias
 that leaves a bound infinite and once in a long fixpoint.  Propagator
@@ -38,9 +39,11 @@ any other term it cannot read is a PlTypeError, and a variable the
 rational store owns is a TypeMix error; a read that raises rewinds the
 trail to its mark, so it leaves nothing behind.  The read's form gives
 the propagator and its watcher links directly.
-Leftmost labeling starts its scan for the next variable at the newest
-frame's position, so labeling n variables scans O(n) list entries, not
-O(n^2).
+
+Labeling runs on the engine's choice points: engine._run picks the next
+variable and pushes a choice point over fd_label, which binds each value
+through on_bind_value, the one path by which a value reaches an FD
+variable, and rewinds the trail between values.
 """
 
 from __future__ import annotations
@@ -685,6 +688,21 @@ class FdStore:
                 out.append(root)
         return out
 
+    def to_label(self, variables):
+        """The unbound entries of the labeling list variables,
+        dereferenced; each must have a finite domain, and every other
+        entry must be an integer."""
+        out = []
+        for v in variables:
+            r = self.bindings.deref(v)
+            if isinstance(r, Var):
+                if r.id not in self.domains or not self.dom(r).is_finite():
+                    raise UnboundedDomain(f"{r.name} has no finite domain")
+                out.append(r)
+            elif not isinstance(r, int) or isinstance(r, bool):
+                raise PlTypeError(f"labeling expects integers, got {r!r}")
+        return out
+
 
 def _integer(t):
     """The read's number hook: only an integer is read."""
@@ -693,89 +711,17 @@ def _integer(t):
     raise PlTypeError(f"unsupported constraint expression: {term_to_text(t)}")
 
 
-def fd_label(variables, store, state, strategy="leftmost"):
-    """Depth-first labeling: yields once per consistent total assignment.
-
-    Each value is bound into the engine Bindings and its singleton domain
-    written through bindings.set, so rewinding the one trail to the mark
-    taken before a value (state.mark/undo_to) restores bindings, domains
-    and watchers between branches.
-    """
-    todo = []
-    for v in variables:
-        r = store.bindings.deref(v)
-        if isinstance(r, Var):
-            if r.id not in store.domains or not store.dom(r).is_finite():
-                raise UnboundedDomain(f"{r.name} has no finite domain")
-            todo.append(r)
-        elif not isinstance(r, int) or isinstance(r, bool):
-            raise PlTypeError(f"labeling expects integers, got {r!r}")
-    yield from _label(todo, store, state, strategy)
-
-
-def _label(variables, store, state, strategy):
-    """Depth-first search on an explicit stack of frames [values left,
-    variable, mark taken before the value being tried, position of the
-    variable in variables]; a frame is pushed per labeled variable, so
-    the number of variables costs no Python recursion.
-
-    Leftmost labeling takes the first variable with more than one value
-    left.  When a frame is pushed, every variable before its position is
-    bound or fixed, and under the frame domains only narrow, so the next
-    scan starts at the newest frame's position; backtracking to a frame
-    restores that start, and labeling n variables scans O(n) entries.
-    First-fail scans from the start and takes the first of the smallest
-    domains.  Each value tried charges one step and reads the wall
+def fd_label(var, store, state):
+    """The values of one labeling choice point: yields once per value of
+    var's domain that on_bind_value binds var to and propagates, and
+    rewinds the trail to the mark taken before the first value between
+    values.  Each value tried charges one step and reads the wall
     clock."""
-    deref, domains, tick = store.bindings.deref, store.domains, store.tick
-    leftmost = strategy != "first_fail"
-    frames = []
-    while True:
-        var, best = None, INF
-        start = frames[-1][3] if leftmost and frames else 0
-        for pos in range(start, len(variables)):
-            v = deref(variables[pos])
-            if isinstance(v, Var) and 1 < domains[v.id].card < best:
-                var, best, at = v, domains[v.id].card, pos
-                # no domain left to label is smaller than two values
-                if leftmost or best == 2:
-                    break
-        if var is not None:
-            # the domain object is immutable, so its values can be read
-            # lazily
-            frames.append([iter(domains[var.id].values()), var, None, at])
-        else:
-            # ground the remaining singleton domains into the bindings
-            for v in variables:
-                r = deref(v)
-                if isinstance(r, Var):
-                    state.bindings.bind(r, domains[r.id].lo)
-            yield None
-        # go on with the next consistent value of the newest variable
-        # that has one left
-        while frames:
-            frame = frames[-1]
-            values, var, m, _ = frame
-            if m is not None:
-                state.undo_to(m)
-            for value in values:
-                tick()
-                if time.monotonic() > state.deadline:
-                    raise BudgetExceeded("time")
-                m = state.mark()
-                store._clear_queue()
-                ok = store.set_dom_raw(var.id,
-                                       FdDomain.from_range(value, value))
-                if ok:
-                    state.bindings.bind(var, value)
-                    ok = store.propagate_fixpoint()
-                if ok:
-                    frame[2] = m
-                    break
-                state.undo_to(m)
-            else:
-                frames.pop()
-                continue
-            break
-        else:
-            return
+    mark = state.mark()
+    for value in store.domains[var.id].values():
+        store.tick()
+        if time.monotonic() > state.deadline:
+            raise BudgetExceeded("time")
+        if store.on_bind_value(var, value):
+            yield
+        state.undo_to(mark)

@@ -9,15 +9,24 @@ The machine (`_run`) proves a query without Python recursion:
   choice-point stack that a cut in it returns to;
 - the choice-point stack holds, per entry, what to retry and the trail
   mark to rewind to first: the remaining clause alternatives of a call,
-  a suspended builtin generator, the other branch of `;`, or the frame
-  of a `\\+` or findall/3 goal.
+  a suspended builtin generator, the values left of a labeled FD
+  variable, the other branch of `;`, or the frame of a `\\+` or
+  findall/3 goal.
 
 Proving a goal pops the continuation; failing retries the newest choice
 point.  Cut pops choice points back to its barrier's height.  The
-machine itself runs `,`, `;`, `->`, `\\+`, `call/1`, `!`, findall/3 and
-variable goals (each still an entry of BUILTINS), so proof depth costs
-no Python stack, and a deterministic call leaves no choice point behind
-(last-call behaviour).
+machine itself runs `,`, `;`, `->`, `\\+`, `call/1`, `!`, findall/3,
+label/1, labeling/2 and variable goals (each still an entry of
+BUILTINS), so proof depth costs no Python stack, and a deterministic
+call leaves no choice point behind (last-call behaviour).
+
+Labeling keeps no search state of its own.  label/1 and labeling/2
+check their list and go on with a _LABEL marker, which takes the next
+variable (leftmost, scanning on from the one taken last, or first-fail)
+and pushes a choice point over clpfd.fd_label, the values of that
+variable; a marker after the query's last goal labels the FD variables
+a proof leaves unbound (auto-labeling).  So every labeling choice
+point sits on the one stack, where the memory bound counts it.
 
 Clauses are templates and are never renamed for a call.  A head is
 unified with the goal slot by slot: a clause variable's id is its slot
@@ -199,6 +208,7 @@ class SolveState:
         self.deadline = math.inf
         self.choicepoints = []
         self.depth = 0          # goals pending, as of the last check
+        self.notes = ()         # set by auto-labeling, for the answer
 
     # --- state stack --------------------------------------------------
 
@@ -506,10 +516,11 @@ class _Control:
 
 
 class _Marker:
-    """A goal the machine runs without charging a step: it closes a
-    control construct, and its barrier field holds the height of the
-    choice point the construct pushed.  _FAIL, the continuation of a
-    goal that failed, is one too, though it never sits in an entry."""
+    """A goal the machine runs without charging a step.  Most close a
+    control construct, and their barrier field holds the height of the
+    choice point the construct pushed; _LABEL's holds what it has left
+    to label.  _FAIL, the continuation of a goal that failed, is one
+    too, though it never sits in an entry."""
 
     __slots__ = ("name",)
 
@@ -521,13 +532,16 @@ _FAIL = _Marker("fail")
 _CUT_TO = _Marker("cut-to")            # an if-then-else condition held
 _NOT_PROVED = _Marker("not-proved")    # the goal of \+ has a proof
 _COLLECT = _Marker("collect")          # the goal of findall/3 has a proof
+_LABEL = _Marker("label")              # label the next FD variable
+_AUTO_LABEL = _Marker("auto-label")    # the query has a proof
 
 # choice-point kinds; an entry is a list that starts with its kind
 _CLAUSES, _REDO, _ELSE, _NOT, _FINDALL = range(5)
 
 
 def _run(state, query):
-    """Yield once per proof of query, leaving its bindings in place."""
+    """Yield once per proof of query, leaving its bindings in place; the
+    FD variables a proof leaves unbound are labeled first."""
     bindings = state.bindings
     trail = bindings.trail
     undo_to = bindings.undo_to
@@ -535,7 +549,7 @@ def _run(state, query):
     max_steps = state.budget.max_inference_steps
     cps = state.choicepoints
     redos = 0
-    cont = (query, 0, None, 1)
+    cont = (query, 0, (_AUTO_LABEL, 0, None, 1), 2)
     while True:
         if cont is None:
             yield
@@ -605,11 +619,18 @@ def _run(state, query):
                 if len(cp[2]) > DEFAULT_MAX_MEMORY:
                     raise BudgetExceeded("memory")
                 cont = _FAIL
-            else:  # _NOT_PROVED
+            elif goal is _NOT_PROVED:
                 mark = cps[barrier][1]
                 del cps[barrier:]
                 undo_to(mark)
                 cont = _FAIL
+            elif goal is _LABEL:
+                cont = _label(state, barrier, nxt)
+            else:  # _AUTO_LABEL
+                pending = state.fd.constrained_vars()
+                state.notes = ("auto-label fired",) if pending else ()
+                cont = _then(_LABEL, (state.fd.to_label(pending), 0, False),
+                             nxt)
             continue
 
         steps = state.steps = state.steps + 1
@@ -687,7 +708,7 @@ def solve(query, db, budget=None):
     query_vars = term_vars(query)
     owner_of = state.bindings.owner_of
 
-    def snapshot(notes=()):
+    def snapshot():
         # one walk per answer variable rebuilds it and finds the variables
         # the rational store owns in it; a name kept by several variables
         # (_) answers for the last of them
@@ -702,7 +723,8 @@ def solve(query, db, budget=None):
             name = v.name
             loose.discard(name)
             resolved[name] = rebuild(v, state.bindings, leaf)
-        return Solution(resolved, notes, frozenset(loose), state.steps)
+        return Solution(resolved, state.notes, frozenset(loose),
+                        state.steps)
 
     def answers():
         try:
@@ -711,13 +733,7 @@ def solve(query, db, budget=None):
             goal = _build_goal(query, {v.id: v for v in query_vars},
                                _CALLED)
             for _ in _run(state, goal):
-                # the unbound FD variables
-                pending = state.fd.constrained_vars()
-                if pending:
-                    for _ in fd_label(pending, state.fd, state):
-                        yield snapshot(("auto-label fired",))
-                else:
-                    yield snapshot()
+                yield snapshot()
         finally:
             # the stores hold state._tick, and suspended builtins hold
             # state; drop both so that a finished query is freed at once
@@ -1201,11 +1217,11 @@ def _bi_braces(state, args, barrier):
     return _ONCE
 
 
-def _bi_label(state, args, barrier):
-    return _bi_labeling(state, (NIL, args[0]), barrier)
+def _run_label(state, args, barrier, cont):
+    return _run_labeling(state, (NIL, args[0]), barrier, cont)
 
 
-def _bi_labeling(state, args, barrier):
+def _run_labeling(state, args, barrier, cont):
     options, list_term = args
     variables = list_to_python(list_term, state.bindings)
     if variables is None:
@@ -1213,15 +1229,50 @@ def _bi_labeling(state, args, barrier):
     opts = list_to_python(options, state.bindings)
     if opts is None:
         raise InstantiationError("labeling/2 expects an option list")
-    strategy = "leftmost"
+    first_fail = False
     for opt in opts:
         if opt == Atom("ff") or opt == Atom("first_fail"):
-            strategy = "first_fail"
+            first_fail = True
         elif opt == Atom("leftmost"):
-            strategy = "leftmost"
+            first_fail = False
         else:
             raise PlTypeError(f"unknown labeling option {opt!r}")
-    return fd_label(variables, state.fd, state, strategy)
+    return _then(_LABEL, (state.fd.to_label(variables), 0, first_fail),
+                 cont)
+
+
+def _label(state, todo, cont):
+    """Push a choice point over the values of the next variable of
+    todo, a tuple (variables, start, first_fail), whose proofs go on
+    labeling the rest, and fail into it; with no variable of two values
+    or more left, bind the fixed ones and go on with cont.
+
+    Leftmost takes the first variable with two values or more.  Those
+    before it are bound or fixed, and domains only narrow under its
+    choice point, so the next scan starts at its position: labeling n
+    variables scans O(n) entries.  First-fail scans from the start and
+    takes the first of the smallest domains."""
+    variables, start, first_fail = todo
+    deref, fd = state.bindings.deref, state.fd
+    domains = fd.domains
+    var, best = None, math.inf
+    for pos in range(start, len(variables)):
+        v = deref(variables[pos])
+        if type(v) is Var and 1 < domains[v.id].card < best:
+            var, best, at = v, domains[v.id].card, pos
+            # no domain left to label is smaller than two values
+            if not first_fail or best == 2:
+                break
+    if var is None:
+        for v in variables:
+            v = deref(v)
+            if type(v) is Var:
+                fd.on_bind_value(v, domains[v.id].lo)
+        return cont
+    rest = (variables, 0 if first_fail else at, first_fail)
+    state.choicepoints.append(
+        [_REDO, fd_label(var, fd, state), _then(_LABEL, rest, cont)])
+    return _FAIL
 
 
 BUILTINS = {
@@ -1244,8 +1295,8 @@ BUILTINS = {
     ("msort", 2): _bi_msort,
     ("findall", 3): _Control(_run_findall, (_DATA, _CALLED, _DATA)),
     ("{}", 1): _bi_braces,
-    ("label", 1): _bi_label,
-    ("labeling", 2): _bi_labeling,
+    ("label", 1): _Control(_run_label, (_DATA,)),
+    ("labeling", 2): _Control(_run_labeling, (_DATA, _DATA)),
     **{(op, 2): _fd_relation(op) for op in REL_OPS},
 }
 

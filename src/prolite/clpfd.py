@@ -127,7 +127,10 @@ class FdDomain:
             yield from range(lo, hi + 1)
 
     def contains(self, v):
-        return any(lo <= v <= hi for lo, hi in self.intervals)
+        if not self.lo <= v <= self.hi:
+            return False
+        ivs = self.intervals
+        return v <= ivs[bisect_right(ivs, (v, INF)) - 1][1]
 
     def clip(self, lo, hi):
         """Intersect with the single interval [lo, hi]."""
@@ -375,24 +378,10 @@ class AbsProp:
         ydom = store.dom_of(y)
         ylo, yhi = ydom.lo, ydom.hi
         if yhi != INF:
-            mirror = FdDomain.from_range(-yhi, -ylo).intersect(xdom)
-            positive = FdDomain.from_range(ylo, yhi).intersect(xdom)
-            both = FdDomain(tuple(sorted(set(mirror.intervals) | set(positive.intervals))))
-            both = _normalize(both)
-            if not store.narrow(x, both):
+            band = ((-yhi, yhi),) if ylo == 0 else ((-yhi, -ylo), (ylo, yhi))
+            if not store.narrow(x, xdom.intersect(FdDomain(band))):
                 return False
         return True
-
-
-def _normalize(dom):
-    ivs = sorted(dom.intervals)
-    out = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return FdDomain(tuple(out))
 
 
 class FdStore:
@@ -460,6 +449,11 @@ class FdStore:
             self._queued.add(idx)
             self._queue.append(idx)
 
+    # The queue is empty whenever control leaves the store: a fixpoint
+    # empties it or clears it on failure, and a post clears it when its
+    # read raises or its one-variable propagator fails.  An exception
+    # out of propagation leaves it as it is, which ends the query while
+    # the engine catches nothing; a catch/3 must clear it.
     def _clear_queue(self):
         self._queue.clear()
         self._queued.clear()
@@ -467,6 +461,7 @@ class FdStore:
     # --- posting and propagation -------------------------------------
 
     def add_prop(self, prop):
+        """Link prop to the variables it reads and queue it; its index."""
         idx = len(self.props)
         self.bindings.set(self.props, idx, prop)
         for v in prop.vars():
@@ -474,6 +469,7 @@ class FdStore:
             if isinstance(v, Var):
                 self._watch(v.id, (idx,))
         self._enqueue(idx)
+        return idx
 
     def _watch(self, vid, indexes):
         self.bindings.set(self.watchers, vid,
@@ -566,7 +562,6 @@ class FdStore:
                 and len(goal.args) == 2):
             raise PlTypeError(
                 f"not a finite-domain constraint: {term_to_text(goal)}")
-        self._clear_queue()
         bindings = self.bindings
         mark = len(bindings.trail)
         try:
@@ -581,19 +576,18 @@ class FdStore:
                           shift - sign * const, rel)
         if len(form) <= 1:
             self.tick()
-            return prop.propagate(self) and self.propagate_fixpoint()
+            if prop.propagate(self):
+                return self.propagate_fixpoint()
+            self._clear_queue()
+            return False
         # the form's keys are the unbound variables the read met
-        props, watchers, put = self.props, self.watchers, bindings.set
-        idx = len(props)
-        put(props, idx, prop)
-        for v in form:
-            put(watchers, v.id, watchers.get(v.id, ()) + (idx,))
-        self._enqueue(idx)
+        idx = self.add_prop(prop)
         if rel == "ne":
             return self.propagate_fixpoint()
         # a variable that only prop watches and that is still unbounded
         # can always meet prop, so the relaxation check could not fail
-        domains, full = self.domains, _FULL_DOMAIN.intervals
+        domains, watchers = self.domains, self.watchers
+        full = _FULL_DOMAIN.intervals
         if any(watchers[v.id] == (idx,) and domains[v.id].intervals == full
                for v in form):
             return self.propagate_fixpoint()
@@ -652,9 +646,7 @@ class FdStore:
                 or not self.domains[var.id].contains(value):
             return False
         self.bindings.bind(var, value)
-        self._clear_queue()
-        if not self.set_dom_raw(var.id, FdDomain.from_range(value, value)):
-            return False
+        self.set_dom_raw(var.id, FdDomain.from_range(value, value))
         return self.propagate_fixpoint()
 
     def on_alias(self, var, root):
@@ -662,7 +654,6 @@ class FdStore:
         watchers, and re-link and re-run the propagators over var."""
         self.bindings.bind(var, root)
         merged = self.domains[var.id].intersect(self.domains[root.id])
-        self._clear_queue()
         if not self.set_dom_raw(root.id, merged):
             return False
         moved = self.watchers.get(var.id, ())

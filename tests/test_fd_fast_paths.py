@@ -1,8 +1,8 @@
 """The fast paths of FD posting and propagation against plain references:
 `FdDomain.remove`, which splits only the interval holding the value,
-against a set of values, and `linearize` against a plain recursive
-reference; and the first error that a malformed constraint goal
-reports."""
+and `FdDomain.contains`, which bisects, against a set of values, and
+`linearize` against a plain recursive reference; and the first error
+that a malformed constraint goal reports."""
 
 import random
 import re
@@ -34,6 +34,7 @@ def _random_domain(rng):
 def _check_remove(dom, v):
     out = dom.remove(v)
     before = set(dom.values())
+    assert dom.contains(v) == (v in before), (dom, v)
     if v not in before:
         assert out is dom, (dom, v)
         return

@@ -2,17 +2,16 @@
 
 Interval-set domains, bounds-consistency propagation to fixpoint for
 linear constraints, value-level pruning for mod/disequality, and the
-values of a labeled variable.  Nonlinear terms (abs, mod) are
-flattened onto auxiliary variables before posting; variable products
-are rejected.
-On unbounded domains the store also fails when the rational relaxation
-is infeasible in a scratch clpr.RStore, checked after a post or alias
-that leaves a bound infinite and once in a long fixpoint.  Propagator
-runs, the rows the check collects or rewrites, its simplex pivots and
-each value labeling tries are charged to the query's step budget.  A
-variable belongs to at most one store, so aliasing an FD variable with
-a rational one is a TypeMix error; labeling a variable without a finite
-domain raises UnboundedDomain (underdetermined).
+values of a labeled variable.  Nonlinear terms (abs, mod) are flattened
+onto auxiliary variables before posting; variable products are
+rejected.  On unbounded domains the store also fails when the rational
+relaxation is infeasible in a scratch clpr.RStore, checked after a post
+or alias that leaves a bound infinite and once in a long fixpoint.
+Propagator runs, the rows the check collects or rewrites, its simplex
+pivots and each value labeling tries are charged to the query's step
+budget.  A variable belongs to at most one store, so aliasing an FD
+variable with a rational one is a TypeMix error; labeling a variable
+without a finite domain raises UnboundedDomain (underdetermined).
 
 Each propagator names in its wake attribute the domain event it reads,
 and a domain change queues only the watchers it can affect: a bounds
@@ -39,11 +38,8 @@ any other term it cannot read is a PlTypeError, and a variable the
 rational store owns is a TypeMix error; a read that raises rewinds the
 trail to its mark, so it leaves nothing behind.  The read's form gives
 the propagator and its watcher links directly.
-
-Labeling runs on the engine's choice points: engine._run picks the next
-variable and pushes a choice point over fd_label, which binds each value
-through on_bind_value, the one path by which a value reaches an FD
-variable, and rewinds the trail between values.
+Labeling runs on the engine's choice points, each over fd_label, which
+binds every value through on_bind_value, as unification does.
 """
 
 from __future__ import annotations
@@ -669,29 +665,22 @@ class FdStore:
     # --- labeling -----------------------------------------------------
 
     def constrained_vars(self):
-        """FD variables in posting order (deduplicated, dereferenced)."""
-        seen, out = set(), []
-        for store, var in self.bindings.owner.values():
-            root = self.bindings.deref(var)
-            if store is self and isinstance(root, Var) \
-                    and root.id not in seen:
-                seen.add(root.id)
-                out.append(root)
-        return out
+        """The variables the store owns, in the order it claimed them."""
+        return [v for store, v in self.bindings.owner.values()
+                if store is self]
 
     def to_label(self, variables):
-        """The unbound entries of the labeling list variables,
-        dereferenced; each must have a finite domain, and every other
-        entry must be an integer."""
+        """The unbound entries of a labeling list, dereferenced: each must
+        have a finite domain, and every other entry must be an integer."""
         out = []
-        for v in variables:
-            r = self.bindings.deref(v)
-            if isinstance(r, Var):
-                if r.id not in self.domains or not self.dom(r).is_finite():
-                    raise UnboundedDomain(f"{r.name} has no finite domain")
-                out.append(r)
-            elif not isinstance(r, int) or isinstance(r, bool):
-                raise PlTypeError(f"labeling expects integers, got {r!r}")
+        for v in map(self.bindings.deref, variables):
+            if type(v) is Var:
+                if not self.domains.get(v.id, _FULL_DOMAIN).is_finite():
+                    raise UnboundedDomain(f"{v.name} has no finite domain")
+                out.append(v)
+            elif type(v) is not int:
+                raise PlTypeError(
+                    f"labeling expects integers, got {term_to_text(v)}")
         return out
 
 

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .errors import NonLinearUnsupported, PlTypeError, ZeroDivisor
 from .terms import Struct, Var, is_number, linearize, normalize_number
+from .writer import term_to_text
 
-EQ_OPS = {"=", "#="}
-INEQ_OPS = {"<": "lt", ">": "gt", "=<": "le", ">=": "ge", "#<": "lt",
-            "#>": "gt", "#=<": "le", "#>=": "ge"}
+# a {} relation -> the relation of the row it posts
+_RELATIONS = {"=": "eq", "<": "lt", ">": "gt", "=<": "le", ">=": "ge"}
 
 
 class RStore:
@@ -47,9 +47,10 @@ class RStore:
     def post(self, goal):
         """Post one linear relation; False means inconsistency."""
         if not (isinstance(goal, Struct) and len(goal.args) == 2):
-            raise PlTypeError(f"not a linear constraint: {goal!r}")
+            raise PlTypeError(
+                f"not a linear constraint: {term_to_text(goal)}")
         expr, const = self._linearize(Struct("-", goal.args))
-        rel = "eq" if goal.name in EQ_OPS else INEQ_OPS.get(goal.name)
+        rel = _RELATIONS.get(goal.name)
         if rel is None:
             raise PlTypeError(f"unsupported rational relation {goal.name!r}")
         return self.post_linear([(expr, const, rel)])
@@ -217,7 +218,7 @@ def _quotient(num, den):
 def _rational(t):
     if isinstance(t, (int, Fraction)) and not isinstance(t, bool):
         return Fraction(t)
-    raise PlTypeError(f"unsupported rational expression: {t!r}")
+    raise PlTypeError(f"unsupported rational expression: {term_to_text(t)}")
 
 
 def _subst_into(e, k, pivot, pexpr, pconst):

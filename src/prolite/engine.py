@@ -20,13 +20,11 @@ label/1, labeling/2 and variable goals (each still an entry of
 BUILTINS), so proof depth costs no Python stack, and a deterministic
 call leaves no choice point behind (last-call behaviour).
 
-Labeling keeps no search state of its own.  label/1 and labeling/2
-check their list and go on with a _LABEL marker, which takes the next
-variable (leftmost, scanning on from the one taken last, or first-fail)
-and pushes a choice point over clpfd.fd_label, the values of that
-variable; a marker after the query's last goal labels the FD variables
-a proof leaves unbound (auto-labeling).  So every labeling choice
-point sits on the one stack, where the memory bound counts it.
+Labeling keeps no search state of its own: label/1 and labeling/2 go
+on with a _LABEL marker, which pushes a choice point over
+clpfd.fd_label, the values of the next variable, and a marker after
+the query's last goal labels the FD variables a proof leaves unbound
+(auto-labeling), so the memory bound counts every labeling choice point.
 
 Clauses are templates and are never renamed for a call.  A head is
 unified with the goal slot by slot: a clause variable's id is its slot
@@ -75,6 +73,7 @@ from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key,
                     indicator, list_to_python, make_list, normalize_number,
                     occurs, rebuild, term_vars)
+from .writer import term_to_text
 
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
@@ -627,10 +626,9 @@ def _run(state, query):
             elif goal is _LABEL:
                 cont = _label(state, barrier, nxt)
             else:  # _AUTO_LABEL
-                pending = state.fd.constrained_vars()
+                pending = state.fd.to_label(state.fd.constrained_vars())
                 state.notes = ("auto-label fired",) if pending else ()
-                cont = _then(_LABEL, (state.fd.to_label(pending), 0, False),
-                             nxt)
+                cont = _then(_LABEL, (pending, 0, False), nxt)
             continue
 
         steps = state.steps = state.steps + 1
@@ -662,7 +660,7 @@ def _run(state, query):
             cont = (goal, barrier, nxt, depth)
             continue
         else:
-            raise PlTypeError(f"goal is not callable: {goal!r}")
+            raise PlTypeError(f"goal is not callable: {term_to_text(goal)}")
 
         entry = lookup(key)
         if type(entry) is _Predicate:
@@ -1211,7 +1209,8 @@ def _bi_braces(state, args, barrier):
     for rel in comma_flatten(state.bindings.deref(args[0])):
         rel = state.bindings.deref(rel)
         if not (isinstance(rel, Struct) and len(rel.args) == 2):
-            raise PlTypeError(f"bad brace constraint: {rel!r}")
+            raise PlTypeError(
+                f"bad brace constraint: {term_to_text(rel)}")
         if not state.r.post(rel):
             return ()
     return _ONCE
@@ -1236,22 +1235,20 @@ def _run_labeling(state, args, barrier, cont):
         elif opt == Atom("leftmost"):
             first_fail = False
         else:
-            raise PlTypeError(f"unknown labeling option {opt!r}")
+            raise PlTypeError(
+                f"unknown labeling option {term_to_text(opt)}")
     return _then(_LABEL, (state.fd.to_label(variables), 0, first_fail),
                  cont)
 
 
 def _label(state, todo, cont):
-    """Push a choice point over the values of the next variable of
-    todo, a tuple (variables, start, first_fail), whose proofs go on
-    labeling the rest, and fail into it; with no variable of two values
-    or more left, bind the fixed ones and go on with cont.
-
-    Leftmost takes the first variable with two values or more.  Those
-    before it are bound or fixed, and domains only narrow under its
-    choice point, so the next scan starts at its position: labeling n
-    variables scans O(n) entries.  First-fail scans from the start and
-    takes the first of the smallest domains."""
+    """Push a choice point over the values of the next variable of todo
+    = (variables, start, first_fail), whose proofs label the rest, and
+    fail into it; with no variable of two values or more left, bind the
+    fixed ones and go on with cont.  Leftmost takes the first such
+    variable: those before it are fixed, and stay so under its choice
+    point, so the next scan starts at its position and n variables cost
+    O(n) scanned entries.  First-fail takes the first smallest domain."""
     variables, start, first_fail = todo
     deref, fd = state.bindings.deref, state.fd
     domains = fd.domains

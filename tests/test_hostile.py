@@ -155,15 +155,20 @@ SHARED = 60
      "{A = E}", "ok", 2 ** SHARED),
     (f"{_chain('X', SHARED, 'f')}, findall(X{SHARED}, true, [E]), A #= E",
      "budget-exceeded", None),
+    (f"{_chain('X', SHARED, 'f')}, findall(X{SHARED}, true, [E]), "
+     "{A = E}", "budget-exceeded", None),
+    (f"{_chain('X', SHARED, 'f')}, findall(X{SHARED}, true, [E]), "
+     "label([E]), A = 1", "budget-exceeded", None),
 ], ids=["=", "==", "answer", "findall", "braces", "is", "#=", "msort",
-        "is-copy", "#=-copy", "braces-copy", "#=-unreadable-copy"])
+        "is-copy", "#=-copy", "braces-copy", "#=-unreadable-copy",
+        "braces-unreadable-copy", "label-unreadable-copy"])
 def test_shared_subterms_are_walked_once(body, status, answer):
     # a term of 2^60 leaves as a tree and 60 compounds as a DAG: every
     # walk on the way (unify, ==, the occurs check, rebuild for answers
     # and copies, term_vars, arithmetic, linear forms) must visit each
     # shared compound once, since none of them checks the clock; the
-    # writer, which writes the term a # goal cannot read into its error,
-    # counts the terms it writes against the memory bound
+    # writer, which writes the term a #, {} or label/1 goal cannot read
+    # into its error, counts the terms it writes against the memory bound
     budget = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
     started = time.monotonic()
     result = run_candidate(f"problem(A) :- {body}.\n", budget=budget)

@@ -446,10 +446,9 @@ class FdStore:
             self._queue.append(idx)
 
     # The queue is empty whenever control leaves the store: a fixpoint
-    # empties it or clears it on failure, and a post clears it when its
-    # read raises or its one-variable propagator fails.  An exception
-    # out of propagation leaves it as it is, which ends the query while
-    # the engine catches nothing; a catch/3 must clear it.
+    # empties or clears it, and so does a post whose read raises or whose
+    # one-variable propagator fails.  An exception out of propagation
+    # ends the query, as nothing catches it; a catch/3 must clear it.
     def _clear_queue(self):
         self._queue.clear()
         self._queued.clear()
@@ -638,8 +637,7 @@ class FdStore:
 
     def on_bind_value(self, var, value):
         """Bind var, an FD variable, to value; check and propagate."""
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or not self.domains[var.id].contains(value):
+        if type(value) is not int or not self.domains[var.id].contains(value):
             return False
         self.bindings.bind(var, value)
         self.set_dom_raw(var.id, FdDomain.from_range(value, value))
@@ -692,11 +690,9 @@ def _integer(t):
 
 
 def fd_label(var, store, state):
-    """The values of one labeling choice point: yields once per value of
-    var's domain that on_bind_value binds var to and propagates, and
-    rewinds the trail to the mark taken before the first value between
-    values.  Each value tried charges one step and reads the wall
-    clock."""
+    """Yield once per value of var's domain that on_bind_value binds var
+    to, rewinding the trail to the mark taken before the first between
+    values; each value tried charges one step and reads the wall clock."""
     mark = state.mark()
     for value in store.domains[var.id].values():
         store.tick()

@@ -1242,9 +1242,9 @@ def _run_labeling(state, args, barrier, cont):
 
 
 def _label(state, todo, cont):
-    """Push a choice point over the values of the next variable of todo
-    = (variables, start, first_fail), whose proofs label the rest, and
-    fail into it; with no variable of two values or more left, bind the
+    """Bind the next variable of todo = (variables, start, first_fail) to
+    its first value, under a choice point over the others, and go on
+    labeling the rest; with none of two values or more left, bind the
     fixed ones and go on with cont.  Leftmost takes the first such
     variable: those before it are fixed, and stay so under its choice
     point, so the next scan starts at its position and n variables cost
@@ -1266,9 +1266,12 @@ def _label(state, todo, cont):
             if type(v) is Var:
                 fd.on_bind_value(v, domains[v.id].lo)
         return cont
-    rest = (variables, 0 if first_fail else at, first_fail)
-    state.choicepoints.append(
-        [_REDO, fd_label(var, fd, state), _then(_LABEL, rest, cont)])
+    rest = _then(_LABEL, (variables, 0 if first_fail else at, first_fail),
+                 cont)
+    values = fd_label(var, fd, state)
+    for _ in values:
+        state.choicepoints.append([_REDO, values, rest])
+        return rest
     return _FAIL
 
 

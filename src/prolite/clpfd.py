@@ -575,7 +575,6 @@ class FdStore:
                 return self.propagate_fixpoint()
             self._clear_queue()
             return False
-        # the form's keys are the unbound variables the read met
         idx = self.add_prop(prop)
         if rel == "ne":
             return self.propagate_fixpoint()

@@ -692,11 +692,11 @@ def fd_label(var, store, state):
     """Yield once per value of var's domain that on_bind_value binds var
     to, rewinding the trail to the mark taken before the first between
     values; each value tried charges one step and reads the wall clock."""
-    mark = state.mark()
+    mark = store.bindings.mark()
     for value in store.domains[var.id].values():
         store.tick()
         if time.monotonic() > state.deadline:
             raise BudgetExceeded("time")
         if store.on_bind_value(var, value):
             yield
-        state.undo_to(mark)
+        store.bindings.undo_to(mark)

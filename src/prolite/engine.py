@@ -9,16 +9,16 @@ The machine (`_run`) proves a query without Python recursion:
   choice-point stack that a cut in it returns to;
 - the choice-point stack holds, per entry, what to retry and the trail
   mark to rewind to first: the remaining clause alternatives of a call,
-  a suspended builtin generator, the values left of a labeled FD
-  variable, the other branch of `;`, or the frame of a `\\+` or
-  findall/3 goal.
+  an iterator over the answers left of between/3 or a labeled FD
+  variable, a ready continuation (the else branch of `;` or `->`, or
+  what follows a `\\+`), or the frame of a findall/3 goal.
 
 Proving a goal pops the continuation; failing retries the newest choice
-point.  Cut pops choice points back to its barrier's height.  The
-machine itself runs `,`, `;`, `->`, `\\+`, `call/1`, `!`, findall/3,
-label/1, labeling/2 and variable goals (each still an entry of
-BUILTINS), so proof depth costs no Python stack, and a deterministic
-call leaves no choice point behind (last-call behaviour).
+point.  Cut pops choice points back to its barrier's height.  A builtin
+is a test; the machine itself runs `,`, `;`, `->`, `\\+`, `call/1`, `!`,
+findall/3, between/3, label/1, labeling/2 and variable goals (each a
+_Control entry of BUILTINS), so proof depth costs no Python stack, and a
+deterministic call leaves no choice point behind (last-call behaviour).
 
 Labeling keeps no search state of its own: label/1 and labeling/2 go
 on with a _LABEL marker, which pushes a choice point over
@@ -44,7 +44,7 @@ skips, or whose head does not unify, costs nothing.  Bindings, FD
 domains and rational rows are all written through the one trail of
 `terms.Bindings`, which is rewound only when a choice point is retried
 or a goal's effects are thrown away.  The budget bounds steps, wall time
-(checked also when a builtin is redone, without charging a step) and
+(checked also when an iterator is resumed, which charges no step) and
 memory: the trail entries, choice points and pending goals a query holds
 at once, so proof depth is an explicit budget; each continuation entry
 carries its depth, so the pending goals are counted without a walk.
@@ -208,14 +208,6 @@ class SolveState:
         self.choicepoints = []
         self.depth = 0          # goals pending, as of the last check
         self.notes = ()         # set by auto-labeling, for the answer
-
-    # --- state stack --------------------------------------------------
-
-    def mark(self):
-        return len(self.bindings.trail)
-
-    def undo_to(self, mark):
-        self.bindings.undo_to(mark)
 
     def _tick(self):
         self.steps += 1
@@ -535,7 +527,7 @@ _LABEL = _Marker("label")              # label the next FD variable
 _AUTO_LABEL = _Marker("auto-label")    # the query has a proof
 
 # choice-point kinds; an entry is a list that starts with its kind
-_CLAUSES, _REDO, _ELSE, _NOT, _FINDALL = range(5)
+_CLAUSES, _REDO, _ELSE, _FINDALL = range(4)
 
 
 def _run(state, query):
@@ -578,9 +570,7 @@ def _run(state, query):
                     redos += 1
                     if not redos & 1023:
                         state._check_limits()
-                    try:
-                        next(cp[1])
-                    except StopIteration:
+                    if next(cp[1], _FAIL) is _FAIL:
                         cps.pop()
                         continue
                     cont = cp[2]
@@ -588,10 +578,7 @@ def _run(state, query):
                 cps.pop()
                 undo_to(cp[1])
                 if kind == _ELSE:
-                    cont = _then(cp[2], cp[3], cp[4])
-                    break
-                if kind == _NOT:
-                    cont = cp[2]
+                    cont = cp[2]    # ready to run
                     break
                 # _FINDALL: the goal has no more proofs.  The answers are
                 # fresh copies, so an unbound result cannot occur in them.
@@ -682,17 +669,7 @@ def _run(state, query):
         elif entry is None:
             raise ExistenceError(*key)
         else:
-            result = entry(state, args, barrier)
-            if type(result) is tuple:
-                cont = nxt if result else _FAIL
-                continue
-            try:
-                next(result)
-            except StopIteration:
-                cont = _FAIL
-                continue
-            cps.append([_REDO, result, nxt])
-            cont = nxt
+            cont = nxt if entry(state, args) else _FAIL
 
 
 def solve(query, db, budget=None):
@@ -1029,23 +1006,20 @@ def copy_term(t, b):
 
 # --- builtin predicates ----------------------------------------------
 #
-# Every entry of BUILTINS takes (state, args, barrier) and returns an
-# iterable with one item per solution: a tuple when it has at most one
-# (_ONCE or ()), so that the machine keeps no choice point for it, or a
-# generator that the machine resumes on backtracking; barrier is the
-# cut barrier of the clause the goal appears in.  A handler rewinds the
+# A builtin is a test: every entry of BUILTINS but a _Control takes
+# (state, args) and returns whether the goal holds, keeping the
+# bindings it made, and leaves no choice point.  Only a _Control pushes
+# choice points: the control constructs, between/3 and labeling, whose
+# answers after the first go through _redo.  A handler rewinds the
 # trail only to retry an alternative or to throw a goal's effects away.
-# The control constructs are _Control entries that the machine runs.
-
-_ONCE = (None,)
 
 
-def _bi_true(state, args, barrier):
-    return _ONCE
+def _bi_true(state, args):
+    return True
 
 
-def _bi_fail(state, args, barrier):
-    return ()
+def _bi_fail(state, args):
+    return False
 
 
 def _run_cut(state, args, barrier, cont):
@@ -1066,7 +1040,7 @@ def _run_or(state, args, barrier, cont):
         return _if_then_else(state, left.args[0], left.args[1], args[1],
                              barrier, cont)
     state.choicepoints.append(
-        [_ELSE, state.mark(), args[1], barrier, cont])
+        [_ELSE, state.bindings.mark(), _then(args[1], barrier, cont)])
     return _then(args[0], barrier, cont)
 
 
@@ -1080,15 +1054,17 @@ def _if_then_else(state, cond, then, alt, barrier, cont):
     # below the else branch and goes on with then
     cps = state.choicepoints
     height = len(cps)
-    cps.append([_ELSE, state.mark(), alt, barrier, cont])
+    cps.append([_ELSE, state.bindings.mark(), _then(alt, barrier, cont)])
     return _then(state.bindings.deref(cond), height + 1,
                  _then(_CUT_TO, height, _then(then, barrier, cont)))
 
 
 def _run_not(state, args, barrier, cont):
+    # a proof of the goal fails past the choice point, which goes on
+    # with cont once the goal has no proof
     cps = state.choicepoints
     height = len(cps)
-    cps.append([_NOT, state.mark(), cont])
+    cps.append([_ELSE, state.bindings.mark(), cont])
     return _then(state.bindings.deref(args[0]), height + 1,
                  _closing(_NOT_PROVED, height, cont))
 
@@ -1102,7 +1078,8 @@ def _run_findall(state, args, barrier, cont):
     template, goal, result = args
     cps = state.choicepoints
     height = len(cps)
-    cps.append([_FINDALL, state.mark(), [], template, result, cont])
+    cps.append([_FINDALL, state.bindings.mark(), [], template, result,
+                cont])
     return _then(state.bindings.deref(goal), height + 1,
                  _closing(_COLLECT, height, cont))
 
@@ -1114,23 +1091,33 @@ def _closing(marker, height, cont):
     return (marker, height, None, 1 if cont is None else cont[3] + 1)
 
 
-def _bi_unify(state, args, barrier):
-    return _ONCE if state.unify(args[0], args[1]) else ()
+def _redo(state, answers, cont):
+    """cont after the first item of the iterator answers, under a _REDO
+    choice point that resumes it on backtracking; _FAIL when it has
+    none.  Each item stands for one answer, its bindings in place."""
+    for _ in answers:
+        state.choicepoints.append([_REDO, answers, cont])
+        return cont
+    return _FAIL
 
 
-def _bi_not_unify(state, args, barrier):
-    m = state.mark()
+def _bi_unify(state, args):
+    return state.unify(args[0], args[1])
+
+
+def _bi_not_unify(state, args):
+    m = state.bindings.mark()
     ok = state.unify(args[0], args[1])
-    state.undo_to(m)
-    return () if ok else _ONCE
+    state.bindings.undo_to(m)
+    return not ok
 
 
-def _bi_struct_eq(state, args, barrier):
-    return () if compare_terms(args[0], args[1], state.bindings) else _ONCE
+def _bi_struct_eq(state, args):
+    return compare_terms(args[0], args[1], state.bindings) == 0
 
 
-def _bi_struct_neq(state, args, barrier):
-    return _ONCE if compare_terms(args[0], args[1], state.bindings) else ()
+def _bi_struct_neq(state, args):
+    return compare_terms(args[0], args[1], state.bindings) != 0
 
 
 def _arith(state, name, left, right, frame=None):
@@ -1149,71 +1136,72 @@ def _arith(state, name, left, right, frame=None):
 
 
 def _bi_arith(name):
-    def run(state, args, barrier):
-        return _ONCE if _arith(state, name, args[0], args[1]) else ()
+    def run(state, args):
+        return _arith(state, name, args[0], args[1])
     return run
 
 
-def _bi_between(state, args, barrier):
-    lo = eval_arith(args[0], state.bindings)
-    hi = eval_arith(args[1], state.bindings)
+def _run_between(state, args, barrier, cont):
+    b = state.bindings
+    lo, hi = eval_arith(args[0], b), eval_arith(args[1], b)
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise PlTypeError("between/3 expects integer bounds")
-    x = state.bindings.deref(args[2])
+    x = b.deref(args[2])
     if isinstance(x, int):
-        return _ONCE if lo <= x <= hi else ()
-    return _between_values(state, lo, hi, args[2])
+        return cont if lo <= x <= hi else _FAIL
+    return _redo(state, _between_values(state, lo, hi, x), cont)
 
 
 def _between_values(state, lo, hi, x):
-    m = state.mark()
+    b = state.bindings
+    m = b.mark()
     for value in range(lo, hi + 1):
         if state.unify(x, value):
             yield
-        state.undo_to(m)
+        b.undo_to(m)
 
 
-def _bi_length(state, args, barrier):
+def _bi_length(state, args):
     b = state.bindings
     items = list_to_python(args[0], b)
     if items is not None:
-        return _ONCE if state.unify(args[1], len(items)) else ()
+        return state.unify(args[1], len(items))
     n = b.deref(args[1])
     if isinstance(n, int) and n >= 0:
         if n > DEFAULT_MAX_MEMORY:
             raise BudgetExceeded("memory")
         fresh = make_list([Var() for _ in range(n)])
-        return _ONCE if state.unify(args[0], fresh) else ()
+        return state.unify(args[0], fresh)
     raise InstantiationError("length/2: list and length both unbound")
 
 
-def _bi_msort(state, args, barrier):
+def _bi_msort(state, args):
     b = state.bindings
     items = list_to_python(args[0], b)
     if items is None:
         raise InstantiationError("msort/2 expects a proper list")
     items.sort(key=functools.cmp_to_key(
         lambda x, y: compare_terms(x, y, b)))
-    return _ONCE if state.unify(args[1], make_list(items)) else ()
+    return state.unify(args[1], make_list(items))
 
 
 # --- constraint goals -----------------------------------------------
 
 def _fd_relation(op):
-    def post(state, args, barrier):
-        return _ONCE if state.fd.post(Struct(op, args)) else ()
+    def post(state, args):
+        return state.fd.post(Struct(op, args))
     return post
 
 
-def _bi_braces(state, args, barrier):
+def _bi_braces(state, args):
     for rel in comma_flatten(state.bindings.deref(args[0])):
         rel = state.bindings.deref(rel)
         if not (isinstance(rel, Struct) and len(rel.args) == 2):
             raise PlTypeError(
                 f"bad brace constraint: {term_to_text(rel)}")
         if not state.r.post(rel):
-            return ()
-    return _ONCE
+            return False
+    return True
 
 
 def _run_label(state, args, barrier, cont):
@@ -1266,13 +1254,8 @@ def _label(state, todo, cont):
             if type(v) is Var:
                 fd.on_bind_value(v, domains[v.id].lo)
         return cont
-    rest = _then(_LABEL, (variables, 0 if first_fail else at, first_fail),
-                 cont)
-    values = fd_label(var, fd, state)
-    for _ in values:
-        state.choicepoints.append([_REDO, values, rest])
-        return rest
-    return _FAIL
+    return _redo(state, fd_label(var, fd, state), _then(
+        _LABEL, (variables, 0 if first_fail else at, first_fail), cont))
 
 
 BUILTINS = {
@@ -1290,7 +1273,7 @@ BUILTINS = {
     ("==", 2): _bi_struct_eq,
     ("\\==", 2): _bi_struct_neq,
     **{(name, 2): _bi_arith(name) for name in ("is", *_COMPARISONS)},
-    ("between", 3): _bi_between,
+    ("between", 3): _Control(_run_between, (_DATA, _DATA, _DATA)),
     ("length", 2): _bi_length,
     ("msort", 2): _bi_msort,
     ("findall", 3): _Control(_run_findall, (_DATA, _CALLED, _DATA)),

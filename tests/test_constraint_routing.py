@@ -73,7 +73,7 @@ def test_a_constraint_goal_is_routed_by_its_rational_marks(goal, status,
 def _post(state, text):
     """Run the # builtin of the goal text on state, as the engine does."""
     goal = parse_term_text(text)
-    return BUILTINS[(goal.name, 2)](state, goal.args, None)
+    return BUILTINS[(goal.name, 2)](state, goal.args)
 
 
 def _fd_tables(state):
@@ -122,11 +122,11 @@ ROUTES = []
 
 
 def _reference_post(op):
-    def post(state, args, barrier):
+    def post(state, args):
         rational = _reference_route(state, args)
         ROUTES.append(rational)
         store = state.r if rational else state.fd
-        return (None,) if store.post(Struct(op, args)) else ()
+        return store.post(Struct(op, args))
     return post
 
 

@@ -359,11 +359,11 @@ def test_backtracking_restores_bindings():
 def test_undo_to_one_mark_twice_drops_what_was_posted_between():
     state = SolveState(consult(parse_program("")))
     x = Var("X")
-    m = state.mark()
-    state.undo_to(m)
+    m = state.bindings.mark()
+    state.bindings.undo_to(m)
     assert state.r.post(Struct("=", (x, 1)))
     assert state.bindings.deref(x) == 1
-    state.undo_to(m)
+    state.bindings.undo_to(m)
     assert state.r.rows == {}
     assert isinstance(state.bindings.deref(x), Var)
 

@@ -636,9 +636,12 @@ class FdStore:
 
     def on_bind_value(self, var, value):
         """Bind var, an FD variable, to value; check and propagate."""
-        if type(value) is not int or not self.domains[var.id].contains(value):
+        dom = self.domains[var.id]
+        if type(value) is not int or not dom.contains(value):
             return False
         self.bindings.bind(var, value)
+        if dom.card == 1:   # {value} already, and the queue is empty
+            return True
         self.set_dom_raw(var.id, FdDomain.from_range(value, value))
         return self.propagate_fixpoint()
 

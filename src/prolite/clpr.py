@@ -46,9 +46,6 @@ class RStore:
 
     def post(self, goal):
         """Post one linear relation; False means inconsistency."""
-        if not (isinstance(goal, Struct) and len(goal.args) == 2):
-            raise PlTypeError(
-                f"not a linear constraint: {term_to_text(goal)}")
         expr, const = self._linearize(Struct("-", goal.args))
         rel = _RELATIONS.get(goal.name)
         if rel is None:

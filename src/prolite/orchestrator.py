@@ -21,7 +21,7 @@ from .engine import Budget, consult, solve
 from .errors import (BudgetExceeded, LexError, ParseError, ProliteError,
                      ProviderError, TranscriptExhausted, UnboundedDomain)
 from .reader import lexes_to_end, parse_program, parse_term_text
-from .terms import Struct, Var, term_vars
+from .terms import term_vars
 
 
 @dataclass(frozen=True)

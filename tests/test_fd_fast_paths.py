@@ -334,6 +334,8 @@ def test_linearize_agrees_with_the_reference_on_chosen_terms(expr):
      "unsupported rational expression: abs(_G_)"),
     ("{X = (Y - Y) * W + 1}", "ok", 1, ""),
     ("{X #= 1}", "runtime-error", None, "unsupported rational relation '#='"),
+    ("{foo}", "runtime-error", None, "bad brace constraint: foo"),
+    ("{X = 1, f(Y)}", "runtime-error", None, "bad brace constraint: f(_G_)"),
     ("X #= Y, {Y = 2}", "runtime-error", None,
      "Y is constrained by another store"),
 ])

@@ -44,10 +44,12 @@ skips, or whose head does not unify, costs nothing.  Bindings, FD
 domains and rational rows are all written through the one trail of
 `terms.Bindings`, which is rewound only when a choice point is retried
 or a goal's effects are thrown away.  The budget bounds steps, wall time
-(checked also when an iterator is resumed, which charges no step) and
-memory: the trail entries, choice points and pending goals a query holds
-at once, so proof depth is an explicit budget; each continuation entry
-carries its depth, so the pending goals are counted without a walk.
+and memory: the trail entries, choice points and pending goals a query
+holds at once, so proof depth is an explicit budget; each continuation
+entry carries its depth, so the pending goals are counted without a
+walk.  Time and memory are checked every 1,024 steps, and an iterator
+that a choice point resumes bounds its own loop: labeling charges a
+step per value, and between/3 checks them every 1,024 values it tries.
 
 A `#` goal is posted to the FD store only, which reads integers, and a
 `{}` goal to the rational store only; neither hands a goal to the other.
@@ -217,7 +219,8 @@ class SolveState:
             self._check_limits()
 
     def _check_limits(self):
-        """Wall time and memory; called every 1024 steps or redos."""
+        """Wall time and memory; called every 1024 steps, and by
+        between/3 every 1024 values it tries."""
         if time.monotonic() > self.deadline:
             raise BudgetExceeded("time")
         if len(self.bindings.trail) + len(self.choicepoints) + self.depth \
@@ -520,8 +523,7 @@ class _Marker:
 
 
 _FAIL = _Marker("fail")
-_CUT_TO = _Marker("cut-to")            # an if-then-else condition held
-_NOT_PROVED = _Marker("not-proved")    # the goal of \+ has a proof
+_CUT_TO = _Marker("cut-to")            # an if-then-else or \+ goal held
 _COLLECT = _Marker("collect")          # the goal of findall/3 has a proof
 _LABEL = _Marker("label")              # label the next FD variable
 _AUTO_LABEL = _Marker("auto-label")    # the query has a proof
@@ -539,7 +541,6 @@ def _run(state, query):
     lookup = state.db.table.get
     max_steps = state.budget.max_inference_steps
     cps = state.choicepoints
-    redos = 0
     cont = (query, 0, (_AUTO_LABEL, 0, None, 1), 2)
     while True:
         if cont is None:
@@ -567,9 +568,6 @@ def _run(state, query):
                         if body else nxt
                     break
                 if kind == _REDO:
-                    redos += 1
-                    if not redos & 1023:
-                        state._check_limits()
                     if next(cp[1], _FAIL) is _FAIL:
                         cps.pop()
                         continue
@@ -604,11 +602,6 @@ def _run(state, query):
                 cp[2].append(copy_term(cp[3], bindings))
                 if len(cp[2]) > DEFAULT_MAX_MEMORY:
                     raise BudgetExceeded("memory")
-                cont = _FAIL
-            elif goal is _NOT_PROVED:
-                mark = cps[barrier][1]
-                del cps[barrier:]
-                undo_to(mark)
                 cont = _FAIL
             elif goal is _LABEL:
                 cont = _label(state, barrier, nxt)
@@ -1037,36 +1030,34 @@ def _run_or(state, args, barrier, cont):
         left.term if type(left) is _VarGoal else left)
     if isinstance(left, Struct) and left.name == "->" \
             and len(left.args) == 2:
-        return _if_then_else(state, left.args[0], left.args[1], args[1],
-                             barrier, cont)
+        return _if_then_else(state, left.args[0],
+                             _then(left.args[1], barrier, cont),
+                             _then(args[1], barrier, cont))
     state.choicepoints.append(
         [_ELSE, state.bindings.mark(), _then(args[1], barrier, cont)])
     return _then(args[0], barrier, cont)
 
 
 def _run_if_then(state, args, barrier, cont):
-    return _if_then_else(state, args[0], args[1], Atom("fail"), barrier,
-                         cont)
-
-
-def _if_then_else(state, cond, then, alt, barrier, cont):
-    # the condition runs as call(Cond); its first proof cuts back to
-    # below the else branch and goes on with then
-    cps = state.choicepoints
-    height = len(cps)
-    cps.append([_ELSE, state.bindings.mark(), _then(alt, barrier, cont)])
-    return _then(state.bindings.deref(cond), height + 1,
-                 _then(_CUT_TO, height, _then(then, barrier, cont)))
+    return _if_then_else(state, args[0], _then(args[1], barrier, cont),
+                         _then(Atom("fail"), barrier, cont))
 
 
 def _run_not(state, args, barrier, cont):
-    # a proof of the goal fails past the choice point, which goes on
-    # with cont once the goal has no proof
+    # ISO 8.15.1: \+ G is (call(G) -> fail ; true)
+    return _if_then_else(state, args[0], _FAIL, cont)
+
+
+def _if_then_else(state, cond, then, alt):
+    """Run cond as call(Cond) under a choice point that goes on with the
+    continuation alt; cond's first proof cuts back below that choice
+    point and goes on with the continuation then (the cut's entry counts
+    toward the depth as if alt followed it)."""
     cps = state.choicepoints
     height = len(cps)
-    cps.append([_ELSE, state.bindings.mark(), cont])
-    return _then(state.bindings.deref(args[0]), height + 1,
-                 _closing(_NOT_PROVED, height, cont))
+    cps.append([_ELSE, state.bindings.mark(), alt])
+    return _then(state.bindings.deref(cond), height + 1,
+                 (_CUT_TO, height, then, 1 if alt is None else alt[3] + 1))
 
 
 def _run_call(state, args, barrier, cont):
@@ -1080,15 +1071,10 @@ def _run_findall(state, args, barrier, cont):
     height = len(cps)
     cps.append([_FINDALL, state.bindings.mark(), [], template, result,
                 cont])
+    # _COLLECT alone follows the goal, since the choice point at height
+    # holds cont; it counts toward the depth as if cont followed
     return _then(state.bindings.deref(goal), height + 1,
-                 _closing(_COLLECT, height, cont))
-
-
-def _closing(marker, height, cont):
-    """The continuation of a goal run inside \\+ or findall/3: marker
-    alone, since the choice point at height holds cont; it counts
-    toward the depth as if cont followed."""
-    return (marker, height, None, 1 if cont is None else cont[3] + 1)
+                 (_COLLECT, height, None, 1 if cont is None else cont[3] + 1))
 
 
 def _redo(state, answers, cont):
@@ -1153,9 +1139,13 @@ def _run_between(state, args, barrier, cont):
 
 
 def _between_values(state, lo, hi, x):
+    """Yield once per value in lo..hi that x unifies with; the values
+    charge no step, and every 1,024 tried check the clock and memory."""
     b = state.bindings
     m = b.mark()
     for value in range(lo, hi + 1):
+        if not value & 1023:
+            state._check_limits()
         if state.unify(x, value):
             yield
         b.undo_to(m)
@@ -1254,7 +1244,7 @@ def _label(state, todo, cont):
             if type(v) is Var:
                 fd.on_bind_value(v, domains[v.id].lo)
         return cont
-    return _redo(state, fd_label(var, fd, state), _then(
+    return _redo(state, fd_label(var, fd), _then(
         _LABEL, (variables, 0 if first_fail else at, first_fail), cont))
 
 

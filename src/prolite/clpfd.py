@@ -8,10 +8,12 @@ rejected.  On unbounded domains the store also fails when the rational
 relaxation is infeasible in a scratch clpr.RStore, checked after a post
 or alias that leaves a bound infinite and once in a long fixpoint.
 Propagator runs, the rows the check collects or rewrites, its simplex
-pivots and each value labeling tries are charged to the query's step
-budget.  A variable belongs to at most one store, so aliasing an FD
-variable with a rational one is a TypeMix error; labeling a variable
-without a finite domain raises UnboundedDomain (underdetermined).
+pivots, the values a mod propagator walks (a step per 64) and each
+value labeling tries are charged to the query's step budget, which
+reads the clock whenever its count passes a multiple of 1,024.  A
+variable belongs to at most one store, so aliasing an FD variable with
+a rational one is a TypeMix error; labeling a variable without a
+finite domain raises UnboundedDomain (underdetermined).
 
 Each propagator names in its wake attribute the domain event it reads,
 and a domain change queues only the watchers it can affect: a bounds
@@ -39,7 +41,8 @@ rational store owns is a TypeMix error; a read that raises rewinds the
 trail to its mark, so it leaves nothing behind.  The read's form gives
 the propagator and its watcher links directly.
 Labeling runs on the engine's choice points, each over fd_label, which
-binds every value through on_bind_value, as unification does.
+binds every value through on_bind_value, as unification does; the step
+each value charges is what bounds its loop.
 """
 
 from __future__ import annotations
@@ -311,7 +314,8 @@ class LinearProp:
 
 
 class ModProp:
-    """y = x mod m with m a ground positive integer."""
+    """y = x mod m with m a ground positive integer; a run that walks
+    the values of x, twice, charges a step per 64 values walked."""
 
     __slots__ = ("x", "m", "y")
     wake = CHANGED
@@ -330,6 +334,7 @@ class ModProp:
             return False
         xdom = store.dom_of(x)
         if xdom.card <= ENUM_CAP:
+            store.tick(2 * xdom.card // 64)
             images = FdDomain.from_values(v % self.m for v in xdom.values())
             if not store.narrow(y, store.dom_of(y).intersect(images)):
                 return False
@@ -382,8 +387,8 @@ class FdStore:
     """Domains plus the posted-propagator network.
 
     The three tables are written only through bindings.set, so the
-    query's one trail undoes them; tick() charges a propagator run to the
-    budget.
+    query's one trail undoes them; tick(n=1) charges n steps to the
+    budget, one per propagator run.
     """
 
     def __init__(self, bindings, tick):
@@ -551,10 +556,6 @@ class FdStore:
         propagator.  A read that raises leaves nothing behind: the trail
         is rewound past the claims, domains and auxiliary propagators it
         wrote."""
-        if not (isinstance(goal, Struct) and goal.name in _RELATIONS
-                and len(goal.args) == 2):
-            raise PlTypeError(
-                f"not a finite-domain constraint: {term_to_text(goal)}")
         bindings = self.bindings
         mark = len(bindings.trail)
         try:

@@ -211,11 +211,13 @@ class SolveState:
         self.depth = 0          # goals pending, as of the last check
         self.notes = ()         # set by auto-labeling, for the answer
 
-    def _tick(self):
-        self.steps += 1
+    def _tick(self, n=1):
+        """Charge n steps; check the limits on passing a multiple of 1024."""
+        before = self.steps
+        self.steps = before + n
         if self.steps > self.budget.max_inference_steps:
             raise BudgetExceeded("steps")
-        if self.steps % 1024 == 0:
+        if self.steps >> 10 != before >> 10:
             self._check_limits()
 
     def _check_limits(self):
@@ -1133,8 +1135,14 @@ def _run_between(state, args, barrier, cont):
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise PlTypeError("between/3 expects integer bounds")
     x = b.deref(args[2])
-    if isinstance(x, int):
+    if type(x) is not Var:
+        if not isinstance(x, int):
+            raise PlTypeError(
+                f"between/3 expects an integer, got {term_to_text(x)}")
         return cont if lo <= x <= hi else _FAIL
+    dom = state.fd.domains.get(x.id)
+    if dom is not None:     # only the values of x's domain can unify
+        lo, hi = max(lo, dom.lo), min(hi, dom.hi)
     return _redo(state, _between_values(state, lo, hi, x), cont)
 
 

@@ -281,6 +281,43 @@ def test_msort_and_equality_follow_the_standard_order():
     assert len(run_query("", "F is float(1), F \\== 1")) == 1
 
 
+@pytest.mark.parametrize("body, status, answer, detail", [
+    # ISO 7.2: compounds by arity, then by name, then by arguments
+    ("msort([g(a), f(a, b), f(b), a, 1, X], L), "
+     "L == [X, 1, a, f(b), g(a), f(a, b)], A = 1", "ok", 1, ""),
+    ("X is foo(1), A = 1", "runtime-error", None,
+     "unknown arithmetic function foo/1"),
+    ("A is e", "ok", 2.718281828459045, ""),
+    ("between(1, 5/2, X), A = X", "runtime-error", None,
+     "between/3 expects integer bounds"),
+    ("between(a, 3, X), A = X", "runtime-error", None,
+     "non-numeric leaf in arithmetic: a"),
+    ("length(L, N), A = 1", "runtime-error", None,
+     "length/2: list and length both unbound"),
+    ("msort(foo, L), A = 1", "runtime-error", None,
+     "msort/2 expects a proper list"),
+    ("label(foo), A = 1", "runtime-error", None,
+     "label/1 expects a proper list"),
+    ("X #>= 1, X #=< 2, labeling(foo, [X]), A = 1", "runtime-error", None,
+     "labeling/2 expects an option list"),
+    # leftmost labels X before Y, whose domain is the smaller
+    ("X #>= 1, X #=< 3, Y #>= 1, Y #=< 2, "
+     "findall(X-Y, labeling([leftmost], [X, Y]), P), "
+     "P == [1-1, 1-2, 2-1, 2-2, 3-1, 3-2], A = 1", "ok", 1, ""),
+    ("X #>= 1, X #=< 2, labeling([bogus], [X]), A = 1", "runtime-error",
+     None, "unknown labeling option bogus"),
+], ids=["msort-compounds", "unknown-function", "inexact-e",
+        "between-fraction", "between-atom", "length-unbound",
+        "msort-non-list", "label-non-list", "labeling-bad-options",
+        "labeling-leftmost", "labeling-unknown-option"])
+def test_builtin_answers_and_errors_reach_the_verdict(body, status, answer,
+                                                      detail):
+    result = run_candidate(f"problem(A) :- {body}.\n")
+    assert (result.status, result.answer, result.detail) == \
+        (status, answer, detail)
+    assert result.exact == (body != "A is e")
+
+
 def test_findall_collects_all_proofs():
     sols = run_query(FAMILY, "findall(C, parent(tom, C), L)")
     from prolite.terms import list_to_python

@@ -209,6 +209,44 @@ def test_labeling_charges_a_step_per_value():
     assert elapsed <= 2 * budget.wall_timeout + 0.5
 
 
+@pytest.mark.parametrize("body, status, detail", [
+    ("between(1, 100000000, a)", "runtime-error",
+     "between/3 expects an integer, got a"),
+    # the range is clipped to X's domain, which lies above it
+    ("X #> 100000000, between(1, 100000000, X)", "no-solution", ""),
+    # X's domain is {-100000000, 100000000}, so clipping keeps the range
+    # and no value in it unifies: only the loop's own clock check ends it
+    ("abs(X) #= 100000000, between(-99999999, 99999999, X)",
+     "budget-exceeded", "budget exceeded (time)"),
+], ids=["bound-atom", "fd-domain-above", "fd-domain-around"])
+def test_between_values_that_never_unify_end_on_time(body, status, detail):
+    # values that fail to unify charge no step and push no choice point
+    budget = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
+    started = time.monotonic()
+    result = run_candidate(f"problem(A) :- {body}, A = 1.\n", budget=budget)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.detail) == (status, detail)
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
+def test_a_mod_propagator_is_charged_for_the_values_it_walks():
+    # each X #\= I removes a value of X, which wakes X mod 3 #= M, and
+    # its run walks the 4,000-odd values left twice.  At one step per
+    # run the 3,000 removals cost about 18,000 steps, inside the budget;
+    # at a step per 64 values walked they cost about 260,000
+    budget = Budget(max_inference_steps=20000, wall_timeout=1.0)
+    program = ("rm(_, I, N) :- I > N, !.\n"
+               "rm(X, I, N) :- X #\\= I, I1 is I + 1, rm(X, I1, N).\n"
+               "problem(A) :- X #>= 0, X #=< 4095, X mod 3 #= M, "
+               "rm(X, 1, 3000), A = M.\n")
+    started = time.monotonic()
+    result = run_candidate(program, budget=budget)
+    elapsed = time.monotonic() - started
+    assert (result.status, result.detail) == ("budget-exceeded",
+                                               "budget exceeded (steps)")
+    assert elapsed <= 2 * budget.wall_timeout + 0.5
+
+
 BAKERY = """\
 % A bakery bakes eight goods each day from limited stock.  It bakes 40
 % loaves of bread, and ten fewer rolls than twice the bread.  How many

@@ -315,7 +315,7 @@ def test_builtin_answers_and_errors_reach_the_verdict(body, status, answer,
     result = run_candidate(f"problem(A) :- {body}.\n")
     assert (result.status, result.answer, result.detail) == \
         (status, answer, detail)
-    assert result.exact == (body != "A is e")
+    assert result.exact is not isinstance(answer, float)
 
 
 def test_findall_collects_all_proofs():

@@ -22,6 +22,8 @@ from .errors import (BudgetExceeded, LexError, ParseError, ProliteError,
                      ProviderError, TranscriptExhausted, UnboundedDomain)
 from .reader import lexes_to_end, parse_program, parse_term_text
 from .terms import term_vars
+FRONT_END_ENTRIES = 32
+_TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class ExtractionFailure(ProliteError):
     pass
 
 
+@functools.lru_cache(maxsize=FRONT_END_ENTRIES)
 def extract_program(completion):
     """Program source from a completion: the last fenced code block, else
     the longest suffix of its lines that holds a '.' and tokenizes
@@ -152,7 +155,6 @@ def _render_answer(value):
 # ExecResult.  `evaluate` runs a problem's repeats back to back, so texts
 # recur within one problem: a couple of live texts per worker.  Only the
 # verdict is kept, not the consulted Database.
-FRONT_END_ENTRIES = 32
 
 
 def run_candidate(source, entry="problem(Answer)", budget=None):
@@ -304,8 +306,8 @@ def multiple_try(problem, provider, policy=RetryPolicy(), shots=(("", ""),),
                           wall_ms, detail)
         attempts.append(attempt)
         if transcript is not None:
-            transcript.write(json.dumps(attempt.record(problem.id),
-                                        sort_keys=True) + "\n")
+            transcript.write(
+                _TRANSCRIPT_ENCODER.encode(attempt.record(problem.id)) + "\n")
             transcript.flush()
         if status == "ok":
             final_answer = answer

@@ -22,7 +22,15 @@ from .errors import (BudgetExceeded, LexError, ParseError, ProliteError,
                      ProviderError, TranscriptExhausted, UnboundedDomain)
 from .reader import lexes_to_end, parse_program, parse_term_text
 from .terms import term_vars
+
+# Distinct texts kept by each front-end cache: completion -> extracted
+# program, and (source, entry, budget, memory bound) -> ExecResult.
+# `evaluate` runs a problem's repeats back to back, so texts recur within
+# one problem: a couple of live texts per worker.  Only the verdict is
+# kept, not the consulted Database.
 FRONT_END_ENTRIES = 32
+# one encoder for every transcript line: json.dumps(..., sort_keys=True)
+# builds a new one per call, and writes the same bytes
 _TRANSCRIPT_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
@@ -79,9 +87,15 @@ class ExtractionFailure(ProliteError):
 
 @functools.lru_cache(maxsize=FRONT_END_ENTRIES)
 def extract_program(completion):
-    """Program source from a completion: the last fenced code block, else
-    the longest suffix of its lines that holds a '.' and tokenizes
-    cleanly, stripped of surrounding whitespace."""
+    """Program source from a completion: the last fenced code block that
+    holds a non-blank line, else the longest suffix of its lines that
+    holds a '.' and tokenizes cleanly, stripped of surrounding
+    whitespace.
+
+    The program of each of the last FRONT_END_ENTRIES completions is
+    kept, so a completion met again is not scanned again; a completion
+    that holds no program is not kept, and raises ExtractionFailure on
+    every call."""
     blocks = _fenced_blocks(completion)
     if blocks:
         return blocks[-1]
@@ -118,7 +132,9 @@ def _fenced_blocks(text):
                 body.append(lines[j])
                 j += 1
             if j < len(lines):
-                blocks.append("\n".join(body))
+                block = "\n".join(body)
+                if block.strip():
+                    blocks.append(block)
                 i = j + 1
                 continue
         i += 1
@@ -149,12 +165,6 @@ def _render_answer(value):
     if isinstance(value, float):
         return value, False
     return None, True
-
-
-# Distinct judgments kept: (source, entry, budget, memory bound) ->
-# ExecResult.  `evaluate` runs a problem's repeats back to back, so texts
-# recur within one problem: a couple of live texts per worker.  Only the
-# verdict is kept, not the consulted Database.
 
 
 def run_candidate(source, entry="problem(Answer)", budget=None):
@@ -272,8 +282,11 @@ def multiple_try(problem, provider, policy=RetryPolicy(), shots=(("", ""),),
     """Run the retry loop for one problem.
 
     problem needs .id, .statement and .entry attributes.  transcript, when
-    given, is a writable text stream receiving one JSON line per attempt
-    before the next provider call.
+    given, is a writable text stream receiving one JSON line per attempt,
+    keys sorted, flushed before the next provider call.  A completion met
+    again among the last FRONT_END_ENTRIES is not extracted again, nor
+    judged again under the same entry and budget; its attempt's wall_ms
+    then covers the provider call and two lookups.
     """
     prompt = assemble_prompt(problem.statement, shots)
     prompt_hash = hashlib.sha256(prompt.encode()).hexdigest()

@@ -158,6 +158,10 @@ class _LiveSession:
                                  timeout=self.provider.timeout)
             resp.raise_for_status()
             data = resp.json()
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"completion content is "
+                                f"{type(content).__name__}, not text")
+            return content
         except Exception as exc:  # network/auth/shape errors alike
             raise ProviderError(str(exc)) from exc

@@ -1,7 +1,8 @@
 """The verdict cache of `run_candidate`: a text met again under the same
 entry, budget and memory bound is neither parsed, consulted nor solved
 again, and gives the verdict a cold run gives, unless the wall clock
-ended it."""
+ended it.  Beside it, `extract_program` keeps the program of each
+completion it extracted, and redoes a completion that held none."""
 
 from __future__ import annotations
 
@@ -13,16 +14,20 @@ import pytest
 from prolite import engine, orchestrator
 from prolite.engine import Budget
 from prolite.harness import FIXTURES, emit_report, evaluate, gen_navigate
-from prolite.orchestrator import FRONT_END_ENTRIES, _judge, run_candidate
-from prolite.providers import ReferenceProvider
+from prolite.orchestrator import (FRONT_END_ENTRIES, ExtractionFailure,
+                                  RetryPolicy, _judge, extract_program,
+                                  multiple_try, run_candidate)
+from prolite.providers import ReferenceProvider, ScriptedProvider
 from test_harness import transcript_records
 
 
 @pytest.fixture(autouse=True)
 def cold_cache():
     _judge.cache_clear()
+    extract_program.cache_clear()
     yield
     _judge.cache_clear()
+    extract_program.cache_clear()
 
 
 def cold_and_warm(source, entry="problem(Answer)"):
@@ -142,6 +147,88 @@ def test_threads_sharing_cached_databases_answer_like_cold_runs():
         sys.setswitchinterval(interval)
     assert results == [expected[k] for k in jobs]
     assert _judge.cache_info().currsize == len(texts)
+
+
+# --- extraction kept beside the verdict ----------------------------------
+
+class Problem:
+    id = "toy"
+    statement = "Name a number."
+    entry = "problem(Answer)"
+
+
+def counting_extraction(monkeypatch):
+    calls = {"_fenced_blocks": [], "lexes_to_end": []}
+    for name in calls:
+        original = getattr(orchestrator, name)
+
+        def counted(text, *args, _original=original, _name=name):
+            calls[_name].append(text)
+            return _original(text, *args)
+
+        monkeypatch.setattr(orchestrator, name, counted)
+    return calls
+
+
+def test_each_distinct_completion_is_extracted_once(monkeypatch):
+    calls = counting_extraction(monkeypatch)
+    fenced = "Here:\n```prolog\nproblem(A) :- A = a.\n```\n"
+    suffix = "Let's see:\nproblem(A) :- A = b."
+    provider = ScriptedProvider([fenced, suffix, fenced, suffix, fenced])
+    for repeat in range(2):
+        outcome = multiple_try(Problem(), provider,
+                               RetryPolicy(max_attempts=6), repeat=repeat)
+        assert [a.exec_status for a in outcome.attempts] == \
+            ["non-numeric"] * 6
+    assert calls["_fenced_blocks"] == [fenced, suffix]
+    assert calls["lexes_to_end"] == [suffix]
+    info = extract_program.cache_info()
+    assert (info.hits, info.misses) == (10, 2)
+    assert info.maxsize == FRONT_END_ENTRIES
+
+
+def test_a_completion_without_a_program_is_extracted_every_time(
+        monkeypatch):
+    calls = counting_extraction(monkeypatch)
+    prose = "I cannot solve this one, sorry"
+    for _ in range(2):
+        with pytest.raises(ExtractionFailure):
+            extract_program(prose)
+    outcome = multiple_try(Problem(), ScriptedProvider([prose]),
+                           RetryPolicy(max_attempts=2))
+    assert [a.exec_status for a in outcome.attempts] == \
+        ["extraction-failure"] * 2
+    assert calls["_fenced_blocks"] == [prose] * 4
+    assert extract_program.cache_info().currsize == 0
+
+
+def test_threads_sharing_kept_programs_extract_like_cold_calls():
+    completions = [f"```\n{p.reference_program}\n```" for p in FIXTURES[:3]]
+    completions += ["Let's see:\nproblem(1).", "I cannot solve this one"]
+
+    def extracted(text):
+        try:
+            return extract_program(text)
+        except ExtractionFailure:
+            return None
+
+    expected = []
+    for text in completions:
+        extract_program.cache_clear()
+        expected.append(extracted(text))
+    extract_program.cache_clear()
+    jobs = [k % len(completions) for k in range(40 * len(completions))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(extracted, completions[k]) for k in jobs]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[k] for k in jobs]
+    assert expected[-1] is None
+    assert extract_program.cache_info().currsize == len(completions) - 1
 
 
 # --- verdicts kept per entry, budget and memory bound -------------------

@@ -79,6 +79,18 @@ def test_extract_failure_on_prose():
         extract_program("I cannot solve this one, sorry")
 
 
+@pytest.mark.parametrize("completion, status, answer", [
+    ("```\n```", "extraction-failure", None),
+    ("Answer:\n```\n```\nproblem(1).", "ok", 1),
+    ("```\nproblem(2).\n```\n```\n  \n```", "ok", 2),
+])
+def test_a_blank_fenced_block_is_not_a_program(completion, status, answer):
+    outcome = multiple_try(Problem(), ScriptedProvider([completion]),
+                           RetryPolicy(max_attempts=1))
+    [attempt] = outcome.attempts
+    assert (attempt.exec_status, attempt.answer) == (status, answer)
+
+
 def test_run_candidate_ok():
     result = run_candidate(GOOD_PROGRAM)
     assert result.status == "ok" and result.answer == 40 and result.exact
@@ -139,6 +151,26 @@ def test_multiple_try_writes_transcript_lines():
     assert lines[1]["exec_status"] == "ok" and lines[1]["answer"] == 40
     assert lines[0]["prompt_sha256"] == lines[1]["prompt_sha256"]
     assert lines[0]["temperature"] == 0.0
+
+
+def test_each_transcript_line_is_its_record_dumped_with_sorted_keys():
+    stream = io.StringIO()
+    runs = [
+        ["Je ne sais pas « \"réponse\" » — désolé",
+         "```\nproblem(A) :- A = café.\n```",
+         "```\n% l'énoncé dit \"sept\"\nproblem(7).\n```"],
+        ["```\nproblem(A) :- A is sqrt(2).\n```"],
+    ]
+    attempts = []
+    for completions in runs:
+        outcome = multiple_try(Problem(), ScriptedProvider(completions),
+                               transcript=stream)
+        attempts += outcome.attempts
+    assert [a.answer for a in attempts] == [None, None, 7, 2 ** 0.5]
+    lines = stream.getvalue().splitlines(keepends=True)
+    assert lines == [json.dumps(a.record(Problem.id), sort_keys=True) + "\n"
+                     for a in attempts]
+    assert "\\u00e9" in lines[0] and '\\"' in lines[0]
 
 
 def test_answer_too_large_to_print_is_a_runtime_error():
@@ -224,6 +256,30 @@ def test_live_provider_requires_env_credential(monkeypatch):
     provider = LiveProvider(base_url="http://localhost:9", model="m")
     with pytest.raises(ProviderError, match="missing credential"):
         provider.start_run("p", 0)
+
+
+def test_a_live_completion_that_is_not_text_is_a_provider_error(
+        monkeypatch):
+    import requests
+
+    contents = iter([None, [{"type": "text", "text": "problem(1)."}]])
+
+    class Response:
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return {"choices": [{"message": {"content": next(contents)}}]}
+
+    monkeypatch.setattr(requests, "post", lambda *args, **kw: Response())
+    monkeypatch.setenv("PROLITE_API_KEY", "token")
+    provider = LiveProvider(base_url="http://localhost:9", model="m")
+    outcome = multiple_try(Problem(), provider, RetryPolicy(max_attempts=2))
+    assert [a.exec_status for a in outcome.attempts] == ["provider-error"] * 2
+    assert [a.detail for a in outcome.attempts] == [
+        "completion content is NoneType, not text",
+        "completion content is list, not text"]
+    assert outcome.final_answer is None
 
 
 def test_transcript_filename_sanitises():

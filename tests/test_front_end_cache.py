@@ -19,6 +19,7 @@ from prolite.orchestrator import (FRONT_END_ENTRIES, ExtractionFailure,
                                   multiple_try, run_candidate)
 from prolite.providers import ReferenceProvider, ScriptedProvider
 from test_harness import transcript_records
+from test_orchestrator import Problem
 
 
 @pytest.fixture(autouse=True)
@@ -88,21 +89,23 @@ def test_one_database_answers_two_entries_like_fresh_ones():
     assert _judge.cache_info().misses == len(entries)
 
 
-def counting(monkeypatch):
-    calls = {"parse_program": [], "consult": []}
-    for name in calls:
+def counting(monkeypatch, *names):
+    """{name: first arguments} of the calls that reach each of the
+    orchestrator's functions named."""
+    calls = {name: [] for name in names}
+    for name in names:
         original = getattr(orchestrator, name)
 
-        def counted(arg, _original=original, _name=name):
+        def counted(arg, *rest, _original=original, _name=name):
             calls[_name].append(arg)
-            return _original(arg)
+            return _original(arg, *rest)
 
         monkeypatch.setattr(orchestrator, name, counted)
     return calls
 
 
 def test_each_distinct_text_is_parsed_and_consulted_once(monkeypatch):
-    calls = counting(monkeypatch)
+    calls = counting(monkeypatch, "parse_program", "consult")
     a = "problem(1)."
     b = "problem(2)."
     junk = "I am not sure about this one."
@@ -113,7 +116,7 @@ def test_each_distinct_text_is_parsed_and_consulted_once(monkeypatch):
 
 
 def test_the_cache_holds_at_most_its_bound(monkeypatch):
-    calls = counting(monkeypatch)
+    calls = counting(monkeypatch, "parse_program", "consult")
     sources = [f"problem({k})." for k in range(FRONT_END_ENTRIES + 5)]
     for k, source in enumerate(sources):
         assert run_candidate(source).answer == k
@@ -151,27 +154,8 @@ def test_threads_sharing_cached_databases_answer_like_cold_runs():
 
 # --- extraction kept beside the verdict ----------------------------------
 
-class Problem:
-    id = "toy"
-    statement = "Name a number."
-    entry = "problem(Answer)"
-
-
-def counting_extraction(monkeypatch):
-    calls = {"_fenced_blocks": [], "lexes_to_end": []}
-    for name in calls:
-        original = getattr(orchestrator, name)
-
-        def counted(text, *args, _original=original, _name=name):
-            calls[_name].append(text)
-            return _original(text, *args)
-
-        monkeypatch.setattr(orchestrator, name, counted)
-    return calls
-
-
 def test_each_distinct_completion_is_extracted_once(monkeypatch):
-    calls = counting_extraction(monkeypatch)
+    calls = counting(monkeypatch, "_fenced_blocks", "lexes_to_end")
     fenced = "Here:\n```prolog\nproblem(A) :- A = a.\n```\n"
     suffix = "Let's see:\nproblem(A) :- A = b."
     provider = ScriptedProvider([fenced, suffix, fenced, suffix, fenced])
@@ -189,7 +173,7 @@ def test_each_distinct_completion_is_extracted_once(monkeypatch):
 
 def test_a_completion_without_a_program_is_extracted_every_time(
         monkeypatch):
-    calls = counting_extraction(monkeypatch)
+    calls = counting(monkeypatch, "_fenced_blocks", "lexes_to_end")
     prose = "I cannot solve this one, sorry"
     for _ in range(2):
         with pytest.raises(ExtractionFailure):

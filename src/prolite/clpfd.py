@@ -9,22 +9,30 @@ relaxation is infeasible in a scratch clpr.RStore, checked after a post
 or alias that leaves a bound infinite and once in a long fixpoint.
 Propagator runs, the rows the check collects or rewrites, its simplex
 pivots, the values a mod propagator walks (a step per 64) and each
-value labeling tries are charged to the query's step budget, which
-reads the clock whenever its count passes a multiple of 1,024.  A
-variable belongs to at most one store, so aliasing an FD variable with
-a rational one is a TypeMix error; labeling a variable without a
-finite domain raises UnboundedDomain (underdetermined).
+value labeling tries are charged to the query's meter (the engine's
+SolveState), which reads the clock whenever its count passes a
+multiple of 1,024; propagate_fixpoint charges its runs on the meter's
+step count directly.  A variable belongs to at most one store, so
+aliasing an FD variable with a rational one is a TypeMix error;
+labeling a variable without a finite domain raises UnboundedDomain
+(underdetermined).
 
 Each propagator names in its wake attribute the domain event it reads,
 and a domain change queues only the watchers it can affect: a bounds
 propagator (linear eq/le) wakes when a min or max moves, a disequality
 when a variable becomes a singleton, mod and abs on any change.  The
 events nest (a singleton is also a bounds change, which is also a
-change), so their levels compare as integers.  A disequality that has
-acted is entailed, as no value left can break it, so propagate_fixpoint
-puts RETIRED, whose wake no event reaches, in its place through the
-trail, and backtracking restores it; a queued RETIRED is popped
-without a run or a step.  A linear post over at most one variable
+change), so their levels compare as integers.  Each variable has two
+watcher tables: the full tuple of the propagators that read it, and
+beside it, in the same order, the subsequence of those below FIXED
+(eq/le, mod, abs).  A FIXED event scans the full tuple; a BOUNDS or
+CHANGED event scans only the filtered one, so it never visits the
+disequalities it cannot wake, and the queue order is the one a scan of
+the full tuple gives.  A disequality that has acted is entailed, as
+no value left can break it, so propagate_fixpoint puts RETIRED, whose
+wake no event reaches, in its place through the trail, and
+backtracking restores it; a queued RETIRED is popped without a run or
+a step.  A linear post over at most one variable
 narrows that domain once and adds no propagator, since its relation
 reads only that domain and domains only shrink.
 
@@ -51,7 +59,8 @@ from bisect import bisect_right
 from collections import deque
 
 from .clpr import RStore
-from .errors import NonLinearUnsupported, PlTypeError, UnboundedDomain
+from .errors import (BudgetExceeded, NonLinearUnsupported, PlTypeError,
+                     UnboundedDomain)
 from .terms import Bindings, Struct, Var, linearize
 from .writer import term_to_text
 
@@ -334,7 +343,7 @@ class ModProp:
             return False
         xdom = store.dom_of(x)
         if xdom.card <= ENUM_CAP:
-            store.tick(2 * xdom.card // 64)
+            store.meter.tick(2 * xdom.card // 64)
             images = FdDomain.from_values(v % self.m for v in xdom.values())
             if not store.narrow(y, store.dom_of(y).intersect(images)):
                 return False
@@ -386,17 +395,25 @@ class AbsProp:
 class FdStore:
     """Domains plus the posted-propagator network.
 
-    The three tables are written only through bindings.set, so the
-    query's one trail undoes them; tick(n=1) charges n steps to the
-    budget, one per propagator run.
+    The four tables are written only through the query's one trail,
+    which undoes them: through bindings.set, except that set_dom_raw and
+    propagate_fixpoint append their (dict, key, old) entries themselves.
+    watchers holds each variable's full tuple of propagator indexes, and
+    soft_watchers the same tuple filtered to the propagators whose wake
+    is below FIXED, in the same order; a variable none of those reads
+    has no soft entry.  The meter is the query's step counter: it has
+    steps, budget.max_inference_steps, tick(n=1), which charges n steps,
+    and check_limits(), which reads the clock and memory.
     """
 
-    def __init__(self, bindings, tick):
+    def __init__(self, bindings, meter):
         self.bindings = bindings
-        self.tick = tick
+        self.trail = bindings.trail
+        self.meter = meter
         self.domains = {}          # var id -> FdDomain
         self.props = {}            # prop index -> propagator
         self.watchers = {}         # var id -> tuple of prop indexes
+        self.soft_watchers = {}    # var id -> those with wake < FIXED
         self._queue = deque()      # propagator indexes awaiting a run
         self._queued = set()       # the same indexes, for membership
 
@@ -420,21 +437,24 @@ class FdStore:
         return newdom.contains(t)
 
     def set_dom_raw(self, vid, newdom):
+        """Write newdom as vid's domain and queue the watchers its event
+        wakes: a singleton scans the full tuple, any other change only
+        the soft one.  False on an empty domain."""
         domains = self.domains
         old = domains[vid]
-        if newdom is old or newdom == old:
+        if newdom is old or newdom.intervals == old.intervals:
             return True
-        self.bindings.set(domains, vid, newdom)
+        self.trail.append((domains, vid, old))
+        domains[vid] = newdom
         lo, hi = newdom.lo, newdom.hi
         if lo > hi:
             return False
         if lo == hi:
             event = FIXED
-        elif lo != old.lo or hi != old.hi:
-            event = BOUNDS
+            watchers = self.watchers.get(vid)
         else:
-            event = CHANGED
-        watchers = self.watchers.get(vid)
+            event = BOUNDS if lo != old.lo or hi != old.hi else CHANGED
+            watchers = self.soft_watchers.get(vid)
         if watchers:
             props, queued = self.props, self._queued
             for pi in watchers:
@@ -462,22 +482,34 @@ class FdStore:
         """Link prop to the variables it reads and queue it; its index."""
         idx = len(self.props)
         self.bindings.set(self.props, idx, prop)
+        soft = (idx,) if prop.wake < FIXED else ()
         for v in prop.vars():
             v = self.bindings.deref(v)
             if isinstance(v, Var):
-                self._watch(v.id, (idx,))
+                self._watch(v.id, (idx,), soft)
         self._enqueue(idx)
         return idx
 
-    def _watch(self, vid, indexes):
-        self.bindings.set(self.watchers, vid,
-                          self.watchers.get(vid, ()) + indexes)
+    def _watch(self, vid, indexes, soft):
+        """Append indexes to vid's full tuple and soft, their wake <
+        FIXED subsequence, to its soft one."""
+        bindings = self.bindings
+        bindings.set(self.watchers, vid, self.watchers.get(vid, ()) + indexes)
+        if soft:
+            bindings.set(self.soft_watchers, vid,
+                         self.soft_watchers.get(vid, ()) + soft)
 
     def propagate_fixpoint(self):
         """Run the queued propagators until no domain narrows; False on
-        wipeout or when a long fixpoint fails the relaxation check."""
-        queue, props, tick = self._queue, self.props, self.tick
+        wipeout or when a long fixpoint fails the relaxation check.
+
+        Each run is a step on the meter, counted here as tick() counts
+        it; a propagator that returns RETIRED is replaced on the
+        trail."""
+        queue, props, trail = self._queue, self.props, self.trail
         popleft, discard = queue.popleft, self._queued.discard
+        meter = self.meter
+        max_steps = meter.budget.max_inference_steps
         runs, slow = 0, SLOW_FIXPOINT * len(props)
         while queue:
             idx = popleft()
@@ -485,10 +517,16 @@ class FdStore:
             prop = props[idx]
             if prop is RETIRED:
                 continue
-            tick()
+            # a run may tick itself, so the count is read again each time
+            steps = meter.steps = meter.steps + 1
+            if steps > max_steps:
+                raise BudgetExceeded("steps")
+            if not steps & 1023:
+                meter.check_limits()
             ok = prop.propagate(self)
             if ok is RETIRED:
-                self.bindings.set(props, idx, ok)
+                trail.append((props, idx, prop))
+                props[idx] = ok
             runs += 1
             if ok and runs == slow:
                 ok = self._relaxation_feasible(prop.vars())
@@ -518,13 +556,13 @@ class FdStore:
                 rows.append(({v.id: -1}, dom.lo, "le"))
             if dom.hi != INF:
                 rows.append(({v.id: 1}, -dom.hi, "le"))
-            for idx in self.watchers.get(v.id, ()):
+            for idx in self.soft_watchers.get(v.id, ()):
                 prop = self.props[idx]
                 # the eq/le rows are exactly the bounds propagators
                 if idx in done or prop.wake != BOUNDS:
                     continue
                 done.add(idx)
-                self.tick()
+                self.meter.tick()
                 prop = prop.relinked(self.bindings)
                 rows.append(({x.id: c for c, x in prop.coeffs}, -prop.k,
                              prop.rel))
@@ -545,7 +583,7 @@ class FdStore:
                     if len(uses[vid]) == 1:
                         lone.append(vid)
                 rows[i] = None
-        scratch = RStore(Bindings(), self.tick)
+        scratch = RStore(Bindings(), self.meter)
         return scratch.post_linear(sorted((row for row in rows if row),
                                           key=lambda row: row[2] != "eq"))
 
@@ -569,7 +607,7 @@ class FdStore:
         prop = LinearProp([(sign * c, v) for v, c in form.items()],
                           shift - sign * const, rel)
         if len(form) <= 1:
-            self.tick()
+            self.meter.tick()
             if prop.propagate(self):
                 return self.propagate_fixpoint()
             self._clear_queue()
@@ -652,7 +690,7 @@ class FdStore:
         if not self.set_dom_raw(root.id, merged):
             return False
         moved = self.watchers.get(var.id, ())
-        self._watch(root.id, moved)
+        self._watch(root.id, moved, self.soft_watchers.get(var.id, ()))
         for idx in moved:
             prop = self.props[idx]
             if isinstance(prop, LinearProp):
@@ -697,7 +735,7 @@ def fd_label(var, store):
     the clock every 1,024 steps."""
     mark = store.bindings.mark()
     for value in store.domains[var.id].values():
-        store.tick()
+        store.meter.tick()
         if store.on_bind_value(var, value):
             yield
         store.bindings.undo_to(mark)

@@ -26,16 +26,16 @@ class RStore:
 
     The two tables are written only through bindings.set, and a stored
     row is never mutated in place, so the query's one trail undoes them
-    together with the bindings.  tick() is called once per row that an
-    equality rewrites and once per simplex pivot, so the work counts
-    toward the query's budget.
+    together with the bindings.  The meter's tick() is called once per
+    row that an equality rewrites and once per simplex pivot, so the work
+    counts toward the query's budget.
     """
 
-    def __init__(self, bindings, tick):
+    def __init__(self, bindings, meter):
         self.bindings = bindings
         self.rows = {}        # pivot vid -> (expr: {vid: Fraction}, const)
         self.ineqs = {}       # index -> ({vid: Fraction}, const, "le"|"lt")
-        self.tick = tick
+        self.meter = meter
 
     def mark(self):
         # Unused by the engine, which reads the trail height itself; kept
@@ -111,12 +111,12 @@ class RStore:
         put = self.bindings.set
         for p, (e, k) in list(self.rows.items()):
             if pivot in e:
-                self.tick()
+                self.meter.tick()
                 put(self.rows, p, _subst_into(e, k, pivot, pexpr, pconst))
         put(self.rows, pivot, (pexpr, pconst))
         for i, (e, k, rel) in list(self.ineqs.items()):
             if pivot in e:
-                self.tick()
+                self.meter.tick()
                 put(self.ineqs, i,
                     _subst_into(e, k, pivot, pexpr, pconst) + (rel,))
         self._bind_determined()
@@ -179,7 +179,7 @@ class RStore:
                        if c > 0 or n >= 0 or value.get(n, zero) < upper[n]]
             if not movable:
                 return False
-            self.tick()
+            self.meter.tick()
             n = min(movable)
             c = Fraction(row[n])
             (u, ud), (v, vd) = upper[b], value.get(b, zero)

@@ -203,24 +203,26 @@ class SolveState:
         self.db = db
         self.budget = budget or Budget()
         self.bindings = Bindings()
-        self.fd = FdStore(self.bindings, self._tick)
-        self.r = RStore(self.bindings, self._tick)
+        # the state is the stores' meter: they charge it through tick,
+        # and propagate_fixpoint counts on steps directly
+        self.fd = FdStore(self.bindings, self)
+        self.r = RStore(self.bindings, self)
         self.steps = 0
         self.deadline = math.inf
         self.choicepoints = []
         self.depth = 0          # goals pending, as of the last check
         self.notes = ()         # set by auto-labeling, for the answer
 
-    def _tick(self, n=1):
+    def tick(self, n=1):
         """Charge n steps; check the limits on passing a multiple of 1024."""
         before = self.steps
         self.steps = before + n
         if self.steps > self.budget.max_inference_steps:
             raise BudgetExceeded("steps")
         if self.steps >> 10 != before >> 10:
-            self._check_limits()
+            self.check_limits()
 
-    def _check_limits(self):
+    def check_limits(self):
         """Wall time and memory; called every 1024 steps, and by
         between/3 every 1024 values it tries."""
         if time.monotonic() > self.deadline:
@@ -618,7 +620,7 @@ def _run(state, query):
             raise BudgetExceeded("steps")
         if not steps & 1023:
             state.depth = depth
-            state._check_limits()
+            state.check_limits()
         if kind is Struct:
             args = goal.args
             key = (goal.name, len(args))
@@ -705,10 +707,10 @@ def solve(query, db, budget=None):
             for _ in _run(state, goal):
                 yield snapshot()
         finally:
-            # the stores hold state._tick, and suspended builtins hold
-            # state; drop both so that a finished query is freed at once
-            # instead of by the cycle collector
-            state.fd.tick = state.r.tick = None
+            # the stores hold state as their meter, and suspended
+            # builtins hold state; drop both so that a finished query is
+            # freed at once instead of by the cycle collector
+            state.fd.meter = state.r.meter = None
             state.choicepoints.clear()
 
     return answers()
@@ -1153,7 +1155,7 @@ def _between_values(state, lo, hi, x):
     m = b.mark()
     for value in range(lo, hi + 1):
         if not value & 1023:
-            state._check_limits()
+            state.check_limits()
         if state.unify(x, value):
             yield
         b.undo_to(m)

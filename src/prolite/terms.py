@@ -116,10 +116,15 @@ class Bindings:
     """Variable-id -> term map, the owner table, and the one trail of a
     query.
 
-    Every undoable write of a query goes through bind (a variable) or set
-    (a key of a dict that a constraint store owns), and undo_to rewinds
-    both in reverse order.  The values written are never mutated in place
-    afterwards, so restoring the old value restores the old state.
+    The trail's entry format is the contract: a variable id, undone by
+    unbinding it, or (dict, key, old value or _ABSENT), undone by
+    restoring the old value; undo_to rewinds the entries in reverse
+    order.  Undoable writes go through bind (a variable) or set (a key of
+    a dict that a constraint store owns), except the FD store's two
+    hottest, a narrowed domain and a retired propagator, which append
+    their (dict, key, old) entries directly.  The values written are
+    never mutated in place afterwards, so restoring the old value
+    restores the old state.
 
     A variable belongs to at most one constraint store: owner maps its id
     to (store, var), written only by claim.  Unification hands a binding

@@ -11,12 +11,29 @@ from hypothesis import given, settings, strategies as st
 from helpers import (EXPLODING, brute_solution_set, fd_solution_set,
                      linked_csp, random_csp, run_query)
 from prolite import Budget, consult, solve
-from prolite.clpfd import FdDomain, FdStore
+from prolite.clpfd import FIXED, FdDomain, FdStore
+from prolite.engine import SolveState
 from prolite.errors import PrologRuntimeError, UnboundedDomain
 from prolite.harness.oracles import csp_brute_oracle
 from prolite.orchestrator import run_candidate
 from prolite.reader import parse_program, parse_term_text
 from prolite.terms import Bindings, Struct, Var, list_to_python
+
+
+class _Meter:
+    """The least meter a store built outside a query needs: it counts
+    steps under the default budget and reads no clock."""
+
+    budget = Budget()
+
+    def __init__(self):
+        self.steps = 0
+
+    def tick(self, n=1):
+        self.steps += n
+
+    def check_limits(self):
+        pass
 
 
 def test_domain_interval_algebra():
@@ -93,7 +110,7 @@ def test_propagators_read_operands_bound_to_integers(relation, bound, after):
     # bind them, and the propagators then run over the integers; after is
     # the domain left to the unbound operand, or whether propagation
     # succeeds when both are bound
-    store = FdStore(Bindings(), lambda: None)
+    store = FdStore(Bindings(), _Meter())
     for var in (X, Y):
         assert store.post(Struct("#>=", (var, 0)))
         assert store.post(Struct("#=<", (var, 9)))
@@ -531,12 +548,133 @@ def test_eight_queens_first_answer_skips_retired_disequalities():
 
 
 def test_unary_posts_narrow_once_and_add_no_propagator():
-    ticks = []
-    store = FdStore(Bindings(), lambda: ticks.append(1))
+    meter = _Meter()
+    store = FdStore(Bindings(), meter)
     x = Var("X")
     for rel, lhs, rhs in [("#>=", x, 1), ("#\\=", x, 3),
                           ("#=<", Struct("*", (2, x)), 9)]:
         assert store.post(Struct(rel, (lhs, rhs)))
     assert store.dom(x) == FdDomain(((1, 2), (4, 4)))
-    assert (store.props, len(ticks)) == ({}, 3)
+    assert (store.props, meter.steps) == ({}, 3)
     assert not store.post(Struct("#=", (x, 3)))
+
+
+# --- the two watcher tables -----------------------------------------------
+
+def test_each_event_queues_only_the_propagators_it_can_wake():
+    # X #\= Y waits for a singleton, X + Y #=< 10 for a bounds move
+    meter = _Meter()
+    store = FdStore(Bindings(), meter)
+    x, y = Var("X"), Var("Y")
+    for var in (x, y):
+        assert store.post(Struct("#>=", (var, 0)))
+        assert store.post(Struct("#=<", (var, 9)))
+    assert store.post(Struct("#\\=", (x, y)))
+    assert store.post(Struct("#=<", (Struct("+", (x, y)), 10)))
+    ne, le = (idx for idx, prop in sorted(store.props.items()))
+    assert (store.props[ne].rel, store.props[le].rel) == ("ne", "le")
+    mark = store.bindings.mark()
+    # a value removed from the middle wakes neither
+    assert store.set_dom_raw(x.id, store.dom(x).remove(5))
+    assert list(store._queue) == []
+    # narrowed bounds wake only the #=<
+    assert store.set_dom_raw(x.id, store.dom(x).clip(0, 8))
+    assert list(store._queue) == [le]
+    store._clear_queue()
+    store.bindings.undo_to(mark)
+    # a singleton wakes both, in post order
+    assert store.set_dom_raw(x.id, FdDomain.from_range(3, 3))
+    assert list(store._queue) == [ne, le]
+    steps = meter.steps
+    # the #\= removes 3 from Y and retires; the #=< lowers Y's max to 7,
+    # which wakes it once more
+    assert store.propagate_fixpoint()
+    assert meter.steps == steps + 3 and store.props[ne].wake > FIXED
+    assert store.dom(y) == FdDomain(((0, 2), (4, 7)))
+    # the retired disequality stays out of the queue on a later singleton
+    assert store.set_dom_raw(y.id, FdDomain.from_range(5, 5))
+    assert list(store._queue) == [le]
+    assert store.propagate_fixpoint() and meter.steps == steps + 4
+
+
+def _soft_subsequence_holds(store):
+    props = store.props
+    for vid, full in store.watchers.items():
+        soft = tuple(i for i in full if props[i].wake < FIXED)
+        assert store.soft_watchers.get(vid, ()) == soft
+    assert set(store.soft_watchers) <= set(store.watchers)
+
+
+def _store_state(state):
+    fd = state.fd
+    return (dict(fd.domains), dict(fd.props), dict(fd.watchers),
+            dict(fd.soft_watchers), dict(state.bindings.map))
+
+
+_ops = st.one_of(
+    st.tuples(st.just("linear"),
+              st.sampled_from(["#=", "#\\=", "#=<", "#<", "#>="]),
+              st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]),
+                                 st.integers(0, 3)), min_size=1, max_size=3),
+              st.integers(-3, 8)),
+    st.tuples(st.just("mod"), st.integers(0, 3), st.integers(2, 4),
+              st.integers(0, 3)),
+    st.tuples(st.just("abs"), st.integers(0, 3), st.integers(-3, 3),
+              st.integers(0, 3)),
+    st.tuples(st.just("alias"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("bind"), st.integers(0, 3), st.integers(-1, 6)),
+    st.tuples(st.just("undo"), st.integers(0, 20)),
+)
+
+
+def _goal(op, vs):
+    kind = op[0]
+    if kind == "linear":
+        _, rel, terms, k = op
+        lhs = Struct("*", (terms[0][0], vs[terms[0][1]]))
+        for c, i in terms[1:]:
+            lhs = Struct("+", (lhs, Struct("*", (c, vs[i]))))
+        return Struct(rel, (lhs, k))
+    if kind == "mod":
+        _, i, m, j = op
+        return Struct("#=", (vs[j], Struct("mod", (vs[i], m))))
+    _, i, k, j = op
+    return Struct("#=", (vs[j], Struct("abs", (Struct("-", (vs[i], k)),))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ops, max_size=14))
+def test_soft_watchers_stay_the_filtered_full_tuple(ops):
+    # after every post, alias, binding and rewind, each variable's soft
+    # table is the wake < FIXED subsequence of its full tuple, and a
+    # rewind to a mark restores both tables and the domains exactly
+    state = SolveState(consult(parse_program("")))
+    bindings, fd = state.bindings, state.fd
+    vs = [Var(f"V{i}") for i in range(4)]
+    for v in vs:
+        assert fd.post(Struct("#>=", (v, 0)))
+        assert fd.post(Struct("#=<", (v, 5)))
+    marks = [(bindings.mark(), _store_state(state))]
+    for op in ops:
+        if op[0] == "undo":
+            mark, before = marks[op[1] % len(marks)]
+            bindings.undo_to(mark)
+            del marks[op[1] % len(marks) + 1:]
+            assert _store_state(state) == before
+            _soft_subsequence_holds(fd)
+            continue
+        mark, before = marks[-1]
+        if op[0] == "alias":
+            ok = state.unify(vs[op[1]], vs[op[2]])
+        elif op[0] == "bind":
+            ok = state.unify(vs[op[1]], op[2])
+        else:
+            ok = fd.post(_goal(op, vs))
+        assert not fd._queue and not fd._queued
+        _soft_subsequence_holds(fd)
+        if ok:
+            marks.append((bindings.mark(), _store_state(state)))
+        else:
+            # a failed goal is rewound, as backtracking rewinds it
+            bindings.undo_to(mark)
+            assert _store_state(state) == before

@@ -78,8 +78,8 @@ def _post(state, text):
 
 def _fd_tables(state):
     fd = state.fd
-    return (fd.domains, fd.props, fd.watchers, list(fd._queue),
-            fd._queued)
+    return (fd.domains, fd.props, fd.watchers, fd.soft_watchers,
+            list(fd._queue), fd._queued)
 
 
 def test_a_failed_read_leaves_nothing_in_the_fd_store():
@@ -92,7 +92,7 @@ def test_a_failed_read_leaves_nothing_in_the_fd_store():
         with pytest.raises(PlTypeError,
                            match="unsupported constraint expression"):
             _post(state, text)
-        assert _fd_tables(state) == ({}, {}, {}, [], set())
+        assert _fd_tables(state) == ({}, {}, {}, {}, [], set())
         assert state.bindings.owner == {}
 
 

@@ -571,7 +571,7 @@ def test_each_event_queues_only_the_propagators_it_can_wake():
         assert store.post(Struct("#=<", (var, 9)))
     assert store.post(Struct("#\\=", (x, y)))
     assert store.post(Struct("#=<", (Struct("+", (x, y)), 10)))
-    ne, le = (idx for idx, prop in sorted(store.props.items()))
+    ne, le = sorted(store.props)
     assert (store.props[ne].rel, store.props[le].rel) == ("ne", "le")
     mark = store.bindings.mark()
     # a value removed from the middle wakes neither

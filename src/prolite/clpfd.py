@@ -9,13 +9,12 @@ relaxation is infeasible in a scratch clpr.RStore, checked after a post
 or alias that leaves a bound infinite and once in a long fixpoint.
 Propagator runs, the rows the check collects or rewrites, its simplex
 pivots, the values a mod propagator walks (a step per 64) and each
-value labeling tries are charged to the query's meter (the engine's
-SolveState), which reads the clock whenever its count passes a
-multiple of 1,024; propagate_fixpoint charges its runs on the meter's
-step count directly.  A variable belongs to at most one store, so
-aliasing an FD variable with a rational one is a TypeMix error;
-labeling a variable without a finite domain raises UnboundedDomain
-(underdetermined).
+value labeling tries are charged to the query's meter, the engine's
+SolveState, whose checkpoint decides the step cap and its cadence;
+propagate_fixpoint adds its runs to the meter's count inline.  A
+variable belongs to at most one store, so aliasing an FD variable with
+a rational one is a TypeMix error; labeling a variable without a
+finite domain raises UnboundedDomain (underdetermined).
 
 Each propagator names in its wake attribute the domain event it reads,
 and a domain change queues only the watchers it can affect: a bounds
@@ -59,8 +58,7 @@ from bisect import bisect_right
 from collections import deque
 
 from .clpr import RStore
-from .errors import (BudgetExceeded, NonLinearUnsupported, PlTypeError,
-                     UnboundedDomain)
+from .errors import NonLinearUnsupported, PlTypeError, UnboundedDomain
 from .terms import Bindings, Struct, Var, linearize
 from .writer import term_to_text
 
@@ -401,10 +399,7 @@ class FdStore:
     watchers holds each variable's full tuple of propagator indexes, and
     soft_watchers the same tuple filtered to the propagators whose wake
     is below FIXED, in the same order; a variable none of those reads
-    has no soft entry.  The meter is the query's step counter: it has
-    steps, budget.max_inference_steps, tick(n=1), which charges n steps,
-    and check_limits(), which reads the clock and memory.
-    """
+    has no soft entry.  The meter is the query's engine.SolveState."""
 
     def __init__(self, bindings, meter):
         self.bindings = bindings
@@ -508,8 +503,7 @@ class FdStore:
         trail."""
         queue, props, trail = self._queue, self.props, self.trail
         popleft, discard = queue.popleft, self._queued.discard
-        meter = self.meter
-        max_steps = meter.budget.max_inference_steps
+        meter, limit = self.meter, self.meter.limit
         runs, slow = 0, SLOW_FIXPOINT * len(props)
         while queue:
             idx = popleft()
@@ -519,10 +513,8 @@ class FdStore:
                 continue
             # a run may tick itself, so the count is read again each time
             steps = meter.steps = meter.steps + 1
-            if steps > max_steps:
-                raise BudgetExceeded("steps")
-            if not steps & 1023:
-                meter.check_limits()
+            if steps >= limit:
+                limit = meter.checkpoint()
             ok = prop.propagate(self)
             if ok is RETIRED:
                 trail.append((props, idx, prop))
@@ -731,8 +723,7 @@ def _integer(t):
 def fd_label(var, store):
     """Yield once per value of var's domain that on_bind_value binds var
     to, rewinding the trail to the mark taken before the first between
-    values; each value tried charges one step, and the step budget reads
-    the clock every 1,024 steps."""
+    values; each value tried charges one step."""
     mark = store.bindings.mark()
     for value in store.domains[var.id].values():
         store.meter.tick()

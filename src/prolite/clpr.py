@@ -6,7 +6,8 @@ variables are bound straight into the engine bindings.  Inequalities,
 freed of pivot variables, are checked exactly by a general simplex with
 Bland's rule, which needs no cap on rows or pivots.  A variable belongs
 to at most one store: an FD variable in a posted relation, or aliased
-with a rational one, is a TypeMix error.
+with a rational one, is a TypeMix error.  Each row an equality rewrites
+and each simplex pivot is a step on the meter, the engine's SolveState.
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ class RStore:
 
     The two tables are written only through bindings.set, and a stored
     row is never mutated in place, so the query's one trail undoes them
-    together with the bindings.  The meter's tick() is called once per
-    row that an equality rewrites and once per simplex pivot, so the work
-    counts toward the query's budget.
-    """
+    together with the bindings."""
 
     def __init__(self, bindings, meter):
         self.bindings = bindings

@@ -47,9 +47,9 @@ or a goal's effects are thrown away.  The budget bounds steps, wall time
 and memory: the trail entries, choice points and pending goals a query
 holds at once, so proof depth is an explicit budget; each continuation
 entry carries its depth, so the pending goals are counted without a
-walk.  Time and memory are checked every 1,024 steps, and an iterator
-that a choice point resumes bounds its own loop: labeling charges a
-step per value, and between/3 checks them every 1,024 values it tries.
+walk.  SolveState alone decides these limits, and an iterator that a
+choice point resumes bounds its own loop: labeling charges a step per
+value, and between/3 reads the clock every 1,024 values it tries.
 
 A `#` goal is posted to the FD store only, which reads integers, and a
 `{}` goal to the rational store only; neither hands a goal to the other.
@@ -80,8 +80,8 @@ from .writer import term_to_text
 DEFAULT_MAX_STEPS = 5_000_000
 DEFAULT_WALL_TIMEOUT = 10.0
 # trail entries, choice points and pending goals a query may hold at
-# once, which bounds proof depth; also the longest findall/3 answer list
-# and length/2 list built
+# once, which bounds proof depth, and the longest list findall/3 or
+# length/2 builds; SolveState.hold decides it
 DEFAULT_MAX_MEMORY = 2 ** 18
 
 
@@ -197,38 +197,51 @@ class Solution:
 
 
 class SolveState:
-    """Single-owner machine state for one query."""
+    """Single-owner machine state for one query, and its one meter.
+
+    The stores see steps, limit, tick, checkpoint and check_limits.  A
+    charge adds to steps; once steps reaches limit (the next multiple
+    of 1,024, or one past the step cap), checkpoint() refuses a count
+    past the cap, else reads the clock and memory and returns the next
+    limit.  hold(n) alone refuses a size past the memory bound."""
 
     def __init__(self, db, budget=None):
         self.db = db
         self.budget = budget or Budget()
         self.bindings = Bindings()
-        # the state is the stores' meter: they charge it through tick,
-        # and propagate_fixpoint counts on steps directly
         self.fd = FdStore(self.bindings, self)
         self.r = RStore(self.bindings, self)
         self.steps = 0
-        self.deadline = math.inf
+        self.limit = min(1023, self.budget.max_inference_steps) + 1
+        self.deadline = time.monotonic() + self.budget.wall_timeout
         self.choicepoints = []
         self.depth = 0          # goals pending, as of the last check
         self.notes = ()         # set by auto-labeling, for the answer
 
     def tick(self, n=1):
-        """Charge n steps; check the limits on passing a multiple of 1024."""
-        before = self.steps
-        self.steps = before + n
-        if self.steps > self.budget.max_inference_steps:
-            raise BudgetExceeded("steps")
-        if self.steps >> 10 != before >> 10:
+        self.steps += n
+        if self.steps >= self.limit:
+            self.checkpoint()
+
+    def checkpoint(self):
+        """A no-op below limit, where a nested tick has checked."""
+        steps, cap = self.steps, self.budget.max_inference_steps
+        if steps >= self.limit:
+            if steps > cap:
+                raise BudgetExceeded("steps")
             self.check_limits()
+            self.limit = min(steps | 1023, cap) + 1
+        return self.limit
 
     def check_limits(self):
-        """Wall time and memory; called every 1024 steps, and by
-        between/3 every 1024 values it tries."""
+        """Wall time and memory; between/3 calls it every 1,024 values."""
         if time.monotonic() > self.deadline:
             raise BudgetExceeded("time")
-        if len(self.bindings.trail) + len(self.choicepoints) + self.depth \
-                > DEFAULT_MAX_MEMORY:
+        self.hold(len(self.bindings.trail) + len(self.choicepoints)
+                  + self.depth)
+
+    def hold(self, n):
+        if n > DEFAULT_MAX_MEMORY:
             raise BudgetExceeded("memory")
 
     # --- unification --------------------------------------------------
@@ -543,7 +556,7 @@ def _run(state, query):
     trail = bindings.trail
     undo_to = bindings.undo_to
     lookup = state.db.table.get
-    max_steps = state.budget.max_inference_steps
+    limit = state.limit
     cps = state.choicepoints
     cont = (query, 0, (_AUTO_LABEL, 0, None, 1), 2)
     while True:
@@ -604,8 +617,7 @@ def _run(state, query):
             elif goal is _COLLECT:
                 cp = cps[barrier]
                 cp[2].append(copy_term(cp[3], bindings))
-                if len(cp[2]) > DEFAULT_MAX_MEMORY:
-                    raise BudgetExceeded("memory")
+                state.hold(len(cp[2]))
                 cont = _FAIL
             elif goal is _LABEL:
                 cont = _label(state, barrier, nxt)
@@ -616,11 +628,10 @@ def _run(state, query):
             continue
 
         steps = state.steps = state.steps + 1
-        if steps > max_steps:
-            raise BudgetExceeded("steps")
-        if not steps & 1023:
-            state.depth = depth
-            state.check_limits()
+        if steps >= limit:
+            if steps >= state.limit:    # no nested tick has checked
+                state.depth = depth
+            limit = state.checkpoint()
         if kind is Struct:
             args = goal.args
             key = (goal.name, len(args))
@@ -676,7 +687,6 @@ def solve(query, db, budget=None):
     grounded by auto-labeling when the query leaves them non-ground.
     """
     state = SolveState(db, budget)
-    state.deadline = time.monotonic() + state.budget.wall_timeout
     query_vars = term_vars(query)
     owner_of = state.bindings.owner_of
 
@@ -1168,8 +1178,7 @@ def _bi_length(state, args):
         return state.unify(args[1], len(items))
     n = b.deref(args[1])
     if isinstance(n, int) and n >= 0:
-        if n > DEFAULT_MAX_MEMORY:
-            raise BudgetExceeded("memory")
+        state.hold(n)
         fresh = make_list([Var() for _ in range(n)])
         return state.unify(args[0], fresh)
     raise InstantiationError("length/2: list and length both unbound")

@@ -11,29 +11,13 @@ from hypothesis import given, settings, strategies as st
 from helpers import (EXPLODING, brute_solution_set, fd_solution_set,
                      linked_csp, random_csp, run_query)
 from prolite import Budget, consult, solve
-from prolite.clpfd import FIXED, FdDomain, FdStore
+from prolite.clpfd import FIXED, FdDomain
 from prolite.engine import SolveState
 from prolite.errors import PrologRuntimeError, UnboundedDomain
 from prolite.harness.oracles import csp_brute_oracle
 from prolite.orchestrator import run_candidate
 from prolite.reader import parse_program, parse_term_text
-from prolite.terms import Bindings, Struct, Var, list_to_python
-
-
-class _Meter:
-    """The least meter a store built outside a query needs: it counts
-    steps under the default budget and reads no clock."""
-
-    budget = Budget()
-
-    def __init__(self):
-        self.steps = 0
-
-    def tick(self, n=1):
-        self.steps += n
-
-    def check_limits(self):
-        pass
+from prolite.terms import Struct, Var, list_to_python
 
 
 def test_domain_interval_algebra():
@@ -110,7 +94,7 @@ def test_propagators_read_operands_bound_to_integers(relation, bound, after):
     # bind them, and the propagators then run over the integers; after is
     # the domain left to the unbound operand, or whether propagation
     # succeeds when both are bound
-    store = FdStore(Bindings(), _Meter())
+    store = SolveState(None).fd
     for var in (X, Y):
         assert store.post(Struct("#>=", (var, 0)))
         assert store.post(Struct("#=<", (var, 9)))
@@ -548,14 +532,14 @@ def test_eight_queens_first_answer_skips_retired_disequalities():
 
 
 def test_unary_posts_narrow_once_and_add_no_propagator():
-    meter = _Meter()
-    store = FdStore(Bindings(), meter)
+    state = SolveState(None)
+    store = state.fd
     x = Var("X")
     for rel, lhs, rhs in [("#>=", x, 1), ("#\\=", x, 3),
                           ("#=<", Struct("*", (2, x)), 9)]:
         assert store.post(Struct(rel, (lhs, rhs)))
     assert store.dom(x) == FdDomain(((1, 2), (4, 4)))
-    assert (store.props, meter.steps) == ({}, 3)
+    assert (store.props, state.steps) == ({}, 3)
     assert not store.post(Struct("#=", (x, 3)))
 
 
@@ -563,8 +547,8 @@ def test_unary_posts_narrow_once_and_add_no_propagator():
 
 def test_each_event_queues_only_the_propagators_it_can_wake():
     # X #\= Y waits for a singleton, X + Y #=< 10 for a bounds move
-    meter = _Meter()
-    store = FdStore(Bindings(), meter)
+    state = SolveState(None)
+    store = state.fd
     x, y = Var("X"), Var("Y")
     for var in (x, y):
         assert store.post(Struct("#>=", (var, 0)))
@@ -585,16 +569,16 @@ def test_each_event_queues_only_the_propagators_it_can_wake():
     # a singleton wakes both, in post order
     assert store.set_dom_raw(x.id, FdDomain.from_range(3, 3))
     assert list(store._queue) == [ne, le]
-    steps = meter.steps
+    steps = state.steps
     # the #\= removes 3 from Y and retires; the #=< lowers Y's max to 7,
     # which wakes it once more
     assert store.propagate_fixpoint()
-    assert meter.steps == steps + 3 and store.props[ne].wake > FIXED
+    assert state.steps == steps + 3 and store.props[ne].wake > FIXED
     assert store.dom(y) == FdDomain(((0, 2), (4, 7)))
     # the retired disequality stays out of the queue on a later singleton
     assert store.set_dom_raw(y.id, FdDomain.from_range(5, 5))
     assert list(store._queue) == [le]
-    assert store.propagate_fixpoint() and meter.steps == steps + 4
+    assert store.propagate_fixpoint() and state.steps == steps + 4
 
 
 def _soft_subsequence_holds(store):

@@ -1143,7 +1143,9 @@ def _bi_arith(name):
 
 def _run_between(state, args, barrier, cont):
     b = state.bindings
-    lo, hi = eval_arith(args[0], b), eval_arith(args[1], b)
+    lo, hi = b.deref(args[0]), b.deref(args[1])
+    if type(lo) is Var or type(hi) is Var:
+        raise InstantiationError("between/3: bounds not instantiated")
     if not (isinstance(lo, int) and isinstance(hi, int)):
         raise PlTypeError("between/3 expects integer bounds")
     x = b.deref(args[2])

@@ -13,7 +13,7 @@ from prolite.errors import BudgetExceeded
 from prolite.reader import parse_program, parse_term_text
 
 # frames that only pass a charge on to check_limits
-_METER = {"_counting", "tick", "checkpoint"}
+_METER = {"tick", "checkpoint"}
 
 COUNT = """\
 count(N, N).
@@ -32,7 +32,7 @@ noattack(Q, [Q1|Qs], D) :-
     D1 is D + 1, noattack(Q, Qs, D1).
 """
 
-# each X #\\= I removes a value of X, which wakes X mod 7 #= M, and the
+# each X #\= I removes a value of X, which wakes X mod 7 #= M, and the
 # propagator charges a step per 64 values it walks
 MODS = """\
 cut(I, N, _) :- I > N.

@@ -120,9 +120,6 @@ class FdDomain:
                 ivs.append([v, v])
         return cls(tuple((a, b) for a, b in ivs))
 
-    def size(self):
-        return self.card
-
     def is_finite(self):
         return self.card != INF
 

@@ -190,8 +190,8 @@ def consult(program) -> Database:
 
 @dataclass
 class Solution:
+    """One answer of solve(): what the query variables are bound to."""
     bindings: dict            # query variable name -> resolved term
-    notes: tuple = ()
     underdetermined: frozenset = frozenset()  # names with rational residue
     steps: int = 0            # inference steps spent up to this answer
 
@@ -215,8 +215,7 @@ class SolveState:
         self.limit = min(1023, self.budget.max_inference_steps) + 1
         self.deadline = time.monotonic() + self.budget.wall_timeout
         self.choicepoints = []
-        self.depth = 0          # goals pending, as of the last check
-        self.notes = ()         # set by auto-labeling, for the answer
+        self.depth = 0          # goals pending at the step last charged
 
     def tick(self, n=1):
         self.steps += n
@@ -623,14 +622,12 @@ def _run(state, query):
                 cont = _label(state, barrier, nxt)
             else:  # _AUTO_LABEL
                 pending = state.fd.to_label(state.fd.constrained_vars())
-                state.notes = ("auto-label fired",) if pending else ()
                 cont = _then(_LABEL, (pending, 0, False), nxt)
             continue
 
         steps = state.steps = state.steps + 1
+        state.depth = depth
         if steps >= limit:
-            if steps >= state.limit:    # no nested tick has checked
-                state.depth = depth
             limit = state.checkpoint()
         if kind is Struct:
             args = goal.args
@@ -705,8 +702,7 @@ def solve(query, db, budget=None):
             name = v.name
             loose.discard(name)
             resolved[name] = rebuild(v, state.bindings, leaf)
-        return Solution(resolved, state.notes, frozenset(loose),
-                        state.steps)
+        return Solution(resolved, frozenset(loose), state.steps)
 
     def answers():
         try:

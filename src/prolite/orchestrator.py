@@ -147,7 +147,6 @@ class ExecResult:
     answer: object = None       # int or float when status == "ok"
     exact: bool = True
     detail: str = ""
-    notes: tuple = ()
 
 
 def _render_answer(value):
@@ -171,6 +170,10 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
     """Consult source and run the entry query; never raises, all failure
     modes are folded into the exec-status taxonomy.
 
+    The verdict is the first answer's, as with once/1: the search stops
+    there, and whatever the rest of it would do, run out of budget or
+    raise, cannot change the verdict.
+
     Each verdict is kept in a bounded LRU of FRONT_END_ENTRIES
     judgments, keyed by the source text, the entry, the budget (None is
     Budget()) and the engine's memory bound: a call that meets the key
@@ -187,9 +190,10 @@ def run_candidate(source, entry="problem(Answer)", budget=None):
 
 @functools.lru_cache(maxsize=FRONT_END_ENTRIES)
 def _judge(source, entry, budget, memory):
-    """The ExecResult of the entry query on the program source under
-    budget; memory, the engine's memory bound, is only a key.  A run
-    that ends on the wall clock raises BudgetExceeded("time")."""
+    """The ExecResult of the entry query's first answer on the program
+    source under budget; the query's generator is closed once that
+    answer is in.  memory, the engine's memory bound, is only a key.  A
+    run that ends on the wall clock raises BudgetExceeded("time")."""
     try:
         db = consult(parse_program(source))
     except (LexError, ParseError) as exc:
@@ -208,9 +212,6 @@ def _judge(source, entry, budget, memory):
     try:
         gen = solve(query, db, budget)
         first = next(gen, None)
-        if first is None:
-            return ExecResult("no-solution")
-        more = next(gen, None) is not None
         gen.close()
     except BudgetExceeded as exc:
         if exc.kind == "time":
@@ -220,22 +221,21 @@ def _judge(source, entry, budget, memory):
         return ExecResult("underdetermined", detail=str(exc))
     except ProliteError as exc:
         return ExecResult("runtime-error", detail=str(exc))
-    notes = list(first.notes)
-    if more:
-        notes.append("multiple solutions; first taken")
+    if first is None:
+        return ExecResult("no-solution")
     if answer_var.name in first.underdetermined:
-        return ExecResult("underdetermined", notes=tuple(notes),
+        return ExecResult("underdetermined",
                           detail=f"{answer_var.name} not determined")
     value = first.bindings[answer_var.name]
     try:
         answer, exact = _render_answer(value)
     except (ValueError, OverflowError):
-        return ExecResult("runtime-error", notes=tuple(notes),
+        return ExecResult("runtime-error",
                           detail=f"{answer_var.name} is too large to print")
     if answer is None:
-        return ExecResult("non-numeric", notes=tuple(notes),
+        return ExecResult("non-numeric",
                           detail=f"{answer_var.name} bound to non-number")
-    return ExecResult("ok", answer=answer, exact=exact, notes=tuple(notes))
+    return ExecResult("ok", answer=answer, exact=exact)
 
 
 @dataclass

@@ -379,8 +379,6 @@ def record(name, program, entry, budget):
             text = ", ".join(
                 f"{var} = {term_to_text(_canonical(value))}"
                 for var, value in solution.bindings.items())
-            if solution.notes:
-                text += "  % " + "; ".join(solution.notes)
             if solution.underdetermined:
                 text += "  % loose " + " ".join(
                     sorted(solution.underdetermined))

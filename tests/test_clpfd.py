@@ -22,14 +22,14 @@ from prolite.terms import Struct, Var, list_to_python
 
 def test_domain_interval_algebra():
     d = FdDomain.from_range(1, 9)
-    assert d.size() == 9
+    assert d.card == 9
     d2 = d.remove(5)
-    assert d2.size() == 8
+    assert d2.card == 8
     assert 5 not in d2.values()
     d3 = d2.intersect(FdDomain.from_range(4, 6))
     assert sorted(d3.values()) == [4, 6]
     assert FdDomain.from_values([1, 2, 3]).intersect(
-        FdDomain.from_values([4])).size() == 0
+        FdDomain.from_values([4])).card == 0
 
 
 INF = float("inf")
@@ -61,9 +61,9 @@ INF = float("inf")
         "clip-empty", "remove-lo", "remove-inner", "remove-outside",
         "remove-last", "remove-unbounded", "intersect", "intersect-empty"])
 def test_domains_cache_their_bounds_and_size(dom, lo, hi, size):
-    assert (dom.lo, dom.hi, dom.card, dom.size()) == (lo, hi, size, size)
-    assert dom.size() == (sum(b - a + 1 for a, b in dom.intervals)
-                          if dom.is_finite() else INF)
+    assert (dom.lo, dom.hi, dom.card) == (lo, hi, size)
+    assert dom.card == (sum(b - a + 1 for a, b in dom.intervals)
+                        if dom.is_finite() else INF)
     assert dom.is_finite() == (size != INF)
 
 
@@ -159,7 +159,6 @@ def test_labeling_unbounded_domain_raises():
 def test_auto_labeling_fires_at_answer_time():
     sols = run_query("", "X #>= 1, X #=< 3, X #\\= 2")
     assert [s.bindings["X"] for s in sols] == [1, 3]
-    assert any("auto-label" in note for note in sols[0].notes)
 
 
 def test_first_fail_strategy_same_solution_set():

@@ -180,7 +180,7 @@ def _run(db, text):
             answers.append((
                 sorted((name, _masked(term_to_text(t)))
                        for name, t in sol.bindings.items()),
-                sol.notes, sorted(sol.underdetermined), sol.steps))
+                sorted(sol.underdetermined), sol.steps))
             if len(answers) == 3:
                 break
     except PrologRuntimeError as exc:

@@ -1,7 +1,8 @@
 """The query's meter at each site that charges it: the machine loop, the
 FD fixpoint, and a mod propagator's walk (a charge of more than one step
 at a time).  The clock and memory are read once per multiple of 1,024
-steps reached, and a step cap is refused at exactly one step past it."""
+steps reached, a step cap is refused at exactly one step past it, and
+the memory check counts the goals pending at the goal being run."""
 
 import sys
 
@@ -37,6 +38,12 @@ noattack(Q, [Q1|Qs], D) :-
 MODS = """\
 cut(I, N, _) :- I > N.
 cut(I, N, X) :- I =< N, X #\\= I, I1 is I + 1, cut(I1, N, X).
+"""
+
+# every level posts three FD constraints, so about half the checks are
+# reached inside the FD store and not in the machine loop
+DEEP = """\
+d(N) :- N > 0, X #>= 0, X #=< 3, X #\\= N mod 4, N1 is N - 1, d(N1), true.
 """
 
 
@@ -106,3 +113,20 @@ def test_a_step_cap_off_the_cadence_ends_one_step_past_it(checks, program,
     while tb.tb_next is not None:
         tb = tb.tb_next
     assert _site(tb.tb_frame) == site
+
+
+def test_the_memory_check_counts_the_goals_pending_now(monkeypatch):
+    depths = []
+    real = SolveState.check_limits
+
+    def _recording(self):
+        depths.append(self.depth)
+        return real(self)
+
+    monkeypatch.setattr(SolveState, "check_limits", _recording)
+    _exhaust(DEEP, "d(3000)")
+    # the true after the recursive call leaves one more goal pending at
+    # each level, whichever site checks
+    first = depths[:12]
+    assert len(first) == 12 and first[0] > 0
+    assert all(a < b for a, b in zip(first, first[1:]))

@@ -5,6 +5,7 @@ scripted, flaky, and replay providers."""
 import io
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -107,10 +108,28 @@ def test_run_candidate_statuses():
         "underdetermined"
 
 
-def test_run_candidate_takes_first_solution_and_notes_more():
+def test_run_candidate_takes_first_solution():
     result = run_candidate("p(1). p(2).", "p(X)")
     assert result.status == "ok" and result.answer == 1
-    assert any("multiple" in note for note in result.notes)
+
+
+@pytest.mark.parametrize("source, answer", [
+    ("problem(A) :- A = 1.\n"
+     "problem(A) :- loop(A).\n"
+     "loop(A) :- loop(A).", 1),
+    ("problem(A) :- between(1, 100000000, X),"
+     " (X =:= 1 ; X =:= 100000000), A = 7.", 7),
+    ("problem(A) :- A = 1.\nproblem(A) :- A is 1 / 0.", 1),
+    ("problem(A) :- X #>= 0, X #=< 1, A = 1.", 1),
+], ids=["then-loop", "then-long-search", "then-error", "fd-choices"])
+def test_run_candidate_judges_the_first_answer_alone(source, answer):
+    # each program has more to search after its first answer, and in
+    # the first three that search loops, runs long or raises
+    from prolite import Budget
+    started = time.monotonic()
+    result = run_candidate(source, budget=Budget(10**6, 2.0))
+    assert time.monotonic() - started < 0.5
+    assert (result.status, result.answer) == ("ok", answer)
 
 
 def test_run_candidate_budget():

@@ -42,6 +42,9 @@ domain table directly; a run allocates only the domains it narrows,
 and removing a value splits only the interval holding it.  A post
 reads its expression in one pass of terms.linearize, in time linear in
 its size; a compound met again is read once more, then its form reused.
+A clause-body goal that the engine read at consult is summed from the
+values of its clause variables instead, when each is an unbound
+variable or an integer.
 The FD store reads integers only: a Fraction or float, a / or rdiv, or
 any other term it cannot read is a PlTypeError, and a variable the
 rational store owns is a TypeMix error; a read that raises rewinds the
@@ -580,14 +583,18 @@ class FdStore:
         """Post one #-rooted constraint goal; False means inconsistency.
 
         One read of lhs - rhs gives the linear form and links the
-        propagator.  A read that raises leaves nothing behind: the trail
-        is rewound past the claims, domains and auxiliary propagators it
-        wrote."""
+        propagator.  A built goal, a Struct, is read by read(); a body
+        goal the engine compiled from clause text reads itself through
+        its read(store), which sums the form of its text or, when a value
+        is not an unbound variable or an integer, builds the goal and
+        reads it by read().  Everything after the read is shared.  A read
+        that raises leaves nothing behind: the trail is rewound past the
+        claims, domains and auxiliary propagators it wrote."""
         bindings = self.bindings
         mark = len(bindings.trail)
         try:
-            form, const = linearize(Struct("-", goal.args), bindings,
-                                    _integer, self._claim, self._special)
+            form, const = self.read(goal.args) if type(goal) is Struct \
+                else goal.read(self)
         except Exception:
             bindings.undo_to(mark)
             self._clear_queue()
@@ -612,6 +619,20 @@ class FdStore:
                for v in form):
             return self.propagate_fixpoint()
         return self._settle(form)
+
+    def read(self, args):
+        """The linear form of args[0] - args[1], read by terms.linearize."""
+        return linearize(Struct("-", args), self.bindings, _integer,
+                         self._claim, self._special)
+
+    def read_sum(self, form, k):
+        """The read of sum(c * v for v, c in form.items()) + k, whose
+        variables are unbound and in order of first occurrence, as
+        linearize gives it: each variable claimed, in that order, and
+        zero coefficients dropped."""
+        for v in form:
+            self._claim(v)
+        return {v: c for v, c in form.items() if c}, k
 
     def _claim(self, var):
         """The read's variable hook: an unbound variable new to the store

@@ -30,9 +30,13 @@ Clauses are templates and are never renamed for a call.  A head is
 unified with the goal slot by slot: a clause variable's id is its slot
 in a per-call frame, its first occurrence takes the goal's argument as
 it is, and only the subterms a goal variable gets bound to are built.
-The body is built once per head that unifies, bar its arithmetic: a goal
-is/2 or a comparison is an _ArithGoal, evaluated from the clause text
-through the frame when it runs.  A goal is dispatched by one lookup in
+The body is built once per head that unifies, bar its arithmetic and
+its linear # goals: a goal is/2 or a comparison is an _ArithGoal,
+evaluated from the clause text through the frame when it runs, and a #
+relation linear in its clause variables is read into a _LinearPost once,
+at consult, and posted as a _PostGoal, which sums that form from the
+frame's values or, when one is not an unbound variable or an integer,
+builds the goal.  A goal is dispatched by one lookup in
 the Database, which maps each indicator to a builtin or to the
 predicate's first-argument index (key -> clauses in source order,
 clauses with a variable first argument merged in), and a call pushes no
@@ -53,6 +57,7 @@ value, and between/3 reads the clock every 1,024 values it tries.
 
 A `#` goal is posted to the FD store only, which reads integers, and a
 `{}` goal to the rational store only; neither hands a goal to the other.
+Every `#` post, built or compiled, enters through FdStore.post.
 An answer is rebuilt in one walk per query variable, which also finds
 the variables the rational store owns in it.
 """
@@ -69,12 +74,12 @@ from fractions import Fraction
 from .clpfd import REL_OPS, FdStore, fd_label
 from .clpr import RStore
 from .errors import (BudgetExceeded, BuiltinRedefinition, EvaluationError,
-                     ExistenceError, InstantiationError, PlTypeError,
-                     TypeMix, ZeroDivisor)
+                     ExistenceError, InstantiationError, NonLinearUnsupported,
+                     PlTypeError, TypeMix, ZeroDivisor)
 from .reader import comma_flatten, parse_program
 from .terms import (NIL, Atom, Bindings, Struct, Var, arg_key,
-                    indicator, list_to_python, make_list, normalize_number,
-                    occurs, rebuild, term_vars)
+                    indicator, linearize, list_to_python, make_list,
+                    normalize_number, occurs, rebuild, term_vars)
 from .writer import term_to_text
 
 DEFAULT_MAX_STEPS = 5_000_000
@@ -120,11 +125,13 @@ class _Predicate:
     """First-argument index over the clauses of one predicate, built by
     `consult` and never written after.
 
-    Each clause is kept as (head arguments, body goals).  by_key maps the
-    key of a first argument (terms.arg_key) to the clauses whose first
-    argument has that key or is a variable, in source order; a goal
-    whose first argument has a key no clause names gets the variable
-    ones, and a goal whose first argument is unbound gets all.
+    Each clause is kept as (head arguments, body goals), a body goal that
+    is a # relation linear in its clause variables as the _LinearPost
+    read from it here, once.  by_key maps the key of a first argument
+    (terms.arg_key) to the clauses whose first argument has that key or
+    is a variable, in source order; a goal whose first argument has a
+    key no clause names gets the variable ones, and a goal whose first
+    argument is unbound gets all.
     """
 
     __slots__ = ("clauses", "by_key", "open")
@@ -135,11 +142,15 @@ class _Predicate:
         self.open = []          # clauses with a variable first argument
 
     def add(self, clause):
-        head = clause.head
+        # one test per goal, inline: most clauses hold no # goal
+        head, body = clause.head, clause.body
+        if body:
+            body = tuple([_linear_post(g) if type(g) is Struct
+                          and g.name in REL_OPS else g for g in body])
         if isinstance(head, Struct):
-            entry, key = (head.args, clause.body), arg_key(head.args[0])
+            entry, key = (head.args, body), arg_key(head.args[0])
         else:
-            entry, key = ((), clause.body), None
+            entry, key = ((), body), None
         self.clauses.append(entry)
         if key is None:
             self.open.append(entry)
@@ -435,6 +446,89 @@ class _ArithGoal:
         self.left = _build(left, frame) if tpl.name == "is" else left
 
 
+class _LinearPost:
+    """A clause-body # relation linear in its clause variables, read once
+    at consult: slots pairs each clause variable of goal, in order of
+    first occurrence, with its coefficient in lhs - rhs, one that sums to
+    0 included, since a read still claims its value; k is the constant."""
+
+    __slots__ = ("goal", "slots", "k")
+
+    def __init__(self, goal, slots, k):
+        self.goal, self.slots, self.k = goal, slots, k
+
+
+class _NotLinear(Exception):
+    """A # goal the consult-time read leaves to be built."""
+
+
+def _literal(t):
+    """The consult-time read's number hook, and its special hook, since
+    no compound is an integer."""
+    if type(t) is int:
+        return t
+    raise _NotLinear
+
+
+_TEXT = Bindings()      # clause text is read with no variable bound
+
+
+def _linear_post(goal):
+    """goal, a compound named by a # relation, as a _LinearPost when it
+    is one that terms.linearize reads over its clause variables with
+    integer literals alone and no special compound, else goal itself."""
+    if len(goal.args) != 2:
+        return goal
+    order = []
+
+    def leaf(var):
+        order.append(var)
+        return var
+
+    try:
+        coeffs, k = linearize(Struct("-", goal.args), _TEXT, _literal, leaf,
+                              _literal)
+    except (_NotLinear, NonLinearUnsupported):
+        return goal
+    return _LinearPost(goal, tuple((v, coeffs.get(v, 0)) for v in order), k)
+
+
+class _PostGoal:
+    """A _LinearPost under the frame of its call, run by FdStore.post.
+    Made, it gives the clause variables not yet in the frame the fresh
+    variables _build_struct would give them, in the same order."""
+
+    __slots__ = ("name", "post", "frame")
+
+    def __init__(self, post, frame):
+        self.name, self.post, self.frame = post.goal.name, post, frame
+        for v, _ in post.slots:
+            if v.id not in frame:
+                frame[v.id] = Var(v.name)
+
+    def read(self, store):
+        """FdStore.post's read: the form summed from the slots' values
+        when each is an unbound variable or an integer, else the read of
+        the goal built under the frame."""
+        frame, bmap = self.frame, store.bindings.map
+        post = self.post
+        form, k = {}, post.k
+        for v, c in post.slots:
+            t = frame[v.id]
+            while type(t) is Var:
+                bound = bmap.get(t.id)
+                if bound is None:
+                    break
+                t = bound
+            if type(t) is Var:
+                form[t] = form.get(t, 0) + c
+            elif type(t) is int:
+                k += c * t
+            else:
+                return store.read(_build_struct(post.goal, frame, 0).args)
+        return store.read_sum(form, k)
+
+
 def _build_goal(tpl, frame, role=_GOAL):
     """Build a body goal, a clause variable in goal position as a
     _VarGoal.  The walk keeps its own stack of (template, role) entries;
@@ -493,8 +587,12 @@ def _resolve_clause(state, args, cands, i, mark):
 
 
 def _push_body(body, frame, barrier, cont):
-    """cont with the goals of body, built under frame, in front."""
-    goals = [_build_goal(g, frame) if type(g) is not Struct
+    """cont with the goals of body, built under frame, in front: an
+    arithmetic goal as an _ArithGoal and a _LinearPost as a _PostGoal,
+    both run on the clause text through frame.  A plain Struct goal meets
+    no test for a _LinearPost."""
+    goals = [(_PostGoal(g, frame) if type(g) is _LinearPost
+              else _build_goal(g, frame)) if type(g) is not Struct
              or g.name in _CONTROL_NAMES else _ArithGoal(g, frame)
              if g.name in _ARITH_GOALS and len(g.args) == 2
              else _build_struct(g, frame, 0) for g in body]
@@ -650,6 +748,9 @@ def _run(state, query):
             if type(goal) is Var:
                 raise InstantiationError("unbound goal")
             cont = (goal, barrier, nxt, depth)
+            continue
+        elif kind is _PostGoal:
+            cont = nxt if state.fd.post(goal) else _FAIL
             continue
         else:
             raise PlTypeError(f"goal is not callable: {term_to_text(goal)}")

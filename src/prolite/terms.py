@@ -322,16 +322,20 @@ def linearize(expr, bindings, constant, leaf, special):
     integers until constant reads the sums.  A product not led by a
     number reads its left side on its own: a ground one scales the right
     side, else the right side, read on its own, must be ground and scales
-    a copy of the left one.  A special compound's value is kept; another
-    compound met again is read once more on its own and its form kept
-    for each later meeting.  So, but for those copies, a read costs time
+    the left one.  A form read on its own is (coeffs, k, scale), worth
+    scale * coeffs + k: a product that is all of such a form hands on its
+    left side's map with the scale pending, and the map is copied, scaled,
+    only where it joins other terms, so products nested d deep cost no
+    d copies.  A special compound's value is kept; another compound met
+    again is read once more on its own and its form kept for each later
+    meeting.  So, but for the copies where forms join, a read costs time
     linear in the term as a tree, and a term such as X1 = X0 + X0,
     X2 = X1 + X1, ... costs its size as a DAG.
     """
     bmap = bindings.map
     coeffs, k = {}, 0   # the form being read
     outer = []          # the forms it is read inside, innermost last
-    closed = []         # forms read on their own, waiting for their use
+    closed = []         # (coeffs, k, scale) of forms read on their own
     keys = {}           # var id -> leaf(var)
     met = {}            # id of a compound -> None once met, then its form
     again = 0           # compounds being read again on their own
@@ -394,7 +398,7 @@ def linearize(expr, bindings, constant, leaf, special):
                 coeffs, k = {}, 0
                 continue
             if step == "close":
-                closed.append((coeffs, k))
+                closed.append((coeffs, k, 1))
                 coeffs, k = outer.pop()
                 continue
             if step == "mul":
@@ -408,25 +412,35 @@ def linearize(expr, bindings, constant, leaf, special):
                 continue
             if step == "scale":
                 # a, the left side of a product, times the right one
-                rcoeffs, rk = closed.pop()
+                rcoeffs, rk, _ = closed.pop()
                 if any(rcoeffs.values()):
                     raise NonLinearUnsupported(
                         "product of two non-ground expressions")
                 form, m = a, m * rk
+                if m and not coeffs and stack and stack[-1] is _CLOSE:
+                    # the product is all of a form read on its own: close
+                    # that form as a's map, the scale pending
+                    pop()
+                    fcoeffs, fk, scale = form
+                    closed.append((fcoeffs, k + m * fk, m * scale))
+                    coeffs, k = outer.pop()
+                    continue
             elif step == "finish":
                 t, finish, n = a
-                values = [({v: constant(c) for v, c in fc.items()},
-                           constant(fk)) for fc, fk in closed[-n:]]
+                values = [({v: constant(scale * c) for v, c in fc.items()},
+                           constant(fk)) for fc, fk, scale in closed[-n:]]
                 del closed[-n:]
-                form = met[id(t)] = finish(*values)
+                form = met[id(t)] = (*finish(*values), 1)
             elif step == "memo":
                 form = met[id(a)] = closed.pop()
                 again -= 1
             else:   # "add"
                 form = a
-            for v, c in form[0].items():
-                coeffs[v] = coeffs.get(v, 0) + m * c
-            k += m * form[1]
+            fcoeffs, fk, scale = form
+            scale *= m
+            for v, c in fcoeffs.items():
+                coeffs[v] = coeffs.get(v, 0) + scale * c
+            k += m * fk
     return {v: constant(c) for v, c in coeffs.items() if c}, constant(k)
 
 
@@ -434,11 +448,15 @@ _LINEAR_OPS = {("+", 1): "pos", ("-", 1): "neg", ("+", 2): "add",
                ("-", 2): "sub", ("*", 2): "mul"}
 
 
+_OPEN = (None, ("open", None, None))
+_CLOSE = (None, ("close", None, None))
+
+
 def _read_alone(push, t):
     """Push the steps that read t into a form of its own."""
-    push((None, ("close", None, None)))
+    push(_CLOSE)
     push((t, 1))
-    push((None, ("open", None, None)))
+    push(_OPEN)
 
 
 def indicator(t):

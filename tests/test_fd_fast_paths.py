@@ -269,6 +269,7 @@ A, W, S = BOUND
 V = Var("V")        # bound to abs(X), so that a term holding V shares it
 B.bind(V, Struct("abs", (X,)))
 GROUND_ZERO = Struct("-", (X, X))
+PRODUCT = Struct("*", (Struct("+", (X, Y)), 2))
 
 
 @pytest.mark.parametrize("expr", [
@@ -292,6 +293,17 @@ GROUND_ZERO = Struct("-", (X, X))
     Struct("*", (Struct("-", (Y, Fraction(1, 3))), Fraction(3, 2))),
     _doubled(6),
     _nested_again(),
+    # products nested in forms read on their own: the scale is pending
+    # until the form joins other terms
+    Struct("*", (Struct("*", (Struct("+", (X, Y)), 2)), Struct("-", (2, 5)))),
+    Struct("*", (Struct("+", (1, Struct("*", (X, 2)))), 3)),
+    Struct("*", (Struct("+", (X, Struct("*", (Y, 2)))), 3)),
+    Struct("+", (PRODUCT, Struct("-", (Z, PRODUCT)))),
+    Struct("abs", (Struct("*", (PRODUCT, 3)),)),
+    Struct("+", (Struct("*", (Struct("*", (Y, 3)), 0)), X)),
+    Struct("*", (Struct("*", (PRODUCT, 0)), Struct("+", (Y, 1)))),
+    Struct("*", (X, Struct("+", (Struct("-", (Y, Y)), 2)))),
+    Struct("*", (Struct("*", (X, Fraction(1, 2))), 4)),
 ])
 def test_linearize_agrees_with_the_reference_on_chosen_terms(expr):
     _agree(expr)

@@ -400,18 +400,23 @@ r(0, 0).
 r(N, _ + E) :- N > 0, M is N - 1, r(M, E).
 rd(0, 0).
 rd(N, _ - E) :- N > 0, M is N - 1, rd(M, E).
+sc(0, E, E).
+sc(N, E, P * (2 - 1)) :- N > 0, M is N - 1, sc(M, E, P).
+ls(N, P) :- l(2000, E), sc(N, E, P).
 """
 
 
 @pytest.mark.parametrize("post", ["S #= E", "{S = E}"], ids=["fd", "braces"])
 @pytest.mark.parametrize("clause, n", [("l", 5000), ("r", 5000), ("rd", 5000),
-                                       ("l", 20000)])
+                                       ("l", 20000), ("ls", 1000),
+                                       ("ls", 20000)])
 def test_a_post_costs_time_linear_in_its_expression(clause, n, post):
     # a sum of n fresh variables, nested to the left, to the right or as
     # right-nested differences, each compound reached through a
-    # variable: a post reads no clock, so merging each operand into the
-    # other or copying each compound's coefficients, O(n^2) either way,
-    # would run far past the budget
+    # variable; or a sum of 2,000 scaled by (2 - 1) in n nested products:
+    # a post reads no clock, so merging each operand into the other or
+    # copying each compound's coefficients, O(n^2) or O(2,000 n), would
+    # run far past the budget
     budget = Budget(max_inference_steps=10 ** 6, wall_timeout=1.0)
     program = SUMS + (f"problem(A) :- {clause}({n}, E), \\+ \\+ {post}, "
                       "A = 1.\n")
